@@ -3,9 +3,10 @@
 
 Generates train/test datasets, trains the equilibrium operator, certifies
 its convergence and robustness guarantees, reconstructs every held-out
-sample next to the zero-filled and SPIRiT baselines, and tabulates metrics.
-Every artifact lands under --out; rerunning with the same flags reproduces
-it byte for byte.
+sample next to the zero-filled baseline, and tabulates metrics. SPIRiT is
+not run: the default 16x16 data at R=2 has a single ACS line, too few to
+calibrate the 5x5 SPIRiT kernel. Every artifact lands under --out;
+rerunning with the same flags reproduces it byte for byte.
 
     python scripts/run_desk_study.py --out runs/desk
 """

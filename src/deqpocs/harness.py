@@ -23,6 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import ConfigurationError
 from .metrics import MetricsReport, evaluate_kspace_set
 from .network import ConsistencyNetParams, certified_lipschitz, require_contractive
 from .rng import RandomStream, derive_seed
@@ -40,10 +41,16 @@ from .training import (
 
 
 def worker_count() -> int:
+    """Harness pool size: ``min(4, cpu_count)``, capped by ``DEQPOCS_THREADS``."""
     cap = os.environ.get("DEQPOCS_THREADS")
     workers = min(4, os.cpu_count() or 1)
     if cap:
-        workers = min(workers, max(1, int(cap)))
+        try:
+            workers = min(workers, max(1, int(cap)))
+        except ValueError:
+            raise ConfigurationError(
+                f"DEQPOCS_THREADS must be an integer, got {cap!r}"
+            ) from None
     return workers
 
 

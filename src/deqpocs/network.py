@@ -31,7 +31,6 @@ import numpy as np
 from .errors import CertificateError, InvalidInputError, ShapeError
 from .rng import RandomStream
 from .tensors import (
-    CT01_MAGIC,
     adjoint_kernel,
     as_tensor,
     conv2d_complex,
@@ -56,6 +55,9 @@ NORM_SLACK = 1e-3  # kernels divided by sigma * (1 + NORM_SLACK) when above 1
 NORM_DEADZONE = 1e-6  # rescale only when sigma * (1 + slack) exceeds 1 + deadzone
 WARM_POWER_ITERS = 5
 FULL_POWER_ITERS = 50
+# Largest certification-grid side a checkpoint may declare: loading re-runs
+# power iteration on that grid, so a corrupt header must not demand more.
+MAX_CERT_SIDE = 4096
 
 
 def layer_widths(nc: int, features: int) -> list[tuple[int, int]]:
@@ -218,29 +220,36 @@ def normalize_params(params: ConsistencyNetParams) -> ConsistencyNetParams:
     return params
 
 
-def clone_params(params: ConsistencyNetParams) -> ConsistencyNetParams:
-    blocks = []
-    for blk in params.blocks:
-        def copy_branch(br: BranchParams) -> BranchParams:
-            return BranchParams(
-                kernels=[k.copy() for k in br.kernels],
-                biases=[b.copy() for b in br.biases],
-                sigmas=list(br.sigmas),
-                power_vecs=[v.copy() for v in br.power_vecs],
-            )
+def _map_params(params: ConsistencyNetParams, array, scalar) -> ConsistencyNetParams:
+    """Same structure, every kernel and bias passed through ``array`` and
+    every block scalar through ``scalar``. Power-iteration vectors are
+    shared: they are replaced, never written in place."""
 
-        blocks.append(
-            BlockParams(
-                kspace_branch=copy_branch(blk.kspace_branch),
-                alpha=blk.alpha,
-                image_branch=(
-                    copy_branch(blk.image_branch) if blk.image_branch is not None else None
-                ),
-                c_k=blk.c_k,
-                c_i=blk.c_i,
-            )
+    def branch(br: BranchParams | None) -> BranchParams | None:
+        if br is None:
+            return None
+        return BranchParams(
+            kernels=[array(k) for k in br.kernels],
+            biases=[array(b) for b in br.biases],
+            sigmas=list(br.sigmas),
+            power_vecs=list(br.power_vecs),
         )
+
+    blocks = [
+        BlockParams(
+            branch(blk.kspace_branch),
+            scalar(blk.alpha),
+            branch(blk.image_branch),
+            scalar(blk.c_k),
+            scalar(blk.c_i),
+        )
+        for blk in params.blocks
+    ]
     return replace(params, blocks=blocks)
+
+
+def clone_params(params: ConsistencyNetParams) -> ConsistencyNetParams:
+    return _map_params(params, np.copy, float)
 
 
 def certified_lipschitz(params: ConsistencyNetParams) -> LipschitzCertificate:
@@ -357,8 +366,7 @@ def _branch_backward(
     branch: BranchParams,
     trace: dict,
     cot: np.ndarray,
-    grads: dict | None,
-    key: tuple,
+    grad: BranchParams | None,
 ) -> np.ndarray:
     """Cotangent of the branch input; optionally accumulate kernel/bias grads."""
     g = cot
@@ -367,12 +375,10 @@ def _branch_backward(
         if i < n - 1:
             m_re, m_im = trace["mults"][i]
             g = g.real * m_re + 1j * (g.imag * m_im)
-        if grads is not None:
+        if grad is not None:
             kh, kw = branch.kernels[i].shape[:2]
-            grads[key + ("k", i)] = grads.get(key + ("k", i), 0) + conv2d_kernel_grad(
-                trace["inputs"][i], g, kh, kw
-            )
-            grads[key + ("b", i)] = grads.get(key + ("b", i), 0) + g.sum(axis=(0, 1))
+            grad.kernels[i] += conv2d_kernel_grad(trace["inputs"][i], g, kh, kw)
+            grad.biases[i] += g.sum(axis=(0, 1))
         g = conv2d_complex(g, trace["adj_kernels"][i])
     return g
 
@@ -381,46 +387,63 @@ def _block_backward(
     blk: BlockParams,
     trace: dict,
     cot: np.ndarray,
-    grads: dict | None,
-    bidx: int,
+    grad: BlockParams | None,
 ) -> np.ndarray:
     a = trace["a"]
+    kgrad = None if grad is None else grad.kspace_branch
     if blk.image_branch is None:
-        if grads is not None:
-            grads[("alpha", bidx)] = inner_real(cot, trace["k"]["out"] - a)
-        gb = _branch_backward(blk.kspace_branch, trace["k"], blk.alpha * cot, grads, ("ks", bidx))
+        if grad is not None:
+            grad.alpha = inner_real(cot, trace["k"]["out"] - a)
+        gb = _branch_backward(blk.kspace_branch, trace["k"], blk.alpha * cot, kgrad)
         return (ALPHA_CEIL - blk.alpha) * cot + gb
     cot_k = blk.c_k * cot
     cot_img = ifft2_centered(blk.c_i * cot)  # adjoint of the closing FFT
-    if grads is not None:
+    if grad is not None:
         d_alpha = blk.c_k * inner_real(cot, trace["k"]["out"] - a)
         d_alpha += inner_real(cot_img, trace["i"]["out"] - trace["a_img"])
-        grads[("alpha", bidx)] = d_alpha
-        grads[("c_k", bidx)] = inner_real(cot, trace["out_k"])
-        grads[("c_i", bidx)] = inner_real(cot, trace["out_img"])
-    gb_k = _branch_backward(blk.kspace_branch, trace["k"], blk.alpha * cot_k, grads, ("ks", bidx))
+        grad.alpha = d_alpha
+        grad.c_k = inner_real(cot, trace["out_k"])
+        grad.c_i = inner_real(cot, trace["out_img"])
+    gb_k = _branch_backward(blk.kspace_branch, trace["k"], blk.alpha * cot_k, kgrad)
     grad_a = (ALPHA_CEIL - blk.alpha) * cot_k + gb_k
-    gb_i = _branch_backward(blk.image_branch, trace["i"], blk.alpha * cot_img, grads, ("im", bidx))
+    igrad = None if grad is None else grad.image_branch
+    gb_i = _branch_backward(blk.image_branch, trace["i"], blk.alpha * cot_img, igrad)
     grad_a_img = (ALPHA_CEIL - blk.alpha) * cot_img + gb_i
     return grad_a + fft2_centered(grad_a_img)  # adjoint of the opening inverse FFT
 
 
-def jacobian_vjp(params: ConsistencyNetParams, traces: list, cot: np.ndarray) -> np.ndarray:
-    """Input cotangent J^T v at the traced point (no parameter gradients)."""
+def _zero_grads(params: ConsistencyNetParams) -> ConsistencyNetParams:
+    """A zero-filled parameter container that reverse passes accumulate into."""
+    return _map_params(params, np.zeros_like, lambda _: 0.0)
+
+
+def _reverse(
+    params: ConsistencyNetParams,
+    traces: list,
+    cot: np.ndarray,
+    grads: ConsistencyNetParams | None = None,
+) -> np.ndarray:
+    """The one reverse pass over the blocks: returns the input cotangent and,
+    given a container from :func:`_zero_grads`, accumulates parameter
+    cotangents into it."""
     g = cot
     for bidx in range(len(params.blocks) - 1, -1, -1):
-        g = _block_backward(params.blocks[bidx], traces[bidx], g, None, bidx)
+        grad = None if grads is None else grads.blocks[bidx]
+        g = _block_backward(params.blocks[bidx], traces[bidx], g, grad)
     return g
+
+
+def jacobian_vjp(params: ConsistencyNetParams, traces: list, cot: np.ndarray) -> np.ndarray:
+    """Input cotangent J^T v at the traced point (no parameter gradients)."""
+    return _reverse(params, traces, cot)
 
 
 def param_vjp(params: ConsistencyNetParams, traces: list, cot: np.ndarray) -> np.ndarray:
     """Parameter cotangent of one operator application, as a flat real vector
     aligned with :func:`pack_params`."""
-    grads: dict = {}
-    g = cot
-    for bidx in range(len(params.blocks) - 1, -1, -1):
-        g = _block_backward(params.blocks[bidx], traces[bidx], g, grads, bidx)
-    return _grads_to_vector(params, grads)
+    grads = _zero_grads(params)
+    _reverse(params, traces, cot, grads)
+    return pack_params(grads)
 
 
 def vjp(params: ConsistencyNetParams, x: np.ndarray, cotangent: np.ndarray):
@@ -434,54 +457,15 @@ def vjp(params: ConsistencyNetParams, x: np.ndarray, cotangent: np.ndarray):
     cot = as_tensor(cotangent, "cotangent")
     if cot.shape != x.shape:
         raise ShapeError(f"cotangent shape {cot.shape} does not match input {x.shape}")
-    out, traces = forward_with_trace(params, x)
-    del out
-    grads: dict = {}
-    g = cot
-    for bidx in range(len(params.blocks) - 1, -1, -1):
-        g = _block_backward(params.blocks[bidx], traces[bidx], g, grads, bidx)
-    return _grads_to_vector(params, grads), g
+    _, traces = forward_with_trace(params, x)
+    grads = _zero_grads(params)
+    grad_x = _reverse(params, traces, cot, grads)
+    return pack_params(grads), grad_x
 
 
 # ---------------------------------------------------------------------------
 # Flat real parameterization (used by the optimizer and gradient checks)
 # ---------------------------------------------------------------------------
-
-def _param_entries(params: ConsistencyNetParams):
-    """Canonical (key, kind) walk over trainable parameters."""
-    for bidx, blk in enumerate(params.blocks):
-        for i in range(len(blk.kspace_branch.kernels)):
-            yield ("ks", bidx, "k", i)
-            yield ("ks", bidx, "b", i)
-        if blk.image_branch is not None:
-            for i in range(len(blk.image_branch.kernels)):
-                yield ("im", bidx, "k", i)
-                yield ("im", bidx, "b", i)
-        yield ("alpha", bidx)
-        if params.variant == "hybrid":
-            yield ("c_k", bidx)
-            yield ("c_i", bidx)
-
-
-def _get_entry(params: ConsistencyNetParams, key):
-    if key[0] in ("ks", "im"):
-        branch = params.blocks[key[1]].kspace_branch if key[0] == "ks" else params.blocks[key[1]].image_branch
-        return branch.kernels[key[3]] if key[2] == "k" else branch.biases[key[3]]
-    blk = params.blocks[key[1]]
-    return {"alpha": blk.alpha, "c_k": blk.c_k, "c_i": blk.c_i}[key[0]]
-
-
-def _set_entry(params: ConsistencyNetParams, key, value):
-    if key[0] in ("ks", "im"):
-        branch = params.blocks[key[1]].kspace_branch if key[0] == "ks" else params.blocks[key[1]].image_branch
-        if key[2] == "k":
-            branch.kernels[key[3]] = value
-        else:
-            branch.biases[key[3]] = value
-    else:
-        blk = params.blocks[key[1]]
-        setattr(blk, {"alpha": "alpha", "c_k": "c_k", "c_i": "c_i"}[key[0]], float(value))
-
 
 def pack_params(params: ConsistencyNetParams) -> np.ndarray:
     """Flatten all trainable parameters to one float64 vector.
@@ -492,53 +476,43 @@ def pack_params(params: ConsistencyNetParams) -> np.ndarray:
     and (hybrid) the combination pair.
     """
     parts = []
-    for key in _param_entries(params):
-        v = _get_entry(params, key)
-        if isinstance(v, np.ndarray):
-            parts.append(np.ascontiguousarray(v).view(np.float64).ravel())
-        else:
-            parts.append(np.array([v], dtype=np.float64))
+    for blk in params.blocks:
+        for br in (blk.kspace_branch, blk.image_branch):
+            if br is not None:
+                for k, b in zip(br.kernels, br.biases):
+                    parts.append(np.ascontiguousarray(k).view(np.float64).ravel())
+                    parts.append(np.ascontiguousarray(b).view(np.float64).ravel())
+        scalars = [blk.alpha] + ([blk.c_k, blk.c_i] if params.variant == "hybrid" else [])
+        parts.append(np.array(scalars, dtype=np.float64))
     return np.concatenate(parts)
 
 
 def unpack_params(params: ConsistencyNetParams, vec: np.ndarray) -> ConsistencyNetParams:
     """Inverse of :func:`pack_params` (normalization state is carried over)."""
-    expected = sum(
-        _get_entry(params, key).size * 2 if isinstance(_get_entry(params, key), np.ndarray) else 1
-        for key in _param_entries(params)
-    )
+    expected = num_params(params)
     if vec.size != expected:
         raise ShapeError(f"parameter vector length {vec.size}, expected {expected}")
     out = clone_params(params)
     pos = 0
-    for key in _param_entries(out):
-        v = _get_entry(out, key)
-        if isinstance(v, np.ndarray):
-            n = v.size * 2
-            flat = vec[pos : pos + n]
-            _set_entry(out, key, flat.copy().view(np.complex128).reshape(v.shape))
-            pos += n
-        else:
-            _set_entry(out, key, float(vec[pos]))
-            pos += 1
-    if pos != vec.size:
-        raise ShapeError(f"parameter vector length {vec.size}, expected {pos}")
+
+    def take(like: np.ndarray) -> np.ndarray:
+        nonlocal pos
+        n = like.size * 2
+        pos += n
+        return vec[pos - n : pos].copy().view(np.complex128).reshape(like.shape)
+
+    for blk in out.blocks:
+        for br in (blk.kspace_branch, blk.image_branch):
+            if br is not None:
+                for i in range(len(br.kernels)):
+                    br.kernels[i] = take(br.kernels[i])
+                    br.biases[i] = take(br.biases[i])
+        blk.alpha = float(vec[pos])
+        pos += 1
+        if out.variant == "hybrid":
+            blk.c_k, blk.c_i = float(vec[pos]), float(vec[pos + 1])
+            pos += 2
     return out
-
-
-def _grads_to_vector(params: ConsistencyNetParams, grads: dict) -> np.ndarray:
-    parts = []
-    for key in _param_entries(params):
-        v = _get_entry(params, key)
-        if isinstance(v, np.ndarray):
-            g = grads.get((key[0], key[1], key[2], key[3]), None)
-            if g is None:
-                parts.append(np.zeros(v.size * 2, dtype=np.float64))
-            else:
-                parts.append(np.ascontiguousarray(g).view(np.float64).ravel())
-        else:
-            parts.append(np.array([grads.get((key[0], key[1]), 0.0)], dtype=np.float64))
-    return np.concatenate(parts)
 
 
 def num_params(params: ConsistencyNetParams) -> int:
@@ -585,37 +559,55 @@ def write_ck01_bytes(params: ConsistencyNetParams, certificate: float | None = N
     return b"".join(out)
 
 
-def _read_payload(data: bytes, pos: int):
-    if data[pos : pos + 4] != CT01_MAGIC:
-        raise InvalidInputError("bad CT01 payload inside checkpoint")
-    H, W, C = struct.unpack("<III", data[pos + 4 : pos + 16])
-    size = 16 + H * W * C * 8
-    return read_ct01_bytes(data[pos : pos + size]), pos + size
+def _read_payload(data: bytes, pos: int, dims: tuple[int, int, int]):
+    size = 16 + 8 * dims[0] * dims[1] * dims[2]
+    payload = read_ct01_bytes(data[pos : pos + size])
+    if payload.shape != dims:
+        raise InvalidInputError(f"checkpoint payload has dims {payload.shape}, expected {dims}")
+    return payload, pos + size
 
 
 def read_ck01_bytes(data: bytes):
     """Deserialize a checkpoint; returns ``(params, stored_certificate)``.
 
+    Any malformed input raises InvalidInputError: the header must be
+    complete, the variant byte known, every count and the certification
+    grid at least 1 (each grid side at most ``MAX_CERT_SIDE``), the length
+    exactly what the header implies, and every value finite.
     Spectral-norm estimates are recomputed with the full power iteration on
     the stored certification grid, so the returned parameters carry a fresh,
     verifiable certificate.
     """
     if data[:4] != CK01_MAGIC:
         raise InvalidInputError("bad CK01 magic")
+    if len(data) < 25:
+        raise InvalidInputError("truncated CK01 header")
+    if data[4] >= len(VARIANTS):
+        raise InvalidInputError(f"CK01 variant byte {data[4]} out of range")
     variant = VARIANTS[data[4]]
     B, F, nc, gh, gw = struct.unpack("<IIIII", data[5:25])
+    if min(B, F, nc, gh, gw) < 1 or max(gh, gw) > MAX_CERT_SIDE:
+        raise InvalidInputError(
+            f"CK01 header out of range: {B} blocks, {F} features, {nc} coils, "
+            f"certification grid {gh}x{gw}"
+        )
+    widths = layer_widths(nc, F)
+    nbranch = 2 if variant == "hybrid" else 1
+    # per layer: a kernel and a bias payload, 16-byte header each, 8 bytes a value
+    branch_bytes = sum(32 + 8 * (KERNEL_SIZE**2 * cin + 1) * cout for cin, cout in widths)
+    expected = 25 + B * (nbranch * branch_bytes + 12) + 4
+    if len(data) != expected:
+        raise InvalidInputError(f"CK01 of {len(data)} bytes, header promises {expected}")
     pos = 25
     blocks = []
-    widths = layer_widths(nc, F)
     for _ in range(B):
         branches = []
-        nbranch = 2 if variant == "hybrid" else 1
         for _ in range(nbranch):
             kernels, biases = [], []
             for cin, cout in widths:
-                payload, pos = _read_payload(data, pos)
+                payload, pos = _read_payload(data, pos, (KERNEL_SIZE, KERNEL_SIZE, cin * cout))
                 kernels.append(payload.reshape(KERNEL_SIZE, KERNEL_SIZE, cin, cout))
-                payload, pos = _read_payload(data, pos)
+                payload, pos = _read_payload(data, pos, (1, 1, cout))
                 biases.append(payload.reshape(cout))
             branches.append(BranchParams(kernels=kernels, biases=biases, sigmas=[], power_vecs=[]))
         blocks.append(
@@ -625,11 +617,11 @@ def read_ck01_bytes(data: bytes):
                 image_branch=branches[1] if variant == "hybrid" else None,
             )
         )
-    for blk in blocks:
-        a, ck, ci = struct.unpack("<fff", data[pos : pos + 12])
-        blk.alpha, blk.c_k, blk.c_i = float(a), float(ck), float(ci)
-        pos += 12
-    (stored_l,) = struct.unpack("<f", data[pos : pos + 4])
+    scalars = np.frombuffer(data, dtype="<f4", count=3 * B + 1, offset=pos)
+    if not np.all(np.isfinite(scalars)):
+        raise InvalidInputError("CK01 mixing weights or certificate not finite")
+    for b, blk in enumerate(blocks):
+        blk.alpha, blk.c_k, blk.c_i = (float(v) for v in scalars[3 * b : 3 * b + 3])
     params = ConsistencyNetParams(
         variant=variant, blocks=blocks, features=F, nc=nc, cert_grid=(gh, gw)
     )
@@ -637,7 +629,7 @@ def read_ck01_bytes(data: bytes):
         _certify_branch(blk.kspace_branch, params.cert_grid, iters=FULL_POWER_ITERS)
         if blk.image_branch is not None:
             _certify_branch(blk.image_branch, params.cert_grid, iters=FULL_POWER_ITERS)
-    return params, float(stored_l)
+    return params, float(scalars[-1])
 
 
 def save_checkpoint(path, params: ConsistencyNetParams, certificate: float | None = None) -> None:

@@ -275,15 +275,27 @@ def write_mk01_bytes(mask: SamplingMask) -> bytes:
 
 
 def read_mk01_bytes(data: bytes) -> SamplingMask:
+    """Parse an MK01 container; any malformed input raises InvalidInputError."""
     if data[:4] != MK01_MAGIC:
         raise InvalidInputError("bad MK01 magic")
+    if len(data) < 12:
+        raise InvalidInputError("truncated MK01 header")
     H, W = struct.unpack("<II", data[4:12])
     n = H * W
-    grid = np.frombuffer(data, dtype=np.uint8, count=n, offset=12).reshape(H, W).astype(bool)
+    if len(data) != 12 + n + 9:
+        raise InvalidInputError(f"MK01 of {len(data)} bytes, header promises {12 + n + 9}")
+    cells = np.frombuffer(data, dtype=np.uint8, count=n, offset=12)
+    if np.any(cells > 1):
+        raise InvalidInputError("MK01 grid bytes must be 0 or 1")
+    if not cells.any():
+        raise InvalidInputError("MK01 mask samples no locations")
     off = 12 + n
     kind_byte = data[off]
+    if kind_byte >= len(MASK_KINDS):
+        raise InvalidInputError(f"MK01 kind byte {kind_byte} out of range")
     (accel,) = struct.unpack("<f", data[off + 1 : off + 5])
     acs = struct.unpack("<HH", data[off + 5 : off + 9])
+    grid = cells.reshape(H, W).astype(bool)
     return SamplingMask(grid=grid, kind=MASK_KINDS[kind_byte], accel=float(accel), acs=acs)
 
 

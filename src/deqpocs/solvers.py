@@ -1,10 +1,12 @@
-"""Fixed-point solvers: Picard iteration and Anderson acceleration.
+"""Fixed-point solvers: Anderson acceleration, with Picard iteration as its
+memory-1 case.
 
-Both solvers iterate an operator ``T`` on (H, W, C) complex tensors and
-record the fixed-point residual ``||T(x_k) - x_k||_F`` at every step (for
-Picard this equals the step norm ``||x_{k+1} - x_k||_F``). Convergence is
-relative: the run stops once the residual drops below
-``tol * max(1, ||x_{k+1}||_F)``.
+One loop iterates an operator ``T`` on complex tensors and records the
+fixed-point residual ``||T(x_k) - x_k||_F`` at every step (for Picard this
+equals the step norm ``||x_{k+1} - x_k||_F``). Convergence is relative: the
+run stops once the residual drops below ``tol * max(1, ||T(x_k)||_F)``. The
+forward equilibrium, the harness's plain iteration and the training
+adjoint all run on this loop.
 """
 
 from __future__ import annotations
@@ -27,17 +29,27 @@ class FixedPointResult:
     tolerance: float
     method: str
     wall_times_ms: list[float] = field(default_factory=list)
+    iterates: list[np.ndarray] | None = None
 
     @property
     def final_residual(self) -> float:
         return self.residuals[-1] if self.residuals else float("nan")
 
 
-def _check_finite(x: np.ndarray, iteration: int) -> None:
-    if not np.all(np.isfinite(x)):
-        raise DivergenceError(
-            f"non-finite iterate at iteration {iteration}", iteration=iteration
-        )
+def _norms(g: np.ndarray, x: np.ndarray, iteration: int) -> tuple[float, float]:
+    """``(||g - x||_F, ||g||_F)``. A non-finite iterate, or a norm that is
+    not finite or overflows, is divergence."""
+    if np.all(np.isfinite(g)):
+        try:
+            with np.errstate(over="raise", invalid="raise"):
+                res, size = frob(g - x), frob(g)
+            if np.isfinite(res):
+                return res, size
+        except FloatingPointError:
+            pass
+    raise DivergenceError(
+        f"non-finite iterate or residual at iteration {iteration}", iteration=iteration
+    )
 
 
 def picard_solve(
@@ -48,60 +60,10 @@ def picard_solve(
     divergence_window: int | None = None,
     record_iterates: bool = False,
 ) -> FixedPointResult:
-    """Iterate ``x <- T(x)`` until the relative residual drops below ``tol``.
-
-    ``divergence_window`` enables a watchdog for operators without a
-    contraction guarantee: when the residual grows for that many consecutive
-    iterations the solve stops and returns the best-residual iterate,
-    flagged not converged. ``record_iterates`` attaches the full iterate
-    sequence (including ``x0``) as ``result.iterates``.
-    """
-    if tol <= 0 or max_iter < 1:
-        raise ValueError("tol must be positive and max_iter >= 1")
-    x = np.asarray(x0, dtype=np.complex128)
-    residuals: list[float] = []
-    times: list[float] = []
-    iterates = [x] if record_iterates else None
-    best_x, best_res = x, float("inf")
-    growth = 0
-    converged = False
-    t0 = time.perf_counter()
-    for k in range(max_iter):
-        x_new = T(x)
-        _check_finite(x_new, k)
-        res = frob(x_new - x)
-        if not np.isfinite(res):
-            raise DivergenceError(f"non-finite residual at iteration {k}", iteration=k)
-        residuals.append(res)
-        times.append((time.perf_counter() - t0) * 1e3)
-        if iterates is not None:
-            iterates.append(x_new)
-        if res < best_res:
-            # the pre-step iterate is the one this residual certifies
-            best_x, best_res = x, res
-            growth = 0
-        else:
-            growth += 1
-        x = x_new
-        if res <= tol * max(1.0, frob(x_new)):
-            converged = True
-            break
-        if divergence_window is not None and growth >= divergence_window:
-            x = best_x
-            break
-    solution = x if converged or divergence_window is None else best_x
-    result = FixedPointResult(
-        solution=solution,
-        residuals=residuals,
-        iterations=len(residuals),
-        converged=converged,
-        tolerance=tol,
-        method="picard",
-        wall_times_ms=times,
-    )
-    if iterates is not None:
-        result.iterates = iterates
-    return result
+    """Iterate ``x <- T(x)`` until the relative residual drops below ``tol``:
+    :func:`anderson_solve` with memory 1."""
+    return anderson_solve(T, x0, m=1, tol=tol, max_iter=max_iter,
+                          divergence_window=divergence_window, record_iterates=record_iterates)
 
 
 def anderson_solve(
@@ -110,23 +72,27 @@ def anderson_solve(
     m: int = 5,
     tol: float = 1e-5,
     max_iter: int = 60,
-    beta: float = 1.0,
     ridge: float = 1e-4,
-    fixed_iters: int | None = None,
+    divergence_window: int | None = None,
+    record_iterates: bool = False,
 ) -> FixedPointResult:
     """Anderson-accelerated fixed-point solve with memory ``m``.
 
     Mixing weights minimize the norm of the combined residual over the last
     ``m`` iterates subject to summing to one, through a ridge-regularized
     bordered system (the ridge scales with the residual Gram trace so it
-    stays meaningful as residuals shrink). The next iterate is the
-    ``beta``-damped combination; any degenerate solve falls back to a plain
-    Picard step. ``fixed_iters`` runs exactly that many iterations instead
-    of stopping on tolerance (the convergence flag still reports whether the
-    final residual met ``tol``).
+    stays meaningful as residuals shrink); any degenerate solve falls back
+    to a plain step. With ``m = 1`` every step is the plain step
+    ``x <- T(x)``, i.e. Picard iteration.
+
+    ``divergence_window`` enables a watchdog for operators without a
+    contraction guarantee: when the residual grows for that many consecutive
+    iterations, or the budget runs out, the solve returns the best-residual
+    iterate flagged not converged. ``record_iterates`` attaches ``x0``
+    followed by every ``T(x_k)`` as ``result.iterates``.
     """
-    if m < 1 or not (0 < beta <= 1.0) or ridge < 0:
-        raise ValueError("require m >= 1, 0 < beta <= 1, ridge >= 0")
+    if m < 1 or ridge < 0:
+        raise ValueError("require m >= 1 and ridge >= 0")
     if tol <= 0 or max_iter < 1:
         raise ValueError("tol must be positive and max_iter >= 1")
     x = np.asarray(x0, dtype=np.complex128)
@@ -135,24 +101,31 @@ def anderson_solve(
     hist_g: list[np.ndarray] = []
     residuals: list[float] = []
     times: list[float] = []
+    iterates = [x] if record_iterates else None
+    best_x, best_res = x, float("inf")
+    growth = 0
     converged = False
     solution = x
-    n_iter = fixed_iters if fixed_iters is not None else max_iter
     t0 = time.perf_counter()
-    for k in range(n_iter):
+    for k in range(max_iter):
         g = T(x)
-        _check_finite(g, k)
-        f = g - x
-        res = frob(f)
-        if not np.isfinite(res):
-            raise DivergenceError(f"non-finite residual at iteration {k}", iteration=k)
+        res, size = _norms(g, x, k)
         residuals.append(res)
         times.append((time.perf_counter() - t0) * 1e3)
+        if iterates is not None:
+            iterates.append(g)
         solution = g
-        if res <= tol * max(1.0, frob(g)):
+        if res < best_res:
+            # the pre-step iterate is the one this residual certifies
+            best_x, best_res = x, res
+            growth = 0
+        else:
+            growth += 1
+        if res <= tol * max(1.0, size):
             converged = True
-            if fixed_iters is None:
-                break
+            break
+        if divergence_window is not None and growth >= divergence_window:
+            break
         hist_x.append(x.ravel())
         hist_g.append(g.ravel())
         if len(hist_x) > m:
@@ -176,22 +149,20 @@ def anderson_solve(
         except np.linalg.LinAlgError:
             weights = None
         if weights is None or not np.all(np.isfinite(weights)):
-            x = g  # degenerate least squares: plain Picard step
+            x = g  # degenerate least squares: plain step
             continue
-        gx = np.stack(hist_g, axis=0)
-        xx = np.stack(hist_x, axis=0)
-        x_next = beta * (weights @ gx) + (1.0 - beta) * (weights @ xx)
-        x = x_next.reshape(shape)
-    if fixed_iters is not None and residuals:
-        converged = residuals[-1] <= tol * max(1.0, frob(solution))
+        x = (weights @ np.stack(hist_g, axis=0)).reshape(shape)
+    if not converged and divergence_window is not None:
+        solution = best_x
     return FixedPointResult(
         solution=solution,
         residuals=residuals,
         iterations=len(residuals),
         converged=converged,
         tolerance=tol,
-        method="anderson",
+        method="picard" if m == 1 else "anderson",
         wall_times_ms=times,
+        iterates=iterates,
     )
 
 

@@ -173,12 +173,22 @@ def write_sp01_bytes(kernels: SpiritKernels) -> bytes:
 
 
 def read_sp01_bytes(data: bytes) -> SpiritKernels:
+    """Parse an SP01 container; any malformed input raises InvalidInputError."""
     if data[:4] != SP01_MAGIC:
         raise InvalidInputError("bad SP01 magic")
+    if len(data) < 12:
+        raise InvalidInputError("truncated SP01 header")
     k, nc = struct.unpack("<II", data[4:12])
+    if k % 2 == 0 or nc < 1:
+        raise InvalidInputError(f"SP01 kernel size {k} must be odd and coil count {nc} >= 1")
     if data[12:16] != CT01_MAGIC:
         raise InvalidInputError("missing CT01 payload in SP01 container")
-    taps = read_ct01_bytes(data[12:]).reshape(k, k, nc, nc)
+    taps = read_ct01_bytes(data[12:])
+    if taps.shape != (k, k, nc * nc):
+        raise InvalidInputError(
+            f"SP01 taps have dims {taps.shape}, header promises {(k, k, nc * nc)}"
+        )
+    taps = taps.reshape(k, k, nc, nc)
     c = k // 2
     taps[c, c, np.arange(nc), np.arange(nc)] = 0  # exact zero despite f32 round trip
     return SpiritKernels(taps=taps, lam_rel=0.0)

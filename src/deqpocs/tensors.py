@@ -245,13 +245,22 @@ def write_ct01_bytes(x: np.ndarray) -> bytes:
 
 
 def read_ct01_bytes(data: bytes) -> np.ndarray:
+    """Parse a CT01 container; any malformed input raises InvalidInputError."""
     if data[:4] != CT01_MAGIC:
         raise InvalidInputError("bad CT01 magic")
+    if len(data) < 16:
+        raise InvalidInputError("truncated CT01 header")
     H, W, C = struct.unpack("<III", data[4:16])
+    if min(H, W, C) < 1:
+        raise InvalidInputError(f"CT01 dims {H}x{W}x{C} must be >= 1")
     count = H * W * C * 2
+    if len(data) != 16 + 4 * count:
+        raise InvalidInputError(
+            f"CT01 payload of {len(data) - 16} bytes, header promises {4 * count}"
+        )
     payload = np.frombuffer(data, dtype="<f4", count=count, offset=16)
-    if payload.size != count:
-        raise InvalidInputError("truncated CT01 payload")
+    if not np.all(np.isfinite(payload)):
+        raise InvalidInputError("CT01 payload contains non-finite values")
     pairs = payload.reshape(H, W, C, 2).astype(np.float64)
     return (pairs[..., 0] + 1j * pairs[..., 1]).astype(np.complex128)
 

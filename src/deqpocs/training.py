@@ -5,8 +5,9 @@ consistency operator composed with the data-consistency projection, scores
 it with a squared-Frobenius k-space loss against the fully sampled truth,
 and backpropagates through the equilibrium with the implicit-function
 adjoint: ``v = (I - J^T)^{-1} g`` is found by the (provably convergent,
-certificate-backed) iteration ``v <- g + J^T v``, after which one
-parameter-side reverse product of the composed operator yields the
+certificate-backed) iteration ``v <- g + J^T v``, run on the same
+fixed-point loop as the forward solve (:func:`picard_solve`), after which
+one parameter-side reverse product of the composed operator yields the
 gradient. Parameters are updated with bias-corrected Adam on their real
 parameterization and re-projected onto the certified-contractive set after
 every step.
@@ -20,7 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import TrainingError
+from .errors import CertificateError, TrainingError
 from .network import (
     ConsistencyNetParams,
     certified_lipschitz,
@@ -45,9 +46,6 @@ class SolverSettings:
     method: str = "anderson"  # "picard" or "anderson"
     tol: float = 1e-5
     max_iter: int | None = None  # None: sized from the certificate
-    anderson_memory: int = 5
-    anderson_beta: float = 1.0
-    anderson_ridge: float = 1e-4
 
 
 INFERENCE_SOLVER = SolverSettings(tol=1e-5)
@@ -55,7 +53,17 @@ TRAIN_FORWARD_SOLVER = SolverSettings(tol=1e-4)
 
 
 def make_pocs_operator(params: ConsistencyNetParams, meas: Measurement):
-    """The iteration map: consistency operator followed by the projection."""
+    """The iteration map: consistency operator followed by the projection.
+
+    Raises :class:`CertificateError` when the measurement grid exceeds the
+    certified grid in either dimension: zero-padded convolution norms grow
+    with the grid, so the certificate does not cover larger inputs.
+    """
+    (gh, gw), (h, w) = params.cert_grid, meas.y.shape[:2]
+    if h > gh or w > gw:
+        raise CertificateError(
+            f"measurement grid {h}x{w} exceeds the certified grid {gh}x{gw}"
+        )
 
     def T(x: np.ndarray) -> np.ndarray:
         return project_data_consistency(forward(params, x), meas.mask, meas)
@@ -94,15 +102,7 @@ def solve_equilibrium(
         max_iter = auto_max_iter(tol_eff, contraction if contraction else 0.5, settings.method)
     if settings.method == "picard":
         return picard_solve(T, x0, tol=tol_eff, max_iter=max_iter)
-    return anderson_solve(
-        T,
-        x0,
-        m=settings.anderson_memory,
-        tol=tol_eff,
-        max_iter=max_iter,
-        beta=settings.anderson_beta,
-        ridge=settings.anderson_ridge,
-    )
+    return anderson_solve(T, x0, tol=tol_eff, max_iter=max_iter)
 
 
 def reconstruct(
@@ -145,29 +145,26 @@ def implicit_backward(
     Jacobian of the projected operator at ``x_fixed`` (the projection
     contributes the sampled-set complement, the network contributes its
     reverse-mode product on a cached trace), then returns the parameter
-    cotangent of one application. With a certificate L < 1 the adjoint
-    iteration converges geometrically; hitting ``max_iter`` first only
-    warns and returns the best available iterate.
+    cotangent of one application. The adjoint is solved with
+    :func:`picard_solve` from ``v = g``. With a certificate L < 1 it
+    converges geometrically; hitting ``max_iter`` first only warns and
+    returns the last iterate.
     """
     _, traces = forward_with_trace(params, x_fixed)
     g = np.asarray(grad_loss, dtype=np.complex128)
-    v = g.copy()
-    iterations = 0
-    for _ in range(max_iter):
-        v_new = g + jacobian_vjp(params, traces, mask_complement_multiply(v, meas.mask))
-        step = frob(v_new - v)
-        v = v_new
-        iterations += 1
-        if step <= tol * max(1.0, frob(v)):
-            break
-    else:
+
+    def adjoint_map(v: np.ndarray) -> np.ndarray:
+        return g + jacobian_vjp(params, traces, mask_complement_multiply(v, meas.mask))
+
+    adjoint = picard_solve(adjoint_map, g, tol=tol, max_iter=max_iter)
+    if not adjoint.converged:
         warnings.warn(
             f"adjoint fixed-point iteration did not reach tol={tol} in {max_iter} steps",
             RuntimeWarning,
         )
-    grad = param_vjp(params, traces, mask_complement_multiply(v, meas.mask))
+    grad = param_vjp(params, traces, mask_complement_multiply(adjoint.solution, meas.mask))
     if return_iterations:
-        return grad, iterations
+        return grad, adjoint.iterations
     return grad
 
 

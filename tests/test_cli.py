@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from deqpocs.cli import main, write_pgm16
-from deqpocs.network import load_checkpoint
+from deqpocs.network import init_params, load_checkpoint, save_checkpoint
 from deqpocs.tensors import load_ct01
 
 
@@ -31,6 +31,14 @@ def checkpoint(dataset_dir, tmp_path_factory):
         "--epochs", "2", "--blocks", "1", "--features", "4", "--seed", "0",
     )
     assert code == 0
+    return ck
+
+
+@pytest.fixture(scope="module")
+def small_grid_checkpoint(tmp_path_factory):
+    """An untrained model certified on 8x8, smaller than the 16x16 dataset."""
+    ck = tmp_path_factory.mktemp("ck8") / "net8.ck01"
+    save_checkpoint(ck, init_params("kspace", 1, 4, 2, seed=0, grid=(8, 8)))
     return ck
 
 
@@ -131,6 +139,28 @@ class TestRecon:
         )
         assert code == 1
 
+    def test_truncated_checkpoint_exits_2(self, dataset_dir, checkpoint, tmp_path):
+        cut = tmp_path / "cut.ck01"
+        cut.write_bytes(checkpoint.read_bytes()[:-5])
+        assert run(
+            "recon", "--ckpt", str(cut),
+            "--meas", str(dataset_dir / "sample_0000_meas.ct01"),
+            "--mask", str(dataset_dir / "sample_0000_mask.mk01"),
+            "--out", str(tmp_path / "o3"),
+        ) == 2
+
+    def test_grid_beyond_certified_grid_exits_1(
+        self, dataset_dir, small_grid_checkpoint, tmp_path, capsys
+    ):
+        code = run(
+            "recon", "--ckpt", str(small_grid_checkpoint),
+            "--meas", str(dataset_dir / "sample_0000_meas.ct01"),
+            "--mask", str(dataset_dir / "sample_0000_mask.mk01"),
+            "--out", str(tmp_path / "o4"),
+        )
+        assert code == 1
+        assert "exceeds the certified grid 8x8" in capsys.readouterr().err
+
     def test_fully_sampled_recon_matches_input(self, checkpoint, tmp_path):
         from deqpocs.phantom import DatasetSpec, make_dataset, save_dataset
 
@@ -170,6 +200,21 @@ class TestBaseline:
 
 
 class TestVerify:
+    def test_grid_beyond_certified_grid_exits_1(
+        self, dataset_dir, small_grid_checkpoint, tmp_path
+    ):
+        assert run(
+            "verify", "--ckpt", str(small_grid_checkpoint), "--data", str(dataset_dir),
+            "--out", str(tmp_path / "verify"), "--samples", "1",
+        ) == 1
+
+    def test_bad_thread_cap_exits_2(self, dataset_dir, checkpoint, tmp_path, monkeypatch):
+        monkeypatch.setenv("DEQPOCS_THREADS", "abc")
+        assert run(
+            "verify", "--ckpt", str(checkpoint), "--data", str(dataset_dir),
+            "--out", str(tmp_path / "verify"), "--samples", "1",
+        ) == 2
+
     def test_fresh_init_passes(self, dataset_dir, checkpoint, tmp_path):
         out = tmp_path / "verify"
         code = run(

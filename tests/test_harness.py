@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from deqpocs.errors import ConfigurationError
 from deqpocs.harness import (
     verify_convergence,
     verify_init_independence,
@@ -139,3 +140,6 @@ def test_worker_count_env(monkeypatch):
     assert worker_count() == 1
     monkeypatch.setenv("DEQPOCS_THREADS", "64")
     assert worker_count() >= 1
+    monkeypatch.setenv("DEQPOCS_THREADS", "abc")
+    with pytest.raises(ConfigurationError, match="DEQPOCS_THREADS"):
+        worker_count()

@@ -74,7 +74,7 @@ class TestAnderson:
         c = gaussian_tensor((4, 4, 1), RandomStream(7))
         T = affine_map(0.7, c)
         pic = picard_solve(T, np.zeros_like(c), tol=1e-9, max_iter=200)
-        and_ = anderson_solve(T, np.zeros_like(c), m=1, beta=1.0, ridge=0.0, tol=1e-9, max_iter=200)
+        and_ = anderson_solve(T, np.zeros_like(c), m=1, ridge=0.0, tol=1e-9, max_iter=200)
         n = min(pic.iterations, and_.iterations)
         assert np.allclose(pic.residuals[:n], and_.residuals[:n], rtol=1e-9)
 
@@ -96,12 +96,6 @@ class TestAnderson:
             if res.converged:
                 assert res.residuals[-1] <= res.tolerance * max(1.0, frob(res.solution))
 
-    def test_fixed_iters_mode(self):
-        c = gaussian_tensor((4, 4, 1), RandomStream(9))
-        res = anderson_solve(affine_map(0.5, c), np.zeros_like(c), fixed_iters=5, tol=1e-12)
-        assert res.iterations == 5
-        assert not res.converged  # 5 iterations cannot reach 1e-12 here
-
     def test_divergence_error(self):
         def blowup(x):
             return x * 2e200
@@ -113,8 +107,6 @@ class TestAnderson:
         c = np.zeros((2, 2, 1), dtype=complex)
         with pytest.raises(ValueError):
             anderson_solve(lambda x: x, c, m=0)
-        with pytest.raises(ValueError):
-            anderson_solve(lambda x: x, c, beta=0.0)
         with pytest.raises(ValueError):
             picard_solve(lambda x: x, c, tol=-1.0)
 

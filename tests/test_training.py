@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from deqpocs.errors import TrainingError
+from deqpocs.errors import CertificateError, TrainingError
 from deqpocs.network import (
     forward,
     init_params,
@@ -154,6 +154,21 @@ class TestEquilibrium:
     def test_zero_fill_is_measurement(self):
         x_full, meas, _ = tiny_setup(seed=8)
         assert zero_fill(meas) is meas.y
+
+    @pytest.mark.parametrize("shape", [(16, 16), (16, 8), (8, 16)])
+    def test_grid_beyond_certified_grid_refused(self, shape):
+        _, _, params = tiny_setup()  # certified on 8x8
+        x_full = gaussian_tensor((*shape, 2), RandomStream(12))
+        meas = apply_sampling(x_full, make_mask("1d-calibrated", *shape, 2, acs=2, seed=5))
+        with pytest.raises(CertificateError, match="exceeds the certified grid 8x8"):
+            make_pocs_operator(params, meas)
+        with pytest.raises(CertificateError):
+            reconstruct(params, meas)
+
+    def test_grid_within_certified_grid_accepted(self):
+        x_full = gaussian_tensor((6, 8, 2), RandomStream(13))
+        meas = apply_sampling(x_full, make_mask("1d-calibrated", 6, 8, 2, acs=2, seed=5))
+        assert reconstruct(tiny_setup()[2], meas).converged
 
 
 class TestTrainLoop:
