@@ -2,10 +2,10 @@
 guarantees, plus the interference experiments (noisy measurements, noisy
 initial iterates, transferred sampling patterns).
 
-All checks run against the conservative certificate L: convergence must
-follow the geometric envelope ``r_k <= slack * L^k * r_0``; noisy-vs-clean
-equilibria must stay within ``delta / (1 - L)``; equilibria from different
-starting points must coincide. Slack terms of ``10 * tol`` / ``20 * tol``
+All checks run against the certificate L of ``certified_lipschitz``:
+convergence must follow the geometric envelope ``r_k <= slack * L^k * r_0``;
+noisy-vs-clean equilibria must stay within ``delta / (1 - L)``; equilibria
+from different starting points must coincide. Slack terms of ``10 * tol`` / ``20 * tol``
 (times ``max(1, ||x||)``, matching the solvers' relative stop rule) absorb
 solver inexactness: each equilibrium is solved to within
 ``tol * max(1, ||x||)`` of the true fixed point, so compared pairs can

@@ -11,10 +11,10 @@ leaky ReLU (slope 0.2) applied separately to real and imaginary parts, a
 1-Lipschitz choice, on all but the final layer of each branch.
 
 Certification multiplies per-layer power-iteration spectral-norm estimates
-within a branch, mixes branches convexly, and multiplies across blocks; the
-bound is maintained by :func:`normalize_params` after every optimizer step.
-Exact reverse-mode products (:func:`vjp`) treat complex tensors as stacked
-real pairs.
+(lower bounds on the true norms) within a branch, mixes branches, and
+multiplies across blocks; the bound is maintained by
+:func:`normalize_params` after every optimizer step. Exact reverse-mode
+products (:func:`vjp`) treat complex tensors as stacked real pairs.
 
 ``forward`` and ``vjp`` never mutate parameters, so one parameter state can
 serve many concurrent evaluations; ``normalize_params`` and optimizer
@@ -96,8 +96,10 @@ class ConsistencyNetParams:
 
 @dataclass(frozen=True)
 class LipschitzCertificate:
-    """Contraction bound for the whole operator, from power-iteration
-    estimates of per-kernel spectral norms (conservative product bound)."""
+    """Contraction bound for the whole operator: the product bound of
+    :func:`certified_lipschitz` over power-iteration estimates of the
+    per-kernel spectral norms. Those estimates are lower bounds on the true
+    norms, so the bound can fall short of the operator's Lipschitz constant."""
 
     contraction_bound: float
     block_bounds: tuple[float, ...]
@@ -253,24 +255,26 @@ def clone_params(params: ConsistencyNetParams) -> ConsistencyNetParams:
 
 
 def certified_lipschitz(params: ConsistencyNetParams) -> LipschitzCertificate:
-    """Conservative contraction bound from stored per-kernel estimates.
+    """Contraction bound from the stored per-kernel norm estimates.
 
-    Per block: ``(0.99 - alpha) + alpha * prod(layer norms)`` per branch
-    (activation Lipschitz constant 1), convex branch mix for the hybrid
-    variant; bounds multiply across blocks. Normalized parameters always
-    certify at <= 0.99.
+    Per branch: ``|0.99 - alpha| + |alpha| * prod(layer norms)`` (activation
+    Lipschitz constant 1); the hybrid variant mixes its branches as
+    ``|c_k| * b_k + |c_i| * b_i``; bounds multiply across blocks. The
+    absolute values keep the formula valid for any stored alpha or mixing
+    weight; normalized parameters certify at <= 0.99. The layer norms are
+    power-iteration estimates, that is lower bounds on the true norms, so
+    the result is an estimate of the bound rather than a guaranteed one.
     """
     block_bounds = []
     kernel_bounds: list[float] = []
     for blk in params.blocks:
-        bk = (ALPHA_CEIL - blk.alpha) + blk.alpha * float(np.prod(blk.kspace_branch.sigmas))
+        keep, mix = abs(ALPHA_CEIL - blk.alpha), abs(blk.alpha)
+        bound = keep + mix * float(np.prod(blk.kspace_branch.sigmas))
         kernel_bounds.extend(blk.kspace_branch.sigmas)
         if blk.image_branch is not None:
-            bi = (ALPHA_CEIL - blk.alpha) + blk.alpha * float(np.prod(blk.image_branch.sigmas))
+            bi = keep + mix * float(np.prod(blk.image_branch.sigmas))
             kernel_bounds.extend(blk.image_branch.sigmas)
-            bound = blk.c_k * bk + blk.c_i * bi
-        else:
-            bound = bk
+            bound = abs(blk.c_k) * bound + abs(blk.c_i) * bi
         block_bounds.append(bound)
     total = float(np.prod(block_bounds))
     return LipschitzCertificate(

@@ -25,7 +25,7 @@ from .tensors import (
     as_tensor,
     conv2d_complex,
     read_ct01_bytes,
-    spectral_norm_power_iter,
+    window_rows,
     write_ct01_bytes,
 )
 
@@ -65,16 +65,6 @@ class SpiritKernels:
         return self.taps.shape[2]
 
 
-def _calibration_matrix(acs: np.ndarray, k: int) -> np.ndarray:
-    """Rows: interior ACS points; columns: kxk neighborhoods over all coils,
-    flattened in (dy, dx, coil) order to match the convolution layout."""
-    Ha, Wa, nc = acs.shape
-    windows = np.lib.stride_tricks.sliding_window_view(acs, (k, k), axis=(0, 1))
-    # (Ha-k+1, Wa-k+1, nc, k, k) -> (points, k, k, nc) -> (points, k*k*nc)
-    pts = windows.transpose(0, 1, 3, 4, 2).reshape(-1, k * k * nc)
-    return pts
-
-
 def calibrate_kernels(acs: np.ndarray, k: int = 5, lam_rel: float = 1e-2) -> SpiritKernels:
     """Ridge least-squares calibration over the ACS interior.
 
@@ -92,7 +82,7 @@ def calibrate_kernels(acs: np.ndarray, k: int = 5, lam_rel: float = 1e-2) -> Spi
         raise ConfigurationError(f"ACS block {Ha}x{Wa} smaller than kernel {k}x{k}")
     if lam_rel < 0:
         raise ConfigurationError("ridge weight must be nonnegative")
-    A_full = _calibration_matrix(acs, k)
+    A_full = window_rows(acs, k, k)
     center = k // 2
     margin = center
     centers = acs[margin : Ha - margin, margin : Wa - margin, :].reshape(-1, nc)
@@ -120,15 +110,6 @@ def spirit_apply(kernels: SpiritKernels, kspace: np.ndarray) -> np.ndarray:
             f"coil mismatch: data has {x.shape[2]}, kernels expect {kernels.coils}"
         )
     return conv2d_complex(x, kernels.taps)
-
-
-def spirit_operator_norm(kernels: SpiritKernels, grid: tuple[int, int]) -> float:
-    """Power-iteration estimate of the prediction operator's norm on ``grid``.
-
-    Reported with every calibration; the operator is not guaranteed
-    contractive, which is why reconstruction uses a watchdog.
-    """
-    return spectral_norm_power_iter(kernels.taps, grid, iters=50, seed=0)
 
 
 def spirit_pocs_recon(

@@ -198,6 +198,32 @@ class TestBaseline:
         assert (out / "baseline_spirit.ct01").exists()
         assert (out / "baseline_spirit.pgm").exists()
 
+    @staticmethod
+    def _spirit_on_desk_data(tmp_path, *gen_flags):
+        d = tmp_path / "desk"
+        assert run(
+            "gen-data", "--out", str(d), "--n", "1", "--size", "32", "--coils", "4",
+            *gen_flags,
+        ) == 0
+        return run(
+            "baseline", "--method", "spirit",
+            "--meas", str(d / "sample_0000_meas.ct01"),
+            "--mask", str(d / "sample_0000_mask.mk01"),
+            "--ref", str(d / "sample_0000_full.ct01"),
+            "--out", str(tmp_path / "base"),
+        )
+
+    def test_spirit_on_auto_acs_desk_data_exits_2(self, tmp_path, capsys):
+        # the automatic ACS block of a 32x32 R=4 mask is 2 lines wide,
+        # narrower than the default 5x5 SPIRiT kernel
+        assert self._spirit_on_desk_data(tmp_path, "--seed", "1") == 2
+        assert "ACS block 32x2 smaller than kernel 5x5" in capsys.readouterr().err
+
+    def test_spirit_on_wide_acs_desk_data_runs(self, tmp_path, capsys):
+        assert self._spirit_on_desk_data(tmp_path, "--seed", "3", "--acs", "6") == 0
+        assert "psnr:" in capsys.readouterr().out
+        assert (tmp_path / "base" / "baseline_spirit.ct01").exists()
+
 
 class TestVerify:
     def test_grid_beyond_certified_grid_exits_1(

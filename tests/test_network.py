@@ -135,6 +135,21 @@ class TestCertificate:
             worst = max(worst, frob(forward(p, a) - forward(p, b)) / frob(a - b))
         assert worst <= L
 
+    @pytest.mark.parametrize("alpha", [1.2, -0.3, 1.5])
+    def test_bound_holds_for_alpha_outside_range(self, alpha):
+        # a stored alpha outside [0, 0.99] (a hand-edited or foreign CK01)
+        # must still certify at least the measured local Lipschitz ratio
+        p = init_params("kspace", 1, 4, 2, grid=(8, 8))
+        p.blocks[0].alpha = alpha
+        L = certified_lipschitz(p).contraction_bound
+        s = RandomStream(17)
+        worst = 0.0
+        for _ in range(20):
+            x = gaussian_tensor((8, 8, 2), s)
+            d = 1e-3 * gaussian_tensor((8, 8, 2), s)
+            worst = max(worst, frob(forward(p, x + d) - forward(p, x)) / frob(d))
+        assert L >= worst
+
     def test_require_contractive(self):
         p = small_net(seed=16)
         require_contractive(certified_lipschitz(p))

@@ -11,7 +11,6 @@ from deqpocs.spirit import (
     extract_acs,
     read_sp01_bytes,
     spirit_apply,
-    spirit_operator_norm,
     spirit_pocs_recon,
     write_sp01_bytes,
 )
@@ -136,11 +135,6 @@ class TestApply:
         lhs = spirit_apply(kern, 2.0 * a - 1.5j * b)
         rhs = 2.0 * spirit_apply(kern, a) - 1.5j * spirit_apply(kern, b)
         assert frob(lhs - rhs) <= 1e-6 * max(frob(rhs), 1e-12)
-
-    def test_operator_norm_reported(self):
-        kern = calibrate_kernels(gaussian_tensor((12, 12, 2), RandomStream(15)), k=3)
-        norm = spirit_operator_norm(kern, (12, 12))
-        assert norm > 0.0 and np.isfinite(norm)
 
 
 class TestPocsRecon:

@@ -20,6 +20,7 @@ from deqpocs.tensors import (
     read_ct01_bytes,
     save_ct01,
     spectral_norm_power_iter,
+    window_rows,
     write_ct01_bytes,
 )
 
@@ -141,6 +142,30 @@ class TestConv:
             - inner_real(conv2d_complex(x, k - h * dk), g)
         ) / (2 * h)
         assert fd == pytest.approx(inner_real(grad, dk), rel=1e-6)
+
+
+class TestWindowRows:
+    @pytest.mark.parametrize("kh,kw", [(1, 1), (3, 3), (5, 5), (3, 5)])
+    def test_matches_double_loop(self, kh, kw):
+        x = gaussian_tensor((7, 9, 3), RandomStream(46))
+        rows = []
+        for py in range(7 - kh + 1):
+            for px in range(9 - kw + 1):
+                rows.append(x[py : py + kh, px : px + kw, :].ravel())
+        want = np.array(rows)
+        got = window_rows(x, kh, kw)
+        assert got.shape == ((7 - kh + 1) * (9 - kw + 1), kh * kw * 3)
+        assert np.array_equal(got, want)
+
+    def test_column_order_is_dy_dx_channel(self):
+        # x[y, x, c] = 100 y + 10 x + c, so each column's value in the first
+        # row spells out its (dy, dx, channel) offset
+        y, xx, c = np.meshgrid(np.arange(7), np.arange(9), np.arange(3), indexing="ij")
+        x = (100 * y + 10 * xx + c).astype(np.complex128)
+        first = window_rows(x, 3, 5)[0].real.astype(int)
+        want = [100 * dy + 10 * dx + ch
+                for dy in range(3) for dx in range(5) for ch in range(3)]
+        assert first.tolist() == want
 
 
 class TestSpectralNorm:
