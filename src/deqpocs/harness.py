@@ -121,7 +121,8 @@ def verify_convergence(
     tol: float = 1e-5,
     seed: int = 0,
 ) -> ConvergenceReport:
-    """Plain iteration from several starts per sample: every run must
+    """Plain iteration from ``max(inits_per_sample, 2)`` starts per sample
+    (the measurement, zero, then seeded random iterates): every run must
     converge, follow the geometric envelope of the certificate, and all
     equilibria of one sample must agree within ``10 * tol``."""
     cert = certified_lipschitz(params)
@@ -134,10 +135,9 @@ def verify_convergence(
     for s, meas in enumerate(measurements):
         inits = [("measurement", meas.y), ("zero", np.zeros_like(meas.y))]
         big = 10.0 * max(1.0, frob(meas.y))
-        for j in range(max(inits_per_sample - 2, 1)):
+        for j in range(inits_per_sample - 2):
             noise = gaussian_tensor(meas.y.shape, RandomStream(derive_seed(seed, s, j)))
             inits.append((f"random{j}", noise * (big / frob(noise))))
-        inits = inits[:inits_per_sample] if inits_per_sample >= 2 else inits[:2]
         T = make_pocs_operator(params, meas)
 
         def run_one(labeled):

@@ -49,7 +49,6 @@ CK01_MAGIC = b"CK01"
 
 ALPHA_CEIL = 0.99
 KERNEL_SIZE = 3
-LAYERS_PER_BRANCH = 5
 INIT_STD = 0.05
 NORM_SLACK = 1e-3  # kernels divided by sigma * (1 + NORM_SLACK) when above 1
 NORM_DEADZONE = 1e-6  # rescale only when sigma * (1 + slack) exceeds 1 + deadzone
@@ -58,6 +57,8 @@ FULL_POWER_ITERS = 50
 # Largest certification-grid side a checkpoint may declare: loading re-runs
 # power iteration on that grid, so a corrupt header must not demand more.
 MAX_CERT_SIDE = 4096
+# How far a loaded checkpoint's recomputed certificate may exceed its stored one.
+CERT_TOL = 1e-3
 
 
 def layer_widths(nc: int, features: int) -> list[tuple[int, int]]:
@@ -123,25 +124,33 @@ def require_contractive(cert: LipschitzCertificate) -> None:
 # Initialization and normalization
 # ---------------------------------------------------------------------------
 
-def _init_branch(nc: int, features: int, stream: RandomStream, grid) -> BranchParams:
-    kernels, biases = [], []
+def _cold_starts(grid, nc: int, features: int) -> dict[int, np.ndarray]:
+    """Power-iteration start vector per kernel input width ``C_in``: the
+    seed-0 Gaussian that ``spectral_norm_power_iter(seed=0)`` draws, drawn
+    once per shape and shared by every kernel of that width."""
+    return {cin: gaussian_tensor((*grid, cin), RandomStream(0)) for cin in {nc, features}}
+
+
+def _init_branch(nc: int, features: int, stream: RandomStream, grid, starts) -> BranchParams:
+    kernels, biases, vecs = [], [], []
     for cin, cout in layer_widths(nc, features):
         k = INIT_STD * gaussian_tensor((KERNEL_SIZE * KERNEL_SIZE, cin, cout), stream)
         kernels.append(k.reshape(KERNEL_SIZE, KERNEL_SIZE, cin, cout))
         biases.append(np.zeros(cout, dtype=np.complex128))
-    branch = BranchParams(kernels=kernels, biases=biases, sigmas=[], power_vecs=[])
+        vecs.append(starts[cin])
+    branch = BranchParams(kernels=kernels, biases=biases, sigmas=[], power_vecs=vecs)
     _certify_branch(branch, grid, iters=FULL_POWER_ITERS)
     _rescale_branch(branch)
     return branch
 
 
 def _certify_branch(branch: BranchParams, grid, iters: int) -> None:
-    """(Re)estimate every kernel's spectral norm, warm-starting when possible."""
+    """(Re)estimate every kernel's spectral norm, starting power iteration
+    from its entry in ``power_vecs``."""
     sigmas, vecs = [], []
-    for i, k in enumerate(branch.kernels):
-        start = branch.power_vecs[i] if i < len(branch.power_vecs) else None
+    for k, start in zip(branch.kernels, branch.power_vecs, strict=True):
         sigma, vec = spectral_norm_power_iter(
-            k, grid, iters=iters, seed=0, start=start, return_vector=True
+            k, grid, iters=iters, start=start, return_vector=True
         )
         sigmas.append(sigma)
         vecs.append(vec)
@@ -179,11 +188,12 @@ def init_params(
     if blocks < 1 or features < 1 or nc < 1:
         raise ShapeError("blocks, features and coil count must be >= 1")
     stream = RandomStream(seed)
+    starts = _cold_starts(grid, nc, features)
     out_blocks = []
     for _ in range(blocks):
-        kb = _init_branch(nc, features, stream, grid)
+        kb = _init_branch(nc, features, stream, grid, starts)
         if variant == "hybrid":
-            ib = _init_branch(nc, features, stream, grid)
+            ib = _init_branch(nc, features, stream, grid, starts)
             out_blocks.append(
                 BlockParams(kspace_branch=kb, alpha=0.5, image_branch=ib, c_k=0.5, c_i=0.5)
             )
@@ -527,7 +537,7 @@ def num_params(params: ConsistencyNetParams) -> int:
 # CK01 checkpoint container
 # ---------------------------------------------------------------------------
 
-def write_ck01_bytes(params: ConsistencyNetParams, certificate: float | None = None) -> bytes:
+def write_ck01_bytes(params: ConsistencyNetParams) -> bytes:
     """Serialize parameters to the CK01 container.
 
     Layout: magic ``CK01``; variant byte (0 k-space, 1 hybrid); uint32 LE
@@ -535,10 +545,8 @@ def write_ck01_bytes(params: ConsistencyNetParams, certificate: float | None = N
     with dims (kh, kw, C_in*C_out), each followed by its bias as a
     (1, 1, C_out) CT01 payload (image-branch payloads follow the k-space
     ones within each block); then per-block float32 alpha, c_k, c_i; then
-    the float32 certificate L.
+    the float32 certificate L of :func:`certified_lipschitz`.
     """
-    if certificate is None:
-        certificate = certified_lipschitz(params).contraction_bound
     out = [CK01_MAGIC, struct.pack("<B", VARIANTS.index(params.variant))]
     out.append(
         struct.pack(
@@ -559,7 +567,7 @@ def write_ck01_bytes(params: ConsistencyNetParams, certificate: float | None = N
                 out.append(write_ct01_bytes(b.reshape(1, 1, cout)))
     for blk in params.blocks:
         out.append(struct.pack("<fff", blk.alpha, blk.c_k, blk.c_i))
-    out.append(struct.pack("<f", certificate))
+    out.append(struct.pack("<f", certified_lipschitz(params).contraction_bound))
     return b"".join(out)
 
 
@@ -629,33 +637,40 @@ def read_ck01_bytes(data: bytes):
     params = ConsistencyNetParams(
         variant=variant, blocks=blocks, features=F, nc=nc, cert_grid=(gh, gw)
     )
+    starts = _cold_starts(params.cert_grid, nc, F)  # only once the input is valid
     for blk in params.blocks:
-        _certify_branch(blk.kspace_branch, params.cert_grid, iters=FULL_POWER_ITERS)
-        if blk.image_branch is not None:
-            _certify_branch(blk.image_branch, params.cert_grid, iters=FULL_POWER_ITERS)
+        for br in (blk.kspace_branch, blk.image_branch):
+            if br is not None:
+                br.power_vecs = [starts[cin] for cin, _ in widths]
+                _certify_branch(br, params.cert_grid, iters=FULL_POWER_ITERS)
     return params, float(scalars[-1])
 
 
-def save_checkpoint(path, params: ConsistencyNetParams, certificate: float | None = None) -> None:
+def save_checkpoint(path, params: ConsistencyNetParams) -> None:
+    """Write ``params`` as CK01, with their own certificate as the stored L."""
     with open(path, "wb") as fh:
-        fh.write(write_ck01_bytes(params, certificate))
+        fh.write(write_ck01_bytes(params))
 
 
-def load_checkpoint(path, verify: bool = True, tol: float = 1e-3):
-    """Load a CK01 checkpoint; with ``verify`` the stored certificate is
-    cross-checked against a fresh recomputation and must be < 1."""
+def load_checkpoint(path):
+    """Load a CK01 checkpoint and return ``(params, stored_certificate)``.
+
+    The certificate is always checked: the stored L and a fresh
+    recomputation must both be < 1 (else "invalid"), and the recomputation
+    may exceed the stored L by at most ``CERT_TOL`` (else "stale"). Either
+    failure raises :class:`CertificateError`.
+    """
     with open(path, "rb") as fh:
         params, stored_l = read_ck01_bytes(fh.read())
-    if verify:
-        cert = certified_lipschitz(params)
-        if stored_l >= 1.0 or not cert.is_contractive:
-            raise CertificateError(
-                f"checkpoint certificate invalid: stored L={stored_l:.6f}, "
-                f"recomputed L={cert.contraction_bound:.6f}"
-            )
-        if cert.contraction_bound > stored_l + tol:
-            raise CertificateError(
-                f"checkpoint certificate stale: stored L={stored_l:.6f} but kernels "
-                f"certify at {cert.contraction_bound:.6f}; refusing to run"
-            )
+    cert = certified_lipschitz(params)
+    if stored_l >= 1.0 or not cert.is_contractive:
+        raise CertificateError(
+            f"checkpoint certificate invalid: stored L={stored_l:.6f}, "
+            f"recomputed L={cert.contraction_bound:.6f}"
+        )
+    if cert.contraction_bound > stored_l + CERT_TOL:
+        raise CertificateError(
+            f"checkpoint certificate stale: stored L={stored_l:.6f} but kernels "
+            f"certify at {cert.contraction_bound:.6f}; refusing to run"
+        )
     return params, stored_l

@@ -232,21 +232,17 @@ def add_noise(meas: Measurement, delta_rel: float, seed: int = 0) -> Measurement
     return Measurement(y=y + noise, mask=meas.mask, delta=delta_rel * scale)
 
 
-def project_data_consistency(
-    x: np.ndarray, mask: SamplingMask, y: Measurement | np.ndarray
-) -> np.ndarray:
-    """Replace entries on the sampled set with the measured values.
+def project_data_consistency(x: np.ndarray, meas: Measurement) -> np.ndarray:
+    """Replace entries of ``x`` on ``meas.mask``'s sampled set with the
+    measured values ``meas.y``.
 
     A pure selection (no arithmetic): idempotent bitwise, and the map
     ``x -> project(x)`` is 1-Lipschitz for fixed measurements.
     """
     x = as_tensor(x, "projection input")
-    ydata = y.y if isinstance(y, Measurement) else as_tensor(y, "measurement")
-    if x.shape != ydata.shape:
-        raise ShapeError(f"shape mismatch: {x.shape} vs {ydata.shape}")
-    if x.shape[:2] != mask.shape:
-        raise ShapeError(f"grid {x.shape[:2]} does not match mask {mask.shape}")
-    return np.where(mask.grid[:, :, None], ydata, x)
+    if x.shape != meas.y.shape:
+        raise ShapeError(f"shape mismatch: {x.shape} vs {meas.y.shape}")
+    return np.where(meas.mask.grid[:, :, None], meas.y, x)
 
 
 def mask_complement_multiply(x: np.ndarray, mask: SamplingMask) -> np.ndarray:

@@ -19,6 +19,9 @@ import numpy as np
 from .errors import DivergenceError
 from .tensors import frob
 
+# Anderson's ridge weight, relative to the mean diagonal of the residual Gram matrix.
+ANDERSON_RIDGE = 1e-4
+
 
 @dataclass
 class FixedPointResult:
@@ -72,7 +75,6 @@ def anderson_solve(
     m: int = 5,
     tol: float = 1e-5,
     max_iter: int = 60,
-    ridge: float = 1e-4,
     divergence_window: int | None = None,
     record_iterates: bool = False,
 ) -> FixedPointResult:
@@ -80,10 +82,10 @@ def anderson_solve(
 
     Mixing weights minimize the norm of the combined residual over the last
     ``m`` iterates subject to summing to one, through a ridge-regularized
-    bordered system (the ridge scales with the residual Gram trace so it
-    stays meaningful as residuals shrink); any degenerate solve falls back
-    to a plain step. With ``m = 1`` every step is the plain step
-    ``x <- T(x)``, i.e. Picard iteration.
+    bordered system (the ridge ``ANDERSON_RIDGE`` scales with the residual
+    Gram trace so it stays meaningful as residuals shrink); any degenerate
+    solve falls back to a plain step. With ``m = 1`` every step is the
+    plain step ``x <- T(x)``, i.e. Picard iteration.
 
     ``divergence_window`` enables a watchdog for operators without a
     contraction guarantee: when the residual grows for that many consecutive
@@ -91,8 +93,8 @@ def anderson_solve(
     iterate flagged not converged. ``record_iterates`` attaches ``x0``
     followed by every ``T(x_k)`` as ``result.iterates``.
     """
-    if m < 1 or ridge < 0:
-        raise ValueError("require m >= 1 and ridge >= 0")
+    if m < 1:
+        raise ValueError("require m >= 1")
     if tol <= 0 or max_iter < 1:
         raise ValueError("tol must be positive and max_iter >= 1")
     x = np.asarray(x0, dtype=np.complex128)
@@ -136,7 +138,7 @@ def anderson_solve(
             continue
         F = np.stack([gi - xi for gi, xi in zip(hist_g, hist_x)], axis=0)
         gram = np.real(F @ F.conj().T)
-        lam = ridge * max(np.trace(gram) / gram.shape[0], np.finfo(np.float64).tiny)
+        lam = ANDERSON_RIDGE * max(np.trace(gram) / gram.shape[0], np.finfo(np.float64).tiny)
         mk = gram.shape[0]
         system = np.zeros((mk + 1, mk + 1))
         system[0, 1:] = 1.0

@@ -12,7 +12,6 @@ best-residual iterate.
 
 from __future__ import annotations
 
-import struct
 from dataclasses import dataclass
 
 import numpy as np
@@ -20,16 +19,7 @@ import numpy as np
 from .errors import ConfigurationError, InvalidInputError, ShapeError
 from .sampling import Measurement, project_data_consistency
 from .solvers import FixedPointResult, picard_solve
-from .tensors import (
-    CT01_MAGIC,
-    as_tensor,
-    conv2d_complex,
-    read_ct01_bytes,
-    window_rows,
-    write_ct01_bytes,
-)
-
-SP01_MAGIC = b"SP01"
+from .tensors import as_tensor, conv2d_complex, window_rows
 
 
 @dataclass(frozen=True)
@@ -126,7 +116,7 @@ def spirit_pocs_recon(
     """
 
     def T(x: np.ndarray) -> np.ndarray:
-        return project_data_consistency(spirit_apply(kernels, x), meas.mask, meas)
+        return project_data_consistency(spirit_apply(kernels, x), meas)
 
     return picard_solve(T, meas.y, tol=tol, max_iter=max_iter, divergence_window=10)
 
@@ -139,37 +129,3 @@ def extract_acs(meas: Measurement) -> np.ndarray:
             f"mask kind {meas.mask.kind!r} carries no ACS block to calibrate from"
         )
     return meas.y[rows, cols, :]
-
-
-# ---------------------------------------------------------------------------
-# SP01 container
-# ---------------------------------------------------------------------------
-
-def write_sp01_bytes(kernels: SpiritKernels) -> bytes:
-    """Magic ``SP01``; uint32 LE kernel size and coil count; taps as one
-    CT01 payload with dims (k, k, Nc*Nc)."""
-    k, nc = kernels.size, kernels.coils
-    payload = write_ct01_bytes(kernels.taps.reshape(k, k, nc * nc))
-    return SP01_MAGIC + struct.pack("<II", k, nc) + payload
-
-
-def read_sp01_bytes(data: bytes) -> SpiritKernels:
-    """Parse an SP01 container; any malformed input raises InvalidInputError."""
-    if data[:4] != SP01_MAGIC:
-        raise InvalidInputError("bad SP01 magic")
-    if len(data) < 12:
-        raise InvalidInputError("truncated SP01 header")
-    k, nc = struct.unpack("<II", data[4:12])
-    if k % 2 == 0 or nc < 1:
-        raise InvalidInputError(f"SP01 kernel size {k} must be odd and coil count {nc} >= 1")
-    if data[12:16] != CT01_MAGIC:
-        raise InvalidInputError("missing CT01 payload in SP01 container")
-    taps = read_ct01_bytes(data[12:])
-    if taps.shape != (k, k, nc * nc):
-        raise InvalidInputError(
-            f"SP01 taps have dims {taps.shape}, header promises {(k, k, nc * nc)}"
-        )
-    taps = taps.reshape(k, k, nc, nc)
-    c = k // 2
-    taps[c, c, np.arange(nc), np.arange(nc)] = 0  # exact zero despite f32 round trip
-    return SpiritKernels(taps=taps, lam_rel=0.0)

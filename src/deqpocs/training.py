@@ -50,6 +50,11 @@ class SolverSettings:
 
 INFERENCE_SOLVER = SolverSettings(tol=1e-5)
 TRAIN_FORWARD_SOLVER = SolverSettings(tol=1e-4)
+TRAIN_BACKWARD_MAX_ITER = 300  # adjoint budget per training step
+
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
 
 
 def make_pocs_operator(params: ConsistencyNetParams, meas: Measurement):
@@ -66,7 +71,7 @@ def make_pocs_operator(params: ConsistencyNetParams, meas: Measurement):
         )
 
     def T(x: np.ndarray) -> np.ndarray:
-        return project_data_consistency(forward(params, x), meas.mask, meas)
+        return project_data_consistency(forward(params, x), meas)
 
     return T
 
@@ -137,8 +142,7 @@ def implicit_backward(
     grad_loss: np.ndarray,
     tol: float = 1e-4,
     max_iter: int = 200,
-    return_iterations: bool = False,
-):
+) -> tuple[np.ndarray, int]:
     """Parameter gradient of a loss evaluated at the equilibrium point.
 
     Solves the adjoint equation ``v = g + J^T v`` where ``J`` is the
@@ -149,6 +153,9 @@ def implicit_backward(
     :func:`picard_solve` from ``v = g``. With a certificate L < 1 it
     converges geometrically; hitting ``max_iter`` first only warns and
     returns the last iterate.
+
+    Returns ``(grad, iterations)``: the flat real gradient aligned with
+    :func:`pack_params` and the number of adjoint iterations run.
     """
     _, traces = forward_with_trace(params, x_fixed)
     g = np.asarray(grad_loss, dtype=np.complex128)
@@ -163,9 +170,7 @@ def implicit_backward(
             RuntimeWarning,
         )
     grad = param_vjp(params, traces, mask_complement_multiply(adjoint.solution, meas.mask))
-    if return_iterations:
-        return grad, adjoint.iterations
-    return grad
+    return grad, adjoint.iterations
 
 
 # ---------------------------------------------------------------------------
@@ -188,25 +193,20 @@ class AdamState:
         )
 
 
-def adam_step(
-    state: AdamState,
-    grads: np.ndarray,
-    lr: float = 1e-4,
-    beta1: float = 0.9,
-    beta2: float = 0.999,
-    eps: float = 1e-8,
-) -> AdamState:
-    """One bias-corrected Adam update on a flat real parameter vector."""
+def adam_step(state: AdamState, grads: np.ndarray, lr: float = 1e-4) -> AdamState:
+    """One bias-corrected Adam update on a flat real parameter vector, with
+    the fixed moment decays ``ADAM_BETA1`` and ``ADAM_BETA2`` and the
+    denominator floor ``ADAM_EPS``."""
     if grads.shape != state.values.shape:
         raise TrainingError("gradient shape does not match parameter vector")
     if not np.all(np.isfinite(grads)):
         raise TrainingError(f"non-finite gradients at step {state.step + 1}")
     t = state.step + 1
-    m = beta1 * state.m + (1.0 - beta1) * grads
-    v = beta2 * state.v + (1.0 - beta2) * grads * grads
-    m_hat = m / (1.0 - beta1**t)
-    v_hat = v / (1.0 - beta2**t)
-    values = state.values - lr * m_hat / (np.sqrt(v_hat) + eps)
+    m = ADAM_BETA1 * state.m + (1.0 - ADAM_BETA1) * grads
+    v = ADAM_BETA2 * state.v + (1.0 - ADAM_BETA2) * grads * grads
+    m_hat = m / (1.0 - ADAM_BETA1**t)
+    v_hat = v / (1.0 - ADAM_BETA2**t)
+    values = state.values - lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
     return AdamState(values=values, m=m, v=v, step=t)
 
 
@@ -218,9 +218,6 @@ def adam_step(
 class TrainConfig:
     epochs: int = 50
     learning_rate: float = 1e-4
-    beta1: float = 0.9
-    beta2: float = 0.999
-    adam_eps: float = 1e-8
     variant: str = "kspace"
     blocks: int = 10
     features: int = 8
@@ -228,7 +225,6 @@ class TrainConfig:
     shuffle_seed: int = 0
     forward_solver: SolverSettings = field(default=TRAIN_FORWARD_SOLVER)
     backward_tol: float = 1e-4
-    backward_max_iter: int = 300
 
     def __post_init__(self):
         if self.epochs < 1:
@@ -312,19 +308,11 @@ def train(
                     meas,
                     2.0 * diff,
                     tol=config.backward_tol,
-                    max_iter=config.backward_max_iter,
-                    return_iterations=True,
+                    max_iter=TRAIN_BACKWARD_MAX_ITER,
                 )
             except Exception as exc:
                 raise TrainingError(f"solve failed at epoch {epoch}, sample {m}: {exc}") from exc
-            state = adam_step(
-                state,
-                grad,
-                lr=config.learning_rate,
-                beta1=config.beta1,
-                beta2=config.beta2,
-                eps=config.adam_eps,
-            )
+            state = adam_step(state, grad, lr=config.learning_rate)
             params = normalize_params(unpack_params(params, state.values))
             state.values = pack_params(params)  # keep moments aligned post-projection
             cert = certified_lipschitz(params)

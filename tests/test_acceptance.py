@@ -229,7 +229,7 @@ def test_criterion_4_implicit_gradient():
         return frob(solve_equilibrium(p, meas, settings=tight).solution - x_full) ** 2
 
     base = solve_equilibrium(params, meas, settings=tight)
-    grad = implicit_backward(
+    grad, _ = implicit_backward(
         params, base.solution, meas, 2.0 * (base.solution - x_full), tol=1e-11, max_iter=8000
     )
     vec = pack_params(params)

@@ -1,4 +1,5 @@
 import os
+import struct
 
 import numpy as np
 import pytest
@@ -130,7 +131,9 @@ class TestRecon:
         params, stored = load_checkpoint(checkpoint)
         params.blocks[0].kspace_branch.kernels[1] *= 3.0
         bad = tmp_path / "bad.ck01"
-        bad.write_bytes(write_ck01_bytes(params, certificate=stored))
+        raw = bytearray(write_ck01_bytes(params))
+        raw[-4:] = struct.pack("<f", stored)  # forge the stored certificate
+        bad.write_bytes(bytes(raw))
         code = run(
             "recon", "--ckpt", str(bad),
             "--meas", str(dataset_dir / "sample_0000_meas.ct01"),

@@ -9,16 +9,11 @@ from deqpocs.errors import InvalidInputError
 from deqpocs.network import init_params, read_ck01_bytes, write_ck01_bytes
 from deqpocs.rng import RandomStream
 from deqpocs.sampling import make_mask, read_mk01_bytes, write_mk01_bytes
-from deqpocs.spirit import calibrate_kernels, read_sp01_bytes, write_sp01_bytes
 from deqpocs.tensors import gaussian_tensor, read_ct01_bytes, write_ct01_bytes
 
 CONTAINERS = {
     "ct01": (write_ct01_bytes(gaussian_tensor((3, 2, 2), RandomStream(1))), read_ct01_bytes),
     "mk01": (write_mk01_bytes(make_mask("2d-calibrated", 6, 5, 2, seed=1)), read_mk01_bytes),
-    "sp01": (
-        write_sp01_bytes(calibrate_kernels(gaussian_tensor((8, 8, 2), RandomStream(2)), k=3)),
-        read_sp01_bytes,
-    ),
     # a tiny hybrid model keeps the power iteration run by every parse cheap
     "ck01": (
         write_ck01_bytes(init_params("hybrid", 1, 1, 1, seed=0, grid=(3, 3))),
@@ -67,8 +62,8 @@ def test_mutated_byte_parses_or_rejected(name, where, value):
 
 @pytest.mark.parametrize(
     "name, offset, value",
-    [("ck01", 4, 7), ("mk01", 12 + 30, 9), ("mk01", 12, 2), ("sp01", 4, 2)],
-    ids=["ck01-variant", "mk01-kind", "mk01-cell", "sp01-even-kernel"],
+    [("ck01", 4, 7), ("mk01", 12 + 30, 9), ("mk01", 12, 2)],
+    ids=["ck01-variant", "mk01-kind", "mk01-cell"],
 )
 def test_out_of_range_enum_byte_rejected(name, offset, value):
     raw, read = CONTAINERS[name]

@@ -12,6 +12,7 @@ from deqpocs.harness import (
 from deqpocs.network import certified_lipschitz, init_params
 from deqpocs.phantom import DatasetSpec, make_dataset
 from deqpocs.sampling import apply_sampling, make_mask
+from deqpocs.tensors import gaussian_tensor
 
 
 @pytest.fixture(scope="module")
@@ -41,6 +42,24 @@ class TestConvergence:
         assert certified_lipschitz(p).contraction_bound == pytest.approx(0.99**2)
         report = verify_convergence(p, [dataset[0][1]], inits_per_sample=2, slack=1.05)
         assert report.all_pass
+
+    @pytest.mark.parametrize("inits, runs, draws", [(1, 2, 0), (2, 2, 0), (3, 3, 1)])
+    def test_draws_only_the_random_starts_it_runs(
+        self, small_problem, monkeypatch, inits, runs, draws
+    ):
+        import deqpocs.harness as harness
+
+        params, dataset = small_problem
+        calls = []
+
+        def counting(shape, stream):
+            calls.append(shape)
+            return gaussian_tensor(shape, stream)
+
+        monkeypatch.setattr(harness, "gaussian_tensor", counting)
+        report = verify_convergence(params, [dataset[0][1]], inits_per_sample=inits)
+        assert len(report.runs) == runs
+        assert len(calls) == draws
 
     def test_csv_layout(self, small_problem):
         params, dataset = small_problem

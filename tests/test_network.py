@@ -1,8 +1,11 @@
+import struct
+
 import numpy as np
 import pytest
 
 from deqpocs.errors import CertificateError, ShapeError
 from deqpocs.network import (
+    FULL_POWER_ITERS,
     certified_lipschitz,
     clone_params,
     forward,
@@ -13,6 +16,7 @@ from deqpocs.network import (
     normalize_params,
     num_params,
     pack_params,
+    read_ck01_bytes,
     require_contractive,
     save_checkpoint,
     unpack_params,
@@ -20,7 +24,7 @@ from deqpocs.network import (
     write_ck01_bytes,
 )
 from deqpocs.rng import RandomStream
-from deqpocs.tensors import frob, gaussian_tensor, inner_real
+from deqpocs.tensors import frob, gaussian_tensor, inner_real, spectral_norm_power_iter
 
 
 def small_net(variant="kspace", blocks=2, features=4, nc=2, seed=0, grid=(8, 8)):
@@ -284,6 +288,34 @@ class TestPacking:
             unpack_params(p, np.zeros(3))
 
 
+class TestColdStarts:
+    def test_one_start_per_input_shape(self, monkeypatch):
+        drawn = []
+        gaussians = RandomStream.gaussians
+
+        def counting(stream, n):
+            drawn.append(n)
+            return gaussians(stream, n)
+
+        monkeypatch.setattr(RandomStream, "gaussians", counting)
+        grid, nc, features = (8, 8), 2, 4
+        starts = 2 * grid[0] * grid[1] * (nc + features)  # one per distinct C_in
+        p = init_params("hybrid", 2, features, nc, seed=0, grid=grid)
+        branches = [br for blk in p.blocks for br in (blk.kspace_branch, blk.image_branch)]
+        kernel_values = sum(2 * k.size for br in branches for k in br.kernels)
+        assert sum(drawn) == kernel_values + starts
+        raw = write_ck01_bytes(p)
+        drawn.clear()
+        q, _ = read_ck01_bytes(raw)
+        assert sum(drawn) == starts
+        for blk in q.blocks:
+            for br in (blk.kspace_branch, blk.image_branch):
+                for k, sigma in zip(br.kernels, br.sigmas):
+                    assert sigma == spectral_norm_power_iter(
+                        k, grid, iters=FULL_POWER_ITERS, seed=0
+                    )
+
+
 class TestCheckpoint:
     @pytest.mark.parametrize("variant", ["kspace", "hybrid"])
     def test_round_trip(self, tmp_path, variant):
@@ -300,9 +332,11 @@ class TestCheckpoint:
     def test_corrupted_kernel_refused(self, tmp_path):
         p = small_net(seed=46)
         p.blocks[0].kspace_branch.kernels[2] *= 3.0  # break the stored certificate
-        raw = write_ck01_bytes(p, certificate=certified_lipschitz(small_net(seed=46)).contraction_bound)
+        raw = bytearray(write_ck01_bytes(p))
+        # forge the stored certificate: keep the one of the unbroken kernels
+        raw[-4:] = struct.pack("<f", certified_lipschitz(small_net(seed=46)).contraction_bound)
         path = tmp_path / "bad.ck01"
-        path.write_bytes(raw)
+        path.write_bytes(bytes(raw))
         with pytest.raises(CertificateError):
             load_checkpoint(path)
 

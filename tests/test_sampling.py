@@ -148,7 +148,7 @@ class TestProjection:
         full = rand_tensor((8, 8, 2), 2)
         m = make_mask("1d-calibrated", 8, 8, 1, acs=2, seed=0)
         y = apply_sampling(full, m)
-        assert np.array_equal(project_data_consistency(x, m, y), full)
+        assert np.array_equal(project_data_consistency(x, y), full)
 
     def test_empty_mask_returns_input(self, rand_tensor):
         from deqpocs.sampling import SamplingMask
@@ -158,13 +158,13 @@ class TestProjection:
         m = SamplingMask(grid=grid, kind="2d-free", accel=64.0, acs=(0, 0))
         x = rand_tensor((8, 8, 1), 3)
         y = Measurement(y=np.zeros((8, 8, 1), dtype=complex), mask=m, delta=0.0)
-        out = project_data_consistency(x, m, y)
+        out = project_data_consistency(x, y)
         assert np.array_equal(out[~grid], x[~grid])
 
     def test_idempotent_bitwise(self):
         x, y, m = self._setup(5)
-        once = project_data_consistency(x, m, y)
-        twice = project_data_consistency(once, m, y)
+        once = project_data_consistency(x, y)
+        twice = project_data_consistency(once, y)
         assert np.array_equal(once, twice)
 
     def test_nonexpansive_on_random_pairs(self):
@@ -173,8 +173,8 @@ class TestProjection:
         for _ in range(100):
             a = gaussian_tensor((16, 16, 2), s)
             b = gaussian_tensor((16, 16, 2), s)
-            da = project_data_consistency(a, m, y)
-            db = project_data_consistency(b, m, y)
+            da = project_data_consistency(a, y)
+            db = project_data_consistency(b, y)
             assert frob(da - db) <= frob(a - b) * (1 + 1e-6)
 
     def test_complement_multiply(self):

@@ -74,7 +74,7 @@ class TestAnderson:
         c = gaussian_tensor((4, 4, 1), RandomStream(7))
         T = affine_map(0.7, c)
         pic = picard_solve(T, np.zeros_like(c), tol=1e-9, max_iter=200)
-        and_ = anderson_solve(T, np.zeros_like(c), m=1, ridge=0.0, tol=1e-9, max_iter=200)
+        and_ = anderson_solve(T, np.zeros_like(c), m=1, tol=1e-9, max_iter=200)
         n = min(pic.iterations, and_.iterations)
         assert np.allclose(pic.residuals[:n], and_.residuals[:n], rtol=1e-9)
 

@@ -9,10 +9,8 @@ from deqpocs.spirit import (
     SpiritKernels,
     calibrate_kernels,
     extract_acs,
-    read_sp01_bytes,
     spirit_apply,
     spirit_pocs_recon,
-    write_sp01_bytes,
 )
 from deqpocs.tensors import frob, gaussian_tensor
 from deqpocs.metrics import image_from_kspace, psnr
@@ -187,14 +185,3 @@ class TestPocsRecon:
         with pytest.raises(ConfigurationError):
             extract_acs(meas)
 
-
-class TestSP01:
-    def test_round_trip(self):
-        kern = calibrate_kernels(gaussian_tensor((12, 12, 3), RandomStream(19)), k=3)
-        back = read_sp01_bytes(write_sp01_bytes(kern))
-        assert back.size == 3 and back.coils == 3
-        assert frob(back.taps - kern.taps) <= 1e-5 * frob(kern.taps)
-
-    def test_bad_magic(self):
-        with pytest.raises(InvalidInputError):
-            read_sp01_bytes(b"XXXX" + b"\0" * 30)
