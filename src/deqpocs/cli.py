@@ -5,7 +5,7 @@ via flags), writes only the artifacts it names, and uses the exit-code
 contract: 0 success, 1 check/quality failure, 2 usage or I/O error. Flags
 override values from an optional ``--config`` file of ``key=value`` lines
 (keys are flag names; ``#`` starts a comment). The ``DEQPOCS_THREADS``
-environment variable caps the harness worker pool.
+environment variable caps the harness's threads, the calling one included.
 """
 
 from __future__ import annotations
@@ -227,7 +227,9 @@ def cmd_verify(ns) -> int:
         slack=ns.slack,
         tol=ns.tol,
         seed=ns.seed,
+        record_clean=True,
     )
+    # each check reuses sample 0's clean equilibrium instead of solving it again
     rob = verify_robustness(
         params,
         measurements[0],
@@ -235,6 +237,7 @@ def cmd_verify(ns) -> int:
         trials_per_level=ns.trials,
         seed=ns.seed,
         tol=ns.tol,
+        clean=conv.clean,
     )
     init = verify_init_independence(
         params,
@@ -243,6 +246,7 @@ def cmd_verify(ns) -> int:
         trials_per_level=ns.init_trials,
         seed=ns.seed,
         tol=ns.tol,
+        clean=conv.clean,
     )
     for name, report in (("convergence", conv), ("robustness", rob), ("init_independence", init)):
         with open(os.path.join(ns.out, name + ".csv"), "w") as fh:

@@ -11,13 +11,18 @@ solver inexactness: each equilibrium is solved to within
 ``tol * max(1, ||x||)`` of the true fixed point, so compared pairs can
 deviate by at most twice that.
 
-Trials are independent and seeded individually; ``DEQPOCS_THREADS`` caps
-the worker pool used to run them.
+Trials are independent and seeded individually. They run on
+``worker_count()`` threads, the calling thread included, and
+``DEQPOCS_THREADS`` caps that count. ``deqpocs verify`` solves each clean
+equilibrium once: the convergence check's solve of sample 0 from the
+measurement, with its iterates, is handed to the robustness and
+init-independence checks, which would otherwise solve it again.
 """
 
 from __future__ import annotations
 
 import os
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -28,7 +33,7 @@ from .metrics import MetricsReport, evaluate_kspace_set
 from .network import ConsistencyNetParams, certified_lipschitz, require_contractive
 from .rng import RandomStream, derive_seed
 from .sampling import Measurement, add_noise, apply_sampling, make_mask
-from .solvers import geometric_rate_check, numerical_floor, picard_solve
+from .solvers import FixedPointResult, geometric_rate_check, numerical_floor, picard_solve
 from .tensors import frob, gaussian_tensor
 from .training import (
     SolverSettings,
@@ -41,7 +46,8 @@ from .training import (
 
 
 def worker_count() -> int:
-    """Harness pool size: ``min(4, cpu_count)``, capped by ``DEQPOCS_THREADS``."""
+    """Harness threads, the calling one included: ``min(4, cpu_count)``,
+    capped by ``DEQPOCS_THREADS``."""
     cap = os.environ.get("DEQPOCS_THREADS")
     workers = min(4, os.cpu_count() or 1)
     if cap:
@@ -55,11 +61,43 @@ def worker_count() -> int:
 
 
 def _map_ordered(fn, items):
-    n = worker_count()
-    if n <= 1 or len(items) <= 1:
+    """``[fn(it) for it in items]`` on up to ``worker_count()`` threads.
+
+    The calling thread runs item 0; then it and ``worker_count() - 1`` pool
+    threads each take the next unstarted item until none is left. If items
+    fail, the exception of the first failing one in item order is raised.
+    """
+    n = min(worker_count(), len(items))
+    if n <= 1:
         return [fn(it) for it in items]
-    with ThreadPoolExecutor(max_workers=n) as pool:
-        return list(pool.map(fn, items))
+    outcomes: list = [None] * len(items)
+    pending = iter(range(1, len(items)))
+    lock = threading.Lock()
+
+    def run(i):
+        try:
+            outcomes[i] = (True, fn(items[i]))
+        except Exception as exc:
+            outcomes[i] = (False, exc)
+
+    def drain():
+        while True:
+            with lock:
+                i = next(pending, None)
+            if i is None:
+                return
+            run(i)
+
+    with ThreadPoolExecutor(max_workers=n - 1) as pool:
+        helpers = [pool.submit(drain) for _ in range(n - 1)]
+        run(0)
+        drain()
+        for helper in helpers:
+            helper.result()
+    for ok, value in outcomes:
+        if not ok:
+            raise value
+    return [value for _, value in outcomes]
 
 
 # ---------------------------------------------------------------------------
@@ -83,6 +121,9 @@ class ConvergenceReport:
     agreement_threshold: list[float]  # per sample
     contraction: float
     slack: float
+
+    # sample 0's solve from the measurement, with iterates (``record_clean``)
+    clean: FixedPointResult | None = None
 
     @property
     def all_pass(self) -> bool:
@@ -120,11 +161,17 @@ def verify_convergence(
     slack: float = 1.05,
     tol: float = 1e-5,
     seed: int = 0,
+    record_clean: bool = False,
 ) -> ConvergenceReport:
     """Plain iteration from ``max(inits_per_sample, 2)`` starts per sample
     (the measurement, zero, then seeded random iterates): every run must
     converge, follow the geometric envelope of the certificate, and all
-    equilibria of one sample must agree within ``10 * tol``."""
+    equilibria of one sample must agree within ``10 * tol``.
+
+    With ``record_clean`` the report's ``clean`` is sample 0's run from the
+    measurement with its iterates: the clean solve that
+    :func:`verify_robustness` and :func:`verify_init_independence` take as
+    ``clean`` for the same model, measurement and ``tol``."""
     cert = certified_lipschitz(params)
     require_contractive(cert)
     L = cert.contraction_bound
@@ -132,6 +179,7 @@ def verify_convergence(
     max_iter = auto_max_iter(tol_eff, L, "picard")
     runs: list[ConvergenceRun] = []
     pairwise, thresholds = [], []
+    clean = None
     for s, meas in enumerate(measurements):
         inits = [("measurement", meas.y), ("zero", np.zeros_like(meas.y))]
         big = 10.0 * max(1.0, frob(meas.y))
@@ -142,7 +190,10 @@ def verify_convergence(
 
         def run_one(labeled):
             label, x0 = labeled
-            res = picard_solve(T, x0, tol=tol_eff, max_iter=max_iter)
+            res = picard_solve(
+                T, x0, tol=tol_eff, max_iter=max_iter,
+                record_iterates=record_clean and s == 0 and label == "measurement",
+            )
             rate_ok = geometric_rate_check(
                 res.residuals, L, slack, floor=numerical_floor(res.solution)
             )
@@ -156,6 +207,8 @@ def verify_convergence(
             )
 
         results = _map_ordered(run_one, inits)
+        if s == 0 and record_clean:
+            clean = results[0][0]
         solutions = [r.solution for r, _ in results]
         runs.extend(row for _, row in results)
         dmax = 0.0
@@ -170,7 +223,20 @@ def verify_convergence(
         agreement_threshold=thresholds,
         contraction=L,
         slack=slack,
+        clean=clean,
     )
+
+
+def _check_clean(clean: FixedPointResult, tol_eff: float, iterates: bool) -> None:
+    """Refuse a shared clean solve made for another tolerance or without
+    the iterates the caller reads."""
+    if clean.method != "picard" or clean.tolerance != tol_eff:
+        raise ValueError(
+            f"clean solve is {clean.method} at tol {clean.tolerance:g}, "
+            f"expected picard at {tol_eff:g}"
+        )
+    if iterates and clean.iterates is None:
+        raise ValueError("clean solve has no recorded iterates")
 
 
 # ---------------------------------------------------------------------------
@@ -224,52 +290,67 @@ def verify_robustness(
     trials_per_level: int = 20,
     seed: int = 0,
     tol: float = 1e-5,
+    clean: FixedPointResult | None = None,
 ) -> RobustnessReport:
     """Noisy-vs-clean equilibrium distance against the ``delta / (1 - L)``
     bound on every trial, plus the per-iteration contraction recursion
     ``d_k <= L * d_{k-1} + delta`` checked on one synchronized pair of plain
     iterations per noise level (both runs share the starting point ``y``).
+    The recursion's noisy run uses the measurement of the level's trial 0.
 
     The slack term ``20 * tol * max(1, ||x||)`` absorbs the inexactness of
     the two equilibrium solves (each within ``tol * max(1, ||x||)`` of its
     true fixed point under the tightened stop rule).
+
+    ``clean``, when given, is the Picard solve from ``meas.y`` with its
+    iterates (``verify_convergence(..., record_clean=True).clean``) and is
+    used instead of solving it again.
     """
     cert = certified_lipschitz(params)
     require_contractive(cert)
     L = cert.contraction_bound
     tol_eff = tol * (1.0 - L)
     max_iter = auto_max_iter(tol_eff, L, "picard")
-    clean = picard_solve(
-        make_pocs_operator(params, meas), meas.y, tol=tol_eff, max_iter=max_iter,
-        record_iterates=True,
-    )
+    if clean is None:
+        clean = picard_solve(
+            make_pocs_operator(params, meas), meas.y, tol=tol_eff, max_iter=max_iter,
+            record_iterates=True,
+        )
+    else:
+        _check_clean(clean, tol_eff, iterates=True)
     x_clean = clean.solution
     slack_term = 20.0 * tol * max(1.0, frob(x_clean))
     solver = SolverSettings(method="anderson", tol=tol)
     jobs = []
     for li, level in enumerate(delta_rels):
         for t in range(trials_per_level):
-            jobs.append((level, derive_seed(seed, li, t)))
+            jobs.append((level, t, derive_seed(seed, li, t)))
 
     def run_trial(job):
-        level, trial_seed = job
+        level, t, trial_seed = job
         noisy_meas = add_noise(meas, level, seed=trial_seed)
         noisy = solve_equilibrium(params, noisy_meas, x0=meas.y, settings=solver, contraction=L)
         bound = noisy_meas.delta / (1.0 - L) + slack_term
         observed = frob(noisy.solution - x_clean)
-        return RobustnessTrial(
+        trial = RobustnessTrial(
             delta_rel=level,
             delta_abs=noisy_meas.delta,
             observed=observed,
             bound=bound,
             margin=bound - observed,
         )
+        return trial, (noisy_meas if t == 0 else None)
 
-    trials = _map_ordered(run_trial, jobs)
+    results = _map_ordered(run_trial, jobs)
+    trials = [trial for trial, _ in results]
+    first_draws = [draw for _, draw in results if draw is not None]
 
     def run_recursion(li_level):
         li, level = li_level
-        noisy_meas = add_noise(meas, level, seed=derive_seed(seed, li, 0))
+        if first_draws:
+            noisy_meas = first_draws[li]
+        else:  # no trials: draw trial 0's measurement here
+            noisy_meas = add_noise(meas, level, seed=derive_seed(seed, li, 0))
         noisy = picard_solve(
             make_pocs_operator(params, noisy_meas),
             meas.y,
@@ -324,13 +405,22 @@ def verify_init_independence(
     trials_per_level: int = 3,
     seed: int = 0,
     tol: float = 1e-5,
+    clean: FixedPointResult | None = None,
 ) -> InitIndependenceReport:
     """Reconstructions from the measurement vs. Gaussian-perturbed starts
-    (perturbation norm = level * ||y||) must agree within ``10 * tol``."""
+    (perturbation norm = level * ||y||) must agree within ``10 * tol``.
+
+    ``clean``, when given, is the Picard solve from ``meas.y``
+    (``verify_convergence(..., record_clean=True).clean``) and is used as
+    the reconstruction from the measurement instead of solving it again."""
     cert = certified_lipschitz(params)
     require_contractive(cert)
     settings = SolverSettings(method="picard", tol=tol)
-    base = reconstruct(params, meas, settings=settings)
+    if clean is None:
+        base = reconstruct(params, meas, settings=settings)
+    else:
+        base = clean
+        _check_clean(base, tol * (1.0 - cert.contraction_bound), iterates=False)
     scale = frob(meas.y)
     threshold = 10.0 * tol * max(1.0, frob(base.solution))
     jobs = []

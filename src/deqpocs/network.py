@@ -298,10 +298,27 @@ def certified_lipschitz(params: ConsistencyNetParams) -> LipschitzCertificate:
 # Forward pass
 # ---------------------------------------------------------------------------
 
+def _scale_parts(v: np.ndarray, mult: np.ndarray) -> np.ndarray:
+    """``v.real * m_re + 1j * (v.imag * m_im)`` in one product over the
+    ``float64`` view of a contiguous complex ``v``; ``mult`` interleaves
+    ``m_re`` and ``m_im`` like that view. For finite ``v`` the bits match
+    the expression, whose complex promotion adds ``0 * imag`` to the real
+    part and ``+0.0`` to the imaginary part. That only changes the sign of
+    a zero, so the fix-up runs only when the product has a zero part."""
+    out = v.view(np.float64) * mult
+    if not out.all():
+        c = out.view(np.complex128)
+        c.real += 0.0 * c.imag
+        c.imag += 0.0
+    return out.view(np.complex128)
+
+
 def _lrelu_with_mult(z: np.ndarray):
-    m_re = np.where(z.real >= 0, 1.0, 0.2)
-    m_im = np.where(z.imag >= 0, 1.0, 0.2)
-    return z.real * m_re + 1j * (z.imag * m_im), m_re, m_im
+    """Leaky ReLU (slope 0.2) of the real and imaginary parts, and the
+    per-part multiplier that its reverse pass applies."""
+    mult = (z.view(np.float64) >= 0) * 0.8
+    mult += 0.2  # exactly 1.0 or 0.2; a quarter of np.where's time on mixed signs
+    return _scale_parts(z, mult), mult
 
 
 def _branch_forward(branch: BranchParams, a: np.ndarray, trace: dict | None) -> np.ndarray:
@@ -310,10 +327,11 @@ def _branch_forward(branch: BranchParams, a: np.ndarray, trace: dict | None) -> 
     n = len(branch.kernels)
     for i, (k, b) in enumerate(zip(branch.kernels, branch.biases)):
         inputs.append(h)
-        z = conv2d_complex(h, k) + b
+        z = conv2d_complex(h, k)
+        z += b
         if i < n - 1:
-            h, m_re, m_im = _lrelu_with_mult(z)
-            mults.append((m_re, m_im))
+            h, mult = _lrelu_with_mult(z)
+            mults.append(mult)
         else:
             h = z
     if trace is not None:
@@ -387,8 +405,7 @@ def _branch_backward(
     n = len(branch.kernels)
     for i in range(n - 1, -1, -1):
         if i < n - 1:
-            m_re, m_im = trace["mults"][i]
-            g = g.real * m_re + 1j * (g.imag * m_im)
+            g = _scale_parts(g, trace["mults"][i])
         if grad is not None:
             kh, kw = branch.kernels[i].shape[:2]
             grad.kernels[i] += conv2d_kernel_grad(trace["inputs"][i], g, kh, kw)

@@ -259,6 +259,78 @@ class TestVerify:
             assert (out / name).exists()
 
 
+# The flags of the benchmark's verify-desk commands.
+VERIFY_DESK_FLAGS = (
+    "--samples", "2", "--inits", "2", "--noise-levels", "0.01,0.1", "--trials", "2",
+    "--init-levels", "0.5,2.0", "--init-trials", "1",
+)
+VERIFY_REPORTS = ("convergence.csv", "robustness.csv", "init_independence.csv")
+
+
+class TestVerifySharedSolve:
+    def _verify(self, dataset_dir, checkpoint, out):
+        assert run(
+            "verify", "--ckpt", str(checkpoint), "--data", str(dataset_dir),
+            "--out", str(out), "--seed", "3", *VERIFY_DESK_FLAGS,
+        ) == 0
+        return [(out / name).read_text() for name in VERIFY_REPORTS]
+
+    def test_solves_each_clean_equilibrium_once(
+        self, dataset_dir, checkpoint, tmp_path, monkeypatch
+    ):
+        import deqpocs.harness as harness
+        import deqpocs.training as training
+
+        solves = []
+
+        def counting(module, name):
+            solve = getattr(module, name)
+
+            def wrapped(*args, **kwargs):
+                solves.append(name)
+                return solve(*args, **kwargs)
+
+            monkeypatch.setattr(module, name, wrapped)
+
+        counting(harness, "picard_solve")
+        counting(training, "picard_solve")
+        counting(training, "anderson_solve")
+        self._verify(dataset_dir, checkpoint, tmp_path / "verify")
+        # convergence 2 samples x 2 starts, 4 noisy trials + 2 recursion runs,
+        # 2 perturbed starts; the clean solve of sample 0 is shared
+        assert len(solves) == 12
+
+    def test_reports_match_separate_checks(self, dataset_dir, checkpoint, tmp_path):
+        from deqpocs.harness import (
+            verify_convergence,
+            verify_init_independence,
+            verify_robustness,
+        )
+        from deqpocs.phantom import load_dataset
+
+        got = self._verify(dataset_dir, checkpoint, tmp_path / "verify")
+        params, _ = load_checkpoint(checkpoint)
+        measurements = [s.measurement for s in load_dataset(dataset_dir)[:2]]
+        want = [
+            verify_convergence(params, measurements, inits_per_sample=2, seed=3).to_csv(),
+            verify_robustness(
+                params, measurements[0], delta_rels=(0.01, 0.1), trials_per_level=2, seed=3
+            ).to_csv(),
+            verify_init_independence(
+                params, measurements[0], levels=(0.5, 2.0), trials_per_level=1, seed=3
+            ).to_csv(),
+        ]
+        assert got == want
+
+    def test_reports_independent_of_thread_count(
+        self, dataset_dir, checkpoint, tmp_path, monkeypatch
+    ):
+        monkeypatch.delenv("DEQPOCS_THREADS", raising=False)
+        default = self._verify(dataset_dir, checkpoint, tmp_path / "default")
+        monkeypatch.setenv("DEQPOCS_THREADS", "1")
+        assert self._verify(dataset_dir, checkpoint, tmp_path / "one") == default
+
+
 class TestEval:
     def test_eval_identical_files(self, dataset_dir, tmp_path, capsys):
         ref = dataset_dir / "sample_0000_full.ct01"

@@ -1,8 +1,14 @@
+import sys
+import threading
+import time
+
 import numpy as np
 import pytest
 
+import deqpocs.harness as harness
 from deqpocs.errors import ConfigurationError
 from deqpocs.harness import (
+    _map_ordered,
     verify_convergence,
     verify_init_independence,
     verify_mask_transfer,
@@ -70,6 +76,60 @@ class TestConvergence:
         assert "PASS" in report.summary()
 
 
+class TestMapOrdered:
+    @pytest.mark.parametrize("threads", ["1", "2", "4"])
+    def test_item_order_and_calling_thread(self, monkeypatch, threads):
+        monkeypatch.setenv("DEQPOCS_THREADS", threads)
+        idents = {}
+
+        def fn(i):
+            time.sleep(0.002 * ((5 - i) % 3))  # finish out of item order
+            idents[i] = threading.get_ident()
+            return i * i
+
+        assert _map_ordered(fn, list(range(6))) == [i * i for i in range(6)]
+        assert idents[0] == threading.get_ident()
+        assert len(set(idents.values())) <= harness.worker_count()
+
+    def test_raises_first_failing_item(self, monkeypatch):
+        monkeypatch.setenv("DEQPOCS_THREADS", "2")
+
+        def fn(i):
+            if i == 1:
+                time.sleep(0.05)  # fails after item 3 does on a two-thread run
+                raise ValueError("item 1")
+            if i == 3:
+                raise KeyError("item 3")
+            return i
+
+        with pytest.raises(ValueError, match="item 1"):
+            _map_ordered(fn, list(range(5)))
+
+    def test_each_item_runs_once_under_thread_churn(self, monkeypatch):
+        """More threads than cores and a short switch interval: a lost
+        update of the shared item counter would run an item twice or never."""
+        monkeypatch.setattr(harness, "worker_count", lambda: 8)
+        runs = [0] * 300
+        lock = threading.Lock()
+
+        def fn(i):
+            with lock:
+                runs[i] += 1
+            return -i
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            assert _map_ordered(fn, list(range(300))) == [-i for i in range(300)]
+        finally:
+            sys.setswitchinterval(interval)
+        assert runs == [1] * 300
+
+    def test_single_item_and_empty(self):
+        assert _map_ordered(lambda x: x + 1, [1]) == [2]
+        assert _map_ordered(lambda x: x + 1, []) == []
+
+
 class TestRobustness:
     def test_bound_holds(self, small_problem):
         params, dataset = small_problem
@@ -90,6 +150,53 @@ class TestRobustness:
         (trial,) = report.trials
         assert trial.delta_abs == 0.0
         assert trial.observed <= 10 * 1e-5 * max(1.0, 1.0)
+
+    @pytest.mark.parametrize("trials, draws", [(2, 4), (0, 2)])
+    def test_draws_each_noisy_measurement_once(self, small_problem, monkeypatch, trials, draws):
+        """The recursion check reuses trial 0's noisy measurement of its
+        level, and draws it itself only when there are no trials."""
+        params, dataset = small_problem
+        calls = []
+        add_noise = harness.add_noise
+
+        def counting(meas, level, seed):
+            calls.append((level, seed))
+            return add_noise(meas, level, seed=seed)
+
+        monkeypatch.setattr(harness, "add_noise", counting)
+        report = verify_robustness(
+            params, dataset[0][1], delta_rels=(0.01, 0.1), trials_per_level=trials, seed=4
+        )
+        assert len(calls) == draws
+        assert len(set(calls)) == draws
+        assert len(report.trials) == 2 * trials
+        assert [ok for _, ok in report.recursion_checks] == [True, True]
+
+    def test_shared_clean_solve_gives_same_report(self, small_problem):
+        params, dataset = small_problem
+        meas = dataset[0][1]
+        conv = verify_convergence(params, [meas], inits_per_sample=2, record_clean=True)
+        assert conv.clean.iterates is not None
+        assert verify_convergence(params, [meas], inits_per_sample=2).clean is None
+        kw = dict(delta_rels=(0.01, 0.1), trials_per_level=2, seed=5)
+        assert (
+            verify_robustness(params, meas, clean=conv.clean, **kw).to_csv()
+            == verify_robustness(params, meas, **kw).to_csv()
+        )
+        ikw = dict(levels=(0.5, 2.0), trials_per_level=1, seed=5)
+        assert (
+            verify_init_independence(params, meas, clean=conv.clean, **ikw).to_csv()
+            == verify_init_independence(params, meas, **ikw).to_csv()
+        )
+
+    def test_clean_solve_for_another_tolerance_refused(self, small_problem):
+        params, dataset = small_problem
+        meas = dataset[0][1]
+        conv = verify_convergence(params, [meas], inits_per_sample=2, tol=1e-4, record_clean=True)
+        with pytest.raises(ValueError, match="clean solve"):
+            verify_robustness(params, meas, trials_per_level=1, tol=1e-5, clean=conv.clean)
+        with pytest.raises(ValueError, match="clean solve"):
+            verify_init_independence(params, meas, trials_per_level=1, tol=1e-5, clean=conv.clean)
 
     def test_csv(self, small_problem):
         params, dataset = small_problem

@@ -6,6 +6,8 @@ import pytest
 from deqpocs.errors import CertificateError, ShapeError
 from deqpocs.network import (
     FULL_POWER_ITERS,
+    _lrelu_with_mult,
+    _scale_parts,
     certified_lipschitz,
     clone_params,
     forward,
@@ -114,6 +116,45 @@ class TestForward:
         p = small_net(variant="hybrid", seed=10)
         x = rand_tensor((8, 8, 2), 11)
         assert np.array_equal(forward(p, x), forward(p, x))
+
+
+def _two_mask_lrelu(z):
+    """The activation as two per-part masks and a complex recombination."""
+    m_re = np.where(z.real >= 0, 1.0, 0.2)
+    m_im = np.where(z.imag >= 0, 1.0, 0.2)
+    return z.real * m_re + 1j * (z.imag * m_im), m_re, m_im
+
+
+def _special_parts():
+    """Every pairing of signed zeros, exact negatives and subnormals as
+    (real, imag), in an (n, n, 1) tensor."""
+    vals = np.array([0.0, -0.0, 1.5, -1.5, -2.0, -0.25, 3.0, 5e-324, -5e-324])
+    re, im = np.meshgrid(vals, vals)
+    z = np.empty(re.shape + (1,), dtype=np.complex128)
+    z.real, z.imag = re[..., None], im[..., None]
+    return z
+
+
+class TestLeakyRelu:
+    @pytest.mark.parametrize("case", ["random", "special"])
+    def test_matches_two_mask_formula_bit_for_bit(self, rand_tensor, case):
+        z = rand_tensor((8, 8, 6), 21) if case == "random" else _special_parts()
+        want, m_re, m_im = _two_mask_lrelu(z)
+        got, mult = _lrelu_with_mult(z)
+        assert got.tobytes() == want.tobytes()
+        assert mult.tobytes() == np.stack([m_re, m_im], axis=-1).tobytes()
+
+    @pytest.mark.parametrize("case", ["random", "special"])
+    def test_reverse_multiplier_matches_two_mask_formula(self, rand_tensor, case):
+        if case == "random":
+            z, cot = rand_tensor((8, 8, 6), 22), rand_tensor((8, 8, 6), 23)
+        else:
+            z = _special_parts()
+            cot = np.ascontiguousarray(z.transpose(1, 0, 2))  # every part under every mask
+        _, m_re, m_im = _two_mask_lrelu(z)
+        want = cot.real * m_re + 1j * (cot.imag * m_im)
+        _, mult = _lrelu_with_mult(z)
+        assert _scale_parts(cot, mult).tobytes() == want.tobytes()
 
 
 class TestCertificate:
