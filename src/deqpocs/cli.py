@@ -227,7 +227,6 @@ def cmd_verify(ns) -> int:
         slack=ns.slack,
         tol=ns.tol,
         seed=ns.seed,
-        record_clean=True,
     )
     # each check reuses sample 0's clean equilibrium instead of solving it again
     rob = verify_robustness(

@@ -64,26 +64,32 @@ def _map_ordered(fn, items):
     """``[fn(it) for it in items]`` on up to ``worker_count()`` threads.
 
     The calling thread runs item 0; then it and ``worker_count() - 1`` pool
-    threads each take the next unstarted item until none is left. If items
-    fail, the exception of the first failing one in item order is raised.
+    threads each take the next unstarted item until none is left. After an
+    item fails no further item starts, and the exception of the first failing
+    item in item order is raised: items start in index order, so every item
+    before it has run.
     """
     n = min(worker_count(), len(items))
     if n <= 1:
         return [fn(it) for it in items]
     outcomes: list = [None] * len(items)
     pending = iter(range(1, len(items)))
+    failed = False
     lock = threading.Lock()
 
     def run(i):
+        nonlocal failed
         try:
             outcomes[i] = (True, fn(items[i]))
         except Exception as exc:
             outcomes[i] = (False, exc)
+            with lock:
+                failed = True
 
     def drain():
         while True:
             with lock:
-                i = next(pending, None)
+                i = None if failed else next(pending, None)
             if i is None:
                 return
             run(i)
@@ -94,9 +100,9 @@ def _map_ordered(fn, items):
         drain()
         for helper in helpers:
             helper.result()
-    for ok, value in outcomes:
-        if not ok:
-            raise value
+    for outcome in outcomes:
+        if outcome is not None and not outcome[0]:
+            raise outcome[1]
     return [value for _, value in outcomes]
 
 
@@ -122,7 +128,7 @@ class ConvergenceReport:
     contraction: float
     slack: float
 
-    # sample 0's solve from the measurement, with iterates (``record_clean``)
+    # sample 0's solve from the measurement, with iterates (None without samples)
     clean: FixedPointResult | None = None
 
     @property
@@ -161,15 +167,14 @@ def verify_convergence(
     slack: float = 1.05,
     tol: float = 1e-5,
     seed: int = 0,
-    record_clean: bool = False,
 ) -> ConvergenceReport:
     """Plain iteration from ``max(inits_per_sample, 2)`` starts per sample
     (the measurement, zero, then seeded random iterates): every run must
     converge, follow the geometric envelope of the certificate, and all
     equilibria of one sample must agree within ``10 * tol``.
 
-    With ``record_clean`` the report's ``clean`` is sample 0's run from the
-    measurement with its iterates: the clean solve that
+    The report's ``clean`` is sample 0's run from the measurement with its
+    iterates, the only run that records them: the clean solve that
     :func:`verify_robustness` and :func:`verify_init_independence` take as
     ``clean`` for the same model, measurement and ``tol``."""
     cert = certified_lipschitz(params)
@@ -192,7 +197,7 @@ def verify_convergence(
             label, x0 = labeled
             res = picard_solve(
                 T, x0, tol=tol_eff, max_iter=max_iter,
-                record_iterates=record_clean and s == 0 and label == "measurement",
+                record_iterates=s == 0 and label == "measurement",
             )
             rate_ok = geometric_rate_check(
                 res.residuals, L, slack, floor=numerical_floor(res.solution)
@@ -207,7 +212,7 @@ def verify_convergence(
             )
 
         results = _map_ordered(run_one, inits)
-        if s == 0 and record_clean:
+        if s == 0:
             clean = results[0][0]
         solutions = [r.solution for r, _ in results]
         runs.extend(row for _, row in results)
@@ -303,8 +308,8 @@ def verify_robustness(
     true fixed point under the tightened stop rule).
 
     ``clean``, when given, is the Picard solve from ``meas.y`` with its
-    iterates (``verify_convergence(..., record_clean=True).clean``) and is
-    used instead of solving it again.
+    iterates (``verify_convergence(...).clean``) and is used instead of
+    solving it again.
     """
     cert = certified_lipschitz(params)
     require_contractive(cert)
@@ -411,8 +416,8 @@ def verify_init_independence(
     (perturbation norm = level * ||y||) must agree within ``10 * tol``.
 
     ``clean``, when given, is the Picard solve from ``meas.y``
-    (``verify_convergence(..., record_clean=True).clean``) and is used as
-    the reconstruction from the measurement instead of solving it again."""
+    (``verify_convergence(...).clean``) and is used as the reconstruction
+    from the measurement instead of solving it again."""
     cert = certified_lipschitz(params)
     require_contractive(cert)
     settings = SolverSettings(method="picard", tol=tol)

@@ -18,6 +18,7 @@ from deqpocs.harness import (
 from deqpocs.network import certified_lipschitz, init_params
 from deqpocs.phantom import DatasetSpec, make_dataset
 from deqpocs.sampling import apply_sampling, make_mask
+from deqpocs.solvers import picard_solve
 from deqpocs.tensors import gaussian_tensor
 
 
@@ -67,6 +68,22 @@ class TestConvergence:
         assert len(report.runs) == runs
         assert len(calls) == draws
 
+    def test_records_only_the_clean_run(self, small_problem, monkeypatch):
+        params, dataset = small_problem
+        recorded = []
+
+        def spy(*args, record_iterates=False, **kwargs):
+            recorded.append(record_iterates)
+            return picard_solve(*args, record_iterates=record_iterates, **kwargs)
+
+        monkeypatch.setattr(harness, "picard_solve", spy)
+        report = verify_convergence(params, [m for _, m in dataset[:2]], inits_per_sample=3)
+        assert recorded.count(True) == 1 and len(recorded) == 6
+        assert report.clean.iterates is not None
+        assert report.clean.iterations == report.runs[0].iterations
+        assert report.clean.final_residual == report.runs[0].final_residual
+        assert verify_convergence(params, []).clean is None
+
     def test_csv_layout(self, small_problem):
         params, dataset = small_problem
         report = verify_convergence(params, [dataset[0][1]], inits_per_sample=2)
@@ -104,6 +121,23 @@ class TestMapOrdered:
 
         with pytest.raises(ValueError, match="item 1"):
             _map_ordered(fn, list(range(5)))
+
+    def test_no_item_starts_after_a_failure(self, monkeypatch):
+        monkeypatch.setenv("DEQPOCS_THREADS", "2")
+        started = []
+
+        def fn(i):
+            started.append(i)
+            if i == 1:
+                raise ValueError("item 1")
+            time.sleep(0.05)
+            return i
+
+        with pytest.raises(ValueError, match="item 1"):
+            _map_ordered(fn, list(range(20)))
+        # items 0 and 1, plus at most the one the other thread took meanwhile
+        assert len(started) <= 3
+        assert sorted(started) == list(range(len(started)))
 
     def test_each_item_runs_once_under_thread_churn(self, monkeypatch):
         """More threads than cores and a short switch interval: a lost
@@ -175,9 +209,7 @@ class TestRobustness:
     def test_shared_clean_solve_gives_same_report(self, small_problem):
         params, dataset = small_problem
         meas = dataset[0][1]
-        conv = verify_convergence(params, [meas], inits_per_sample=2, record_clean=True)
-        assert conv.clean.iterates is not None
-        assert verify_convergence(params, [meas], inits_per_sample=2).clean is None
+        conv = verify_convergence(params, [meas], inits_per_sample=2)
         kw = dict(delta_rels=(0.01, 0.1), trials_per_level=2, seed=5)
         assert (
             verify_robustness(params, meas, clean=conv.clean, **kw).to_csv()
@@ -192,7 +224,7 @@ class TestRobustness:
     def test_clean_solve_for_another_tolerance_refused(self, small_problem):
         params, dataset = small_problem
         meas = dataset[0][1]
-        conv = verify_convergence(params, [meas], inits_per_sample=2, tol=1e-4, record_clean=True)
+        conv = verify_convergence(params, [meas], inits_per_sample=2, tol=1e-4)
         with pytest.raises(ValueError, match="clean solve"):
             verify_robustness(params, meas, trials_per_level=1, tol=1e-5, clean=conv.clean)
         with pytest.raises(ValueError, match="clean solve"):
