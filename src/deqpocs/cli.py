@@ -126,6 +126,9 @@ def cmd_train(ns) -> int:
         raise ConfigurationError(f"--epochs must be >= 1, got {ns.epochs}")
     if ns.lr <= 0:
         raise ConfigurationError(f"--lr must be positive, got {ns.lr}")
+    for flag, value in (("--fwd-tol", ns.fwd_tol), ("--bwd-tol", ns.bwd_tol)):
+        if not value > 0:
+            raise ConfigurationError(f"{flag} must be positive, got {value}")
     pairs = _load_training_pairs(ns.data)
     config = TrainConfig(
         epochs=ns.epochs,
@@ -172,6 +175,14 @@ def _write_recon_outputs(outdir, stem, kspace, residual_result=None):
             fh.write(diagnostics_csv(residual_result, include_timing=False))
 
 
+def _check_solve_flags(ns) -> None:
+    """The ``recon`` and ``baseline`` flags that the solvers would refuse."""
+    if not ns.tol > 0:
+        raise ConfigurationError(f"--tol must be positive, got {ns.tol}")
+    if ns.spirit_iters < 1:
+        raise ConfigurationError(f"--spirit-iters must be >= 1, got {ns.spirit_iters}")
+
+
 def _run_baseline(method, meas, ns):
     if method == "zerofill":
         return zero_fill(meas), None
@@ -182,6 +193,7 @@ def _run_baseline(method, meas, ns):
 
 
 def cmd_recon(ns) -> int:
+    _check_solve_flags(ns)
     params, stored_l = load_checkpoint(ns.ckpt)
     meas = _load_measurement(ns.meas, ns.mask)
     settings = SolverSettings(method=ns.method, tol=ns.tol)
@@ -205,6 +217,7 @@ def cmd_recon(ns) -> int:
 
 
 def cmd_baseline(ns) -> int:
+    _check_solve_flags(ns)
     meas = _load_measurement(ns.meas, ns.mask)
     base_k, result = _run_baseline(ns.method, meas, ns)
     _write_recon_outputs(ns.out, f"baseline_{ns.method}", base_k, result)
@@ -216,6 +229,12 @@ def cmd_baseline(ns) -> int:
 
 
 def cmd_verify(ns) -> int:
+    if ns.samples < 1:
+        raise ConfigurationError(f"--samples must be >= 1, got {ns.samples}")
+    if not ns.slack >= 1:
+        raise ConfigurationError(f"--slack must be >= 1, got {ns.slack}")
+    if not ns.tol > 0:
+        raise ConfigurationError(f"--tol must be positive, got {ns.tol}")
     params, stored_l = load_checkpoint(ns.ckpt)
     samples = load_dataset(ns.data)
     measurements = [s.measurement for s in samples[: ns.samples]]

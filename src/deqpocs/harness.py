@@ -9,7 +9,9 @@ from different starting points must coincide. Slack terms of ``10 * tol`` / ``20
 (times ``max(1, ||x||)``, matching the solvers' relative stop rule) absorb
 solver inexactness: each equilibrium is solved to within
 ``tol * max(1, ||x||)`` of the true fixed point, so compared pairs can
-deviate by at most twice that.
+deviate by at most twice that. Every equilibrium is solved by
+:func:`deqpocs.training.reconstruct`, which owns that stop rule, the
+certificate gate and the iteration budget.
 
 Trials are independent and seeded individually. They run on
 ``worker_count()`` threads, the calling thread included, and
@@ -33,16 +35,10 @@ from .metrics import MetricsReport, evaluate_kspace_set
 from .network import ConsistencyNetParams, certified_lipschitz, require_contractive
 from .rng import RandomStream, derive_seed
 from .sampling import Measurement, add_noise, apply_sampling, make_mask
-from .solvers import FixedPointResult, geometric_rate_check, numerical_floor, picard_solve
+from .solvers import FixedPointResult, geometric_rate_check, numerical_floor
+from .solvers import picard_solve  # noqa: F401  (perfbench traces it under this name)
 from .tensors import frob, gaussian_tensor
-from .training import (
-    SolverSettings,
-    auto_max_iter,
-    make_pocs_operator,
-    reconstruct,
-    solve_equilibrium,
-    zero_fill,
-)
+from .training import SolverSettings, reconstruct, zero_fill
 
 
 def worker_count() -> int:
@@ -180,8 +176,7 @@ def verify_convergence(
     cert = certified_lipschitz(params)
     require_contractive(cert)
     L = cert.contraction_bound
-    tol_eff = tol * (1.0 - L)
-    max_iter = auto_max_iter(tol_eff, L, "picard")
+    settings = SolverSettings(method="picard", tol=tol)
     runs: list[ConvergenceRun] = []
     pairwise, thresholds = [], []
     clean = None
@@ -191,13 +186,11 @@ def verify_convergence(
         for j in range(inits_per_sample - 2):
             noise = gaussian_tensor(meas.y.shape, RandomStream(derive_seed(seed, s, j)))
             inits.append((f"random{j}", noise * (big / frob(noise))))
-        T = make_pocs_operator(params, meas)
 
         def run_one(labeled):
             label, x0 = labeled
-            res = picard_solve(
-                T, x0, tol=tol_eff, max_iter=max_iter,
-                record_iterates=s == 0 and label == "measurement",
+            res = reconstruct(
+                params, meas, x0, settings, record_iterates=s == 0 and label == "measurement"
             )
             rate_ok = geometric_rate_check(
                 res.residuals, L, slack, floor=numerical_floor(res.solution)
@@ -232,16 +225,22 @@ def verify_convergence(
     )
 
 
-def _check_clean(clean: FixedPointResult, tol_eff: float, iterates: bool) -> None:
-    """Refuse a shared clean solve made for another tolerance or without
-    the iterates the caller reads."""
+def _clean_solve(params, meas, tol: float, L: float, clean) -> FixedPointResult:
+    """The Picard solve from ``meas.y`` with its iterates. A given ``clean``
+    (``verify_convergence(...).clean``) is returned, or refused with
+    ``ValueError`` when made for another tolerance or without iterates."""
+    if clean is None:
+        picard = SolverSettings("picard", tol)
+        return reconstruct(params, meas, settings=picard, record_iterates=True)
+    tol_eff = tol * (1.0 - L)
     if clean.method != "picard" or clean.tolerance != tol_eff:
         raise ValueError(
             f"clean solve is {clean.method} at tol {clean.tolerance:g}, "
             f"expected picard at {tol_eff:g}"
         )
-    if iterates and clean.iterates is None:
+    if clean.iterates is None:
         raise ValueError("clean solve has no recorded iterates")
+    return clean
 
 
 # ---------------------------------------------------------------------------
@@ -314,18 +313,9 @@ def verify_robustness(
     cert = certified_lipschitz(params)
     require_contractive(cert)
     L = cert.contraction_bound
-    tol_eff = tol * (1.0 - L)
-    max_iter = auto_max_iter(tol_eff, L, "picard")
-    if clean is None:
-        clean = picard_solve(
-            make_pocs_operator(params, meas), meas.y, tol=tol_eff, max_iter=max_iter,
-            record_iterates=True,
-        )
-    else:
-        _check_clean(clean, tol_eff, iterates=True)
+    clean = _clean_solve(params, meas, tol, L, clean)
     x_clean = clean.solution
     slack_term = 20.0 * tol * max(1.0, frob(x_clean))
-    solver = SolverSettings(method="anderson", tol=tol)
     jobs = []
     for li, level in enumerate(delta_rels):
         for t in range(trials_per_level):
@@ -334,7 +324,7 @@ def verify_robustness(
     def run_trial(job):
         level, t, trial_seed = job
         noisy_meas = add_noise(meas, level, seed=trial_seed)
-        noisy = solve_equilibrium(params, noisy_meas, x0=meas.y, settings=solver, contraction=L)
+        noisy = reconstruct(params, noisy_meas, meas.y, SolverSettings("anderson", tol))
         bound = noisy_meas.delta / (1.0 - L) + slack_term
         observed = frob(noisy.solution - x_clean)
         trial = RobustnessTrial(
@@ -356,12 +346,8 @@ def verify_robustness(
             noisy_meas = first_draws[li]
         else:  # no trials: draw trial 0's measurement here
             noisy_meas = add_noise(meas, level, seed=derive_seed(seed, li, 0))
-        noisy = picard_solve(
-            make_pocs_operator(params, noisy_meas),
-            meas.y,
-            tol=tol_eff,
-            max_iter=max_iter,
-            record_iterates=True,
+        noisy = reconstruct(
+            params, noisy_meas, meas.y, SolverSettings("picard", tol), record_iterates=True
         )
         n = min(len(clean.iterates), len(noisy.iterates))
         eps_num = 1e-9 * max(1.0, frob(x_clean))
@@ -415,17 +401,12 @@ def verify_init_independence(
     """Reconstructions from the measurement vs. Gaussian-perturbed starts
     (perturbation norm = level * ||y||) must agree within ``10 * tol``.
 
-    ``clean``, when given, is the Picard solve from ``meas.y``
-    (``verify_convergence(...).clean``) and is used as the reconstruction
-    from the measurement instead of solving it again."""
+    ``clean``, when given, is the Picard solve from ``meas.y`` with its
+    iterates (``verify_convergence(...).clean``) and is used as the
+    reconstruction from the measurement instead of solving it again."""
     cert = certified_lipschitz(params)
     require_contractive(cert)
-    settings = SolverSettings(method="picard", tol=tol)
-    if clean is None:
-        base = reconstruct(params, meas, settings=settings)
-    else:
-        base = clean
-        _check_clean(base, tol * (1.0 - cert.contraction_bound), iterates=False)
+    base = _clean_solve(params, meas, tol, cert.contraction_bound, clean)
     scale = frob(meas.y)
     threshold = 10.0 * tol * max(1.0, frob(base.solution))
     jobs = []
@@ -440,7 +421,7 @@ def verify_init_independence(
         else:
             noise = gaussian_tensor(meas.y.shape, RandomStream(s))
             x0 = meas.y + noise * (level * scale / frob(noise))
-        res = reconstruct(params, meas, x0=x0, settings=settings)
+        res = reconstruct(params, meas, x0, SolverSettings("picard", tol))
         return (level, t, frob(res.solution - base.solution), threshold)
 
     return InitIndependenceReport(rows=_map_ordered(run_one, jobs), contraction=cert.contraction_bound)

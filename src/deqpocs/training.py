@@ -11,6 +11,10 @@ one parameter-side reverse product of the composed operator yields the
 gradient. Parameters are updated with bias-corrected Adam on their real
 parameterization and re-projected onto the certified-contractive set after
 every step.
+
+Every equilibrium solve of the package (training, inference, the harness)
+goes through :func:`reconstruct`, the one place that gates on the
+certificate, stops at ``tol * (1 - L)`` and sizes the budget from L.
 """
 
 from __future__ import annotations
@@ -45,7 +49,6 @@ from .tensors import frob
 class SolverSettings:
     method: str = "anderson"  # "picard" or "anderson"
     tol: float = 1e-5
-    max_iter: int | None = None  # None: sized from the certificate
 
 
 INFERENCE_SOLVER = SolverSettings(tol=1e-5)
@@ -84,46 +87,27 @@ def auto_max_iter(tol_eff: float, contraction: float, method: str) -> int:
     return cap if method == "picard" else max(cap // 2, 50)
 
 
-def solve_equilibrium(
-    params: ConsistencyNetParams,
-    meas: Measurement,
-    x0: np.ndarray | None = None,
-    settings: SolverSettings = INFERENCE_SOLVER,
-    contraction: float | None = None,
-) -> FixedPointResult:
-    """Solve ``x = P(net(x))`` from ``x0`` (default: the measurement).
-
-    When the contraction bound L is known, the solver stop threshold is
-    tightened to ``tol * (1 - L)`` so the returned iterate is within
-    ``tol * max(1, ||x||)`` of the exact fixed point — this is what makes
-    solutions from different initializations provably agree to ``10 * tol``.
-    """
-    if x0 is None:
-        x0 = meas.y
-    T = make_pocs_operator(params, meas)
-    tol_eff = settings.tol if contraction is None else settings.tol * (1.0 - contraction)
-    max_iter = settings.max_iter
-    if max_iter is None:
-        max_iter = auto_max_iter(tol_eff, contraction if contraction else 0.5, settings.method)
-    if settings.method == "picard":
-        return picard_solve(T, x0, tol=tol_eff, max_iter=max_iter)
-    return anderson_solve(T, x0, tol=tol_eff, max_iter=max_iter)
-
-
 def reconstruct(
     params: ConsistencyNetParams,
     meas: Measurement,
     x0: np.ndarray | None = None,
     settings: SolverSettings = INFERENCE_SOLVER,
+    record_iterates: bool = False,
 ) -> FixedPointResult:
-    """Inference: equilibrium of the trained operator under the measurement.
-
-    Requires a valid contraction certificate (< 1); the unique fixed point
-    is then independent of ``x0`` up to solver tolerance.
-    """
+    """The package's one certified solve of ``x = P(net(x))`` from ``x0``
+    (default: the measurement). It refuses a certificate L >= 1, stops at
+    ``tol * (1 - L)`` (so the result is within ``tol * max(1, ||x||)`` of the
+    unique fixed point, and any two starts agree to ``10 * tol``) and sizes
+    the budget from L. ``record_iterates`` attaches ``x0`` and every ``T(x_k)``."""
     cert = certified_lipschitz(params)
     require_contractive(cert)
-    return solve_equilibrium(params, meas, x0, settings, contraction=cert.contraction_bound)
+    L = cert.contraction_bound
+    T = make_pocs_operator(params, meas)
+    tol_eff = settings.tol * (1.0 - L)
+    max_iter = auto_max_iter(tol_eff, L, settings.method)
+    solve = picard_solve if settings.method == "picard" else anderson_solve
+    return solve(T, meas.y if x0 is None else x0, tol=tol_eff, max_iter=max_iter,
+                 record_iterates=record_iterates)
 
 
 def zero_fill(meas: Measurement) -> np.ndarray:
@@ -286,7 +270,6 @@ def train(
     state = AdamState.init(pack_params(params))
     order_stream = RandomStream(config.shuffle_seed)
     report = TrainReport()
-    cert = certified_lipschitz(params)
     for epoch in range(config.epochs):
         order = list(range(len(dataset)))
         order_stream.shuffle(order)
@@ -294,12 +277,7 @@ def train(
         for m in order:
             x_full, meas = dataset[m]
             try:
-                result = solve_equilibrium(
-                    params,
-                    meas,
-                    settings=config.forward_solver,
-                    contraction=cert.contraction_bound,
-                )
+                result = reconstruct(params, meas, settings=config.forward_solver)
                 diff = result.solution - x_full
                 loss = frob(diff) ** 2
                 grad, n_bwd = implicit_backward(
@@ -328,9 +306,7 @@ def train(
             progress(epoch, report)
     residuals = []
     for x_full, meas in dataset:
-        result = solve_equilibrium(
-            params, meas, settings=config.forward_solver, contraction=cert.contraction_bound
-        )
+        result = reconstruct(params, meas, settings=config.forward_solver)
         residuals.append(frob(result.solution - x_full))
     report.final_train_residual = float(np.mean(residuals))
     return params, report

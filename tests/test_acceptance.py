@@ -23,6 +23,7 @@ from deqpocs.network import (
 from deqpocs.phantom import DatasetSpec, make_dataset, save_dataset
 from deqpocs.rng import RandomStream, derive_seed
 from deqpocs.sampling import apply_sampling, make_mask
+from deqpocs.solvers import picard_solve
 from deqpocs.spirit import calibrate_kernels
 from deqpocs.tensors import (
     conv2d_complex,
@@ -32,11 +33,10 @@ from deqpocs.tensors import (
     spectral_norm_power_iter,
 )
 from deqpocs.training import (
-    SolverSettings,
     TrainConfig,
     implicit_backward,
+    make_pocs_operator,
     reconstruct,
-    solve_equilibrium,
     train,
 )
 from oracles import (
@@ -222,13 +222,14 @@ def test_criterion_4_implicit_gradient():
             blk.kspace_branch.biases[j] = 0.3 * gaussian_tensor(
                 (1, 1, b.size), bias_stream
             ).reshape(b.shape)
-    tight = SolverSettings(method="picard", tol=1e-11, max_iter=8000)
+
+    def tight_solve(p):  # untightened Picard from the measurement
+        return picard_solve(make_pocs_operator(p, meas), meas.y, tol=1e-11, max_iter=8000)
 
     def pipeline_loss(vec):
-        p = unpack_params(params, vec)
-        return frob(solve_equilibrium(p, meas, settings=tight).solution - x_full) ** 2
+        return frob(tight_solve(unpack_params(params, vec)).solution - x_full) ** 2
 
-    base = solve_equilibrium(params, meas, settings=tight)
+    base = tight_solve(params)
     grad, _ = implicit_backward(
         params, base.solution, meas, 2.0 * (base.solution - x_full), tol=1e-11, max_iter=8000
     )

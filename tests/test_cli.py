@@ -228,6 +228,39 @@ class TestBaseline:
         assert (tmp_path / "base" / "baseline_spirit.ct01").exists()
 
 
+@pytest.mark.parametrize(
+    "command, flag, value",
+    [
+        ("verify", "--samples", "0"),
+        ("verify", "--slack", "0.5"),
+        ("verify", "--tol", "0"),
+        ("recon", "--tol", "0"),
+        ("recon", "--spirit-iters", "0"),
+        ("baseline", "--tol", "0"),
+        ("baseline", "--spirit-iters", "0"),
+        ("train", "--fwd-tol", "0"),
+        ("train", "--bwd-tol", "0"),
+    ],
+)
+def test_bad_solver_flag_exits_2(command, flag, value, dataset_dir, checkpoint, tmp_path, capsys):
+    """A usage error names its flag on stderr and exits 2; an exception
+    escaping ``main`` (a traceback for the user) fails the test."""
+    meas = ("--meas", str(dataset_dir / "sample_0000_meas.ct01"),
+            "--mask", str(dataset_dir / "sample_0000_mask.mk01"))
+    required = {
+        "verify": ("--ckpt", str(checkpoint), "--data", str(dataset_dir)),
+        "recon": ("--ckpt", str(checkpoint), *meas),
+        "baseline": ("--method", "spirit", *meas),
+        "train": ("--data", str(dataset_dir), "--epochs", "1", "--blocks", "1",
+                  "--features", "4"),
+    }[command]
+    out = tmp_path / ("net.ck01" if command == "train" else "out")
+    assert run(command, *required, "--out", str(out), flag, value) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and flag in err
+    assert "Traceback" not in err
+
+
 class TestVerify:
     def test_grid_beyond_certified_grid_exits_1(
         self, dataset_dir, small_grid_checkpoint, tmp_path

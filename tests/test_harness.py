@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import deqpocs.harness as harness
+import deqpocs.training as training
 from deqpocs.errors import ConfigurationError
 from deqpocs.harness import (
     _map_ordered,
@@ -76,7 +77,7 @@ class TestConvergence:
             recorded.append(record_iterates)
             return picard_solve(*args, record_iterates=record_iterates, **kwargs)
 
-        monkeypatch.setattr(harness, "picard_solve", spy)
+        monkeypatch.setattr(training, "picard_solve", spy)
         report = verify_convergence(params, [m for _, m in dataset[:2]], inits_per_sample=3)
         assert recorded.count(True) == 1 and len(recorded) == 6
         assert report.clean.iterates is not None

@@ -2,7 +2,9 @@ import numpy as np
 import pytest
 
 from deqpocs.errors import CertificateError, TrainingError
+from deqpocs.harness import verify_convergence, verify_init_independence, verify_robustness
 from deqpocs.network import (
+    certified_lipschitz,
     forward,
     init_params,
     pack_params,
@@ -11,16 +13,17 @@ from deqpocs.network import (
 from deqpocs.phantom import DatasetSpec, make_dataset
 from deqpocs.rng import RandomStream
 from deqpocs.sampling import apply_sampling, make_mask, project_data_consistency
+from deqpocs.solvers import picard_solve
 from deqpocs.tensors import frob, gaussian_tensor
 from deqpocs.training import (
     AdamState,
     SolverSettings,
     TrainConfig,
     adam_step,
+    auto_max_iter,
     implicit_backward,
     make_pocs_operator,
     reconstruct,
-    solve_equilibrium,
     train,
     zero_fill,
 )
@@ -40,6 +43,14 @@ def tiny_setup(seed=0, with_biases=True):
                     (1, 1, b.size), s
                 ).reshape(b.shape)
     return x_full, meas, params
+
+
+def reference_solve(params, meas, tol, max_iter=None):
+    """Untightened Picard from the measurement, with the budget the
+    certificate-free sizing gives (L taken as 0.5) unless one is set."""
+    if max_iter is None:
+        max_iter = auto_max_iter(tol, 0.5, "picard")
+    return picard_solve(make_pocs_operator(params, meas), meas.y, tol=tol, max_iter=max_iter)
 
 
 class TestAdam:
@@ -70,14 +81,14 @@ class TestAdam:
 class TestImplicitBackward:
     def test_zero_loss_gradient(self):
         x_full, meas, params = tiny_setup()
-        res = solve_equilibrium(params, meas, settings=SolverSettings(method="picard", tol=1e-10))
+        res = reference_solve(params, meas, tol=1e-10)
         grad, _ = implicit_backward(params, res.solution, meas, np.zeros_like(res.solution))
         assert np.all(grad == 0.0)
 
     def test_alpha_zero_kernel_gradients_vanish(self):
         x_full, meas, params = tiny_setup(with_biases=False)
         params.blocks[0].alpha = 0.0
-        res = solve_equilibrium(params, meas, settings=SolverSettings(method="picard", tol=1e-10))
+        res = reference_solve(params, meas, tol=1e-10)
         g = 2.0 * (res.solution - x_full)
         # the identity-dominant operator contracts at 0.99: give the adjoint room
         grad, _ = implicit_backward(params, res.solution, meas, g, tol=1e-8, max_iter=4000)
@@ -87,13 +98,12 @@ class TestImplicitBackward:
 
     def test_matches_finite_differences_through_solver(self):
         x_full, meas, params = tiny_setup()
-        tight = SolverSettings(method="picard", tol=1e-11, max_iter=5000)
 
         def loss(vec):
             p = unpack_params(params, vec)
-            return frob(solve_equilibrium(p, meas, settings=tight).solution - x_full) ** 2
+            return frob(reference_solve(p, meas, 1e-11, 5000).solution - x_full) ** 2
 
-        res = solve_equilibrium(params, meas, settings=tight)
+        res = reference_solve(params, meas, 1e-11, 5000)
         grad, _ = implicit_backward(
             params, res.solution, meas, 2.0 * (res.solution - x_full), tol=1e-11, max_iter=5000
         )
@@ -108,7 +118,7 @@ class TestImplicitBackward:
 
     def test_warns_when_adjoint_budget_exhausted(self):
         x_full, meas, params = tiny_setup()
-        res = solve_equilibrium(params, meas, settings=SolverSettings(method="picard", tol=1e-8))
+        res = reference_solve(params, meas, tol=1e-8)
         with pytest.warns(RuntimeWarning):
             implicit_backward(
                 params, res.solution, meas, 2.0 * (res.solution - x_full), tol=1e-14, max_iter=1
@@ -169,6 +179,49 @@ class TestEquilibrium:
         x_full = gaussian_tensor((6, 8, 2), RandomStream(13))
         meas = apply_sampling(x_full, make_mask("1d-calibrated", 6, 8, 2, acs=2, seed=5))
         assert reconstruct(tiny_setup()[2], meas).converged
+
+
+class TestCertifiedSolve:
+    """``reconstruct`` is the one certified solve: the harness and ``train``
+    reach the equilibrium only through it."""
+
+    @pytest.mark.parametrize("method", ["picard", "anderson"])
+    def test_records_start_and_every_map_output(self, method):
+        _, meas, params = tiny_setup(seed=3)
+        T = make_pocs_operator(params, meas)
+        x0 = gaussian_tensor(meas.y.shape, RandomStream(14))
+        tol = 1e-6
+        res = reconstruct(params, meas, x0, SolverSettings(method, tol), record_iterates=True)
+        L = certified_lipschitz(params).contraction_bound
+        assert res.method == method and res.converged
+        assert res.tolerance == tol * (1.0 - L)
+        assert len(res.iterates) == res.iterations + 1
+        assert np.array_equal(res.iterates[0], x0)
+        assert np.array_equal(res.iterates[-1], res.solution)
+        # the first two steps are plain steps for both methods
+        steps = range(res.iterations) if method == "picard" else range(2)
+        for k in steps:
+            assert np.array_equal(res.iterates[k + 1], T(res.iterates[k]))
+        assert reconstruct(params, meas, x0, SolverSettings(method, tol)).iterates is None
+
+    @pytest.mark.parametrize(
+        "call, error",
+        [
+            (lambda p, x, m: reconstruct(p, m), CertificateError),
+            (lambda p, x, m: verify_convergence(p, [m], inits_per_sample=2), CertificateError),
+            (lambda p, x, m: verify_robustness(p, m, trials_per_level=1), CertificateError),
+            (lambda p, x, m: verify_init_independence(p, m, trials_per_level=1), CertificateError),
+            (lambda p, x, m: train([(x, m)], TrainConfig(epochs=1), params=p), TrainingError),
+        ],
+        ids=["reconstruct", "verify_convergence", "verify_robustness",
+             "verify_init_independence", "train"],
+    )
+    def test_uncertified_parameters_refused(self, call, error):
+        x_full, meas, params = tiny_setup()
+        params.blocks[0].kspace_branch.sigmas[0] = 5.0
+        params.blocks[0].alpha = 0.99
+        with pytest.raises(error, match="is not < 1"):
+            call(params, x_full, meas)
 
 
 class TestTrainLoop:
