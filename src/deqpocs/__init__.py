@@ -67,7 +67,6 @@ from .tensors import (
     spectral_norm_power_iter,
 )
 from .training import (
-    SolverSettings,
     TrainConfig,
     TrainReport,
     adam_step,

@@ -2,10 +2,11 @@
 
 Every command is deterministic given its flags (all randomness is seeded
 via flags), writes only the artifacts it names, and uses the exit-code
-contract: 0 success, 1 check/quality failure, 2 usage or I/O error. Flags
-override values from an optional ``--config`` file of ``key=value`` lines
-(keys are flag names; ``#`` starts a comment). The ``DEQPOCS_THREADS``
-environment variable caps the harness's threads, the calling one included.
+contract: 0 success, 1 check/quality failure, 2 usage or I/O error. Flags,
+however abbreviated, override values from an optional ``--config`` file of
+``key=value`` lines (each key names a flag of the command; ``#`` starts a
+comment). The ``DEQPOCS_THREADS`` environment variable caps the harness's
+threads, the calling one included.
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ from .sampling import Measurement, load_mk01
 from .solvers import diagnostics_csv
 from .spirit import calibrate_kernels, extract_acs, spirit_pocs_recon
 from .tensors import load_ct01, save_ct01
-from .training import SolverSettings, TrainConfig, reconstruct, train, zero_fill
+from .training import TrainConfig, reconstruct, train, zero_fill
 
 USAGE_ERROR = 2
 CHECK_FAILURE = 1
@@ -69,21 +70,14 @@ def _load_config(path) -> dict:
     return out
 
 
-def _apply_config(parser: argparse.ArgumentParser, ns: argparse.Namespace, argv) -> None:
-    """Overlay config-file values beneath explicitly passed flags."""
-    if not getattr(ns, "config", None):
-        return
-    cfg = _load_config(ns.config)
-    passed = {a.lstrip("-").split("=")[0].replace("-", "_") for a in argv if a.startswith("--")}
-    for action in parser._actions:
-        key = action.dest
-        if key in cfg and key not in passed:
-            value = cfg[key]
-            setattr(ns, key, action.type(value) if action.type else value)
-
-
-def _parse_levels(text: str) -> tuple[float, ...]:
-    return tuple(float(v) for v in text.split(",") if v.strip())
+def _parse_levels(flag: str, text: str) -> tuple[float, ...]:
+    try:
+        levels = tuple(float(v) for v in text.split(",") if v.strip())
+    except ValueError:
+        levels = ()
+    if not levels:
+        raise ConfigurationError(f"{flag} must be a comma-separated list of numbers, got {text!r}")
+    return levels
 
 
 # ---------------------------------------------------------------------------
@@ -95,7 +89,10 @@ def cmd_gen_data(ns) -> int:
         raise ConfigurationError(f"--accel must be >= 1, got {ns.accel}")
     if ns.n < 1:
         raise ConfigurationError("--n must be >= 1")
-    acs = None if ns.acs in (None, "auto") else int(ns.acs)
+    try:
+        acs = None if ns.acs in (None, "auto") else int(ns.acs)
+    except ValueError:
+        raise ConfigurationError(f"--acs must be an integer or 'auto', got {ns.acs!r}") from None
     spec = DatasetSpec(
         n=ns.n,
         height=ns.size,
@@ -124,7 +121,7 @@ def _load_training_pairs(directory):
 def cmd_train(ns) -> int:
     if ns.epochs < 1:
         raise ConfigurationError(f"--epochs must be >= 1, got {ns.epochs}")
-    if ns.lr <= 0:
+    if not ns.lr > 0:
         raise ConfigurationError(f"--lr must be positive, got {ns.lr}")
     for flag, value in (("--fwd-tol", ns.fwd_tol), ("--bwd-tol", ns.bwd_tol)):
         if not value > 0:
@@ -138,7 +135,8 @@ def cmd_train(ns) -> int:
         features=ns.features,
         init_seed=ns.seed,
         shuffle_seed=ns.shuffle_seed,
-        forward_solver=SolverSettings(method=ns.fwd_method, tol=ns.fwd_tol),
+        forward_method=ns.fwd_method,
+        forward_tol=ns.fwd_tol,
         backward_tol=ns.bwd_tol,
     )
 
@@ -172,7 +170,7 @@ def _write_recon_outputs(outdir, stem, kspace, residual_result=None):
     write_pgm16(os.path.join(outdir, stem + ".pgm"), image_from_kspace(kspace))
     if residual_result is not None:
         with open(os.path.join(outdir, stem + "_residuals.csv"), "w") as fh:
-            fh.write(diagnostics_csv(residual_result, include_timing=False))
+            fh.write(diagnostics_csv(residual_result))
 
 
 def _check_solve_flags(ns) -> None:
@@ -196,8 +194,7 @@ def cmd_recon(ns) -> int:
     _check_solve_flags(ns)
     params, stored_l = load_checkpoint(ns.ckpt)
     meas = _load_measurement(ns.meas, ns.mask)
-    settings = SolverSettings(method=ns.method, tol=ns.tol)
-    result = reconstruct(params, meas, settings=settings)
+    result = reconstruct(params, meas, method=ns.method, tol=ns.tol)
     _write_recon_outputs(ns.out, "recon", result.solution, result)
     print(
         f"recon: {result.iterations} iterations, converged={result.converged}, "
@@ -235,6 +232,12 @@ def cmd_verify(ns) -> int:
         raise ConfigurationError(f"--slack must be >= 1, got {ns.slack}")
     if not ns.tol > 0:
         raise ConfigurationError(f"--tol must be positive, got {ns.tol}")
+    # --trials 0 still checks the recursion, which draws its own noise
+    for flag, value in (("--trials", ns.trials), ("--init-trials", ns.init_trials)):
+        if value < 0:
+            raise ConfigurationError(f"{flag} must be >= 0, got {value}")
+    noise_levels = _parse_levels("--noise-levels", ns.noise_levels)
+    init_levels = _parse_levels("--init-levels", ns.init_levels)
     params, stored_l = load_checkpoint(ns.ckpt)
     samples = load_dataset(ns.data)
     measurements = [s.measurement for s in samples[: ns.samples]]
@@ -251,7 +254,7 @@ def cmd_verify(ns) -> int:
     rob = verify_robustness(
         params,
         measurements[0],
-        delta_rels=_parse_levels(ns.noise_levels),
+        delta_rels=noise_levels,
         trials_per_level=ns.trials,
         seed=ns.seed,
         tol=ns.tol,
@@ -260,7 +263,7 @@ def cmd_verify(ns) -> int:
     init = verify_init_independence(
         params,
         measurements[0],
-        levels=_parse_levels(ns.init_levels),
+        levels=init_levels,
         trials_per_level=ns.init_trials,
         seed=ns.seed,
         tol=ns.tol,
@@ -434,10 +437,19 @@ def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     parser = build_parser()
     ns = parser.parse_args(argv)
-    sub_actions = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
-    subparser = sub_actions[0].choices[ns.command]
     try:
-        _apply_config(subparser, ns, argv)
+        if ns.config:
+            # config lines become flags ahead of the given ones: argparse checks
+            # both alike, and the given flags, however abbreviated, come last and win
+            cfg = _load_config(ns.config)
+            unknown = [k for k in cfg if k not in vars(ns) or k in ("config", "command", "handler")]
+            if unknown:
+                raise ConfigurationError(
+                    f"config keys name no flag of {ns.command}: {', '.join(unknown)}"
+                )
+            at = argv.index(ns.command) + 1
+            lines = [f"--{k.replace('_', '-')}={v}" for k, v in cfg.items()]
+            ns = parser.parse_args(argv[:at] + lines + argv[at:])
         missing = [f"--{k.replace('_', '-')}" for k in REQUIRED[ns.command] if getattr(ns, k) is None]
         if missing:
             print(f"error: missing required arguments: {', '.join(missing)}", file=sys.stderr)

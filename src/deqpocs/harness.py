@@ -38,7 +38,7 @@ from .sampling import Measurement, add_noise, apply_sampling, make_mask
 from .solvers import FixedPointResult, geometric_rate_check, numerical_floor
 from .solvers import picard_solve  # noqa: F401  (perfbench traces it under this name)
 from .tensors import frob, gaussian_tensor
-from .training import SolverSettings, reconstruct, zero_fill
+from .training import reconstruct, zero_fill
 
 
 def worker_count() -> int:
@@ -176,7 +176,6 @@ def verify_convergence(
     cert = certified_lipschitz(params)
     require_contractive(cert)
     L = cert.contraction_bound
-    settings = SolverSettings(method="picard", tol=tol)
     runs: list[ConvergenceRun] = []
     pairwise, thresholds = [], []
     clean = None
@@ -189,9 +188,8 @@ def verify_convergence(
 
         def run_one(labeled):
             label, x0 = labeled
-            res = reconstruct(
-                params, meas, x0, settings, record_iterates=s == 0 and label == "measurement"
-            )
+            res = reconstruct(params, meas, x0, method="picard", tol=tol,
+                              record_iterates=s == 0 and label == "measurement")
             rate_ok = geometric_rate_check(
                 res.residuals, L, slack, floor=numerical_floor(res.solution)
             )
@@ -230,8 +228,7 @@ def _clean_solve(params, meas, tol: float, L: float, clean) -> FixedPointResult:
     (``verify_convergence(...).clean``) is returned, or refused with
     ``ValueError`` when made for another tolerance or without iterates."""
     if clean is None:
-        picard = SolverSettings("picard", tol)
-        return reconstruct(params, meas, settings=picard, record_iterates=True)
+        return reconstruct(params, meas, method="picard", tol=tol, record_iterates=True)
     tol_eff = tol * (1.0 - L)
     if clean.method != "picard" or clean.tolerance != tol_eff:
         raise ValueError(
@@ -324,7 +321,7 @@ def verify_robustness(
     def run_trial(job):
         level, t, trial_seed = job
         noisy_meas = add_noise(meas, level, seed=trial_seed)
-        noisy = reconstruct(params, noisy_meas, meas.y, SolverSettings("anderson", tol))
+        noisy = reconstruct(params, noisy_meas, meas.y, method="anderson", tol=tol)
         bound = noisy_meas.delta / (1.0 - L) + slack_term
         observed = frob(noisy.solution - x_clean)
         trial = RobustnessTrial(
@@ -347,7 +344,7 @@ def verify_robustness(
         else:  # no trials: draw trial 0's measurement here
             noisy_meas = add_noise(meas, level, seed=derive_seed(seed, li, 0))
         noisy = reconstruct(
-            params, noisy_meas, meas.y, SolverSettings("picard", tol), record_iterates=True
+            params, noisy_meas, meas.y, method="picard", tol=tol, record_iterates=True
         )
         n = min(len(clean.iterates), len(noisy.iterates))
         eps_num = 1e-9 * max(1.0, frob(x_clean))
@@ -421,7 +418,7 @@ def verify_init_independence(
         else:
             noise = gaussian_tensor(meas.y.shape, RandomStream(s))
             x0 = meas.y + noise * (level * scale / frob(noise))
-        res = reconstruct(params, meas, x0, SolverSettings("picard", tol))
+        res = reconstruct(params, meas, x0, method="picard", tol=tol)
         return (level, t, frob(res.solution - base.solution), threshold)
 
     return InitIndependenceReport(rows=_map_ordered(run_one, jobs), contraction=cert.contraction_bound)
@@ -464,13 +461,12 @@ def verify_mask_transfer(
 ) -> MaskTransferReport:
     """Evaluate reconstruction under masks unseen in training (report only:
     the claim being exercised is comparative, not a hard threshold)."""
-    settings = SolverSettings(tol=tol)
     recon_pairs, zf_pairs = [], []
     for i, x_full in enumerate(full_kspaces):
         H, W, _ = x_full.shape
         mask = make_mask(mask_kind, H, W, accel, seed=derive_seed(seed, i))
         meas = apply_sampling(x_full, mask)
-        res = reconstruct(params, meas, settings=settings)
+        res = reconstruct(params, meas, tol=tol)
         recon_pairs.append((res.solution, x_full))
         zf_pairs.append((zero_fill(meas), x_full))
     return MaskTransferReport(

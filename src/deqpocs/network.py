@@ -125,13 +125,13 @@ def require_contractive(cert: LipschitzCertificate) -> None:
 # ---------------------------------------------------------------------------
 
 def _cold_starts(grid, nc: int, features: int) -> dict[int, np.ndarray]:
-    """Power-iteration start vector per kernel input width ``C_in``: the
-    seed-0 Gaussian that ``spectral_norm_power_iter(seed=0)`` draws, drawn
-    once per shape and shared by every kernel of that width."""
+    """Power-iteration start vector per kernel input width ``C_in``: a
+    seed-0 Gaussian on ``grid``, drawn once per shape and shared by every
+    kernel of that width."""
     return {cin: gaussian_tensor((*grid, cin), RandomStream(0)) for cin in {nc, features}}
 
 
-def _init_branch(nc: int, features: int, stream: RandomStream, grid, starts) -> BranchParams:
+def _init_branch(nc: int, features: int, stream: RandomStream, starts) -> BranchParams:
     kernels, biases, vecs = [], [], []
     for cin, cout in layer_widths(nc, features):
         k = INIT_STD * gaussian_tensor((KERNEL_SIZE * KERNEL_SIZE, cin, cout), stream)
@@ -139,19 +139,17 @@ def _init_branch(nc: int, features: int, stream: RandomStream, grid, starts) -> 
         biases.append(np.zeros(cout, dtype=np.complex128))
         vecs.append(starts[cin])
     branch = BranchParams(kernels=kernels, biases=biases, sigmas=[], power_vecs=vecs)
-    _certify_branch(branch, grid, iters=FULL_POWER_ITERS)
+    _certify_branch(branch, iters=FULL_POWER_ITERS)
     _rescale_branch(branch)
     return branch
 
 
-def _certify_branch(branch: BranchParams, grid, iters: int) -> None:
+def _certify_branch(branch: BranchParams, iters: int) -> None:
     """(Re)estimate every kernel's spectral norm, starting power iteration
-    from its entry in ``power_vecs``."""
+    from its entry in ``power_vecs`` (whose shape fixes the grid)."""
     sigmas, vecs = [], []
     for k, start in zip(branch.kernels, branch.power_vecs, strict=True):
-        sigma, vec = spectral_norm_power_iter(
-            k, grid, iters=iters, start=start, return_vector=True
-        )
+        sigma, vec = spectral_norm_power_iter(k, start, iters)
         sigmas.append(sigma)
         vecs.append(vec)
     branch.sigmas = sigmas
@@ -191,9 +189,9 @@ def init_params(
     starts = _cold_starts(grid, nc, features)
     out_blocks = []
     for _ in range(blocks):
-        kb = _init_branch(nc, features, stream, grid, starts)
+        kb = _init_branch(nc, features, stream, starts)
         if variant == "hybrid":
-            ib = _init_branch(nc, features, stream, grid, starts)
+            ib = _init_branch(nc, features, stream, starts)
             out_blocks.append(
                 BlockParams(kspace_branch=kb, alpha=0.5, image_branch=ib, c_k=0.5, c_i=0.5)
             )
@@ -215,10 +213,10 @@ def normalize_params(params: ConsistencyNetParams) -> ConsistencyNetParams:
     """
     params = clone_params(params)
     for blk in params.blocks:
-        _certify_branch(blk.kspace_branch, params.cert_grid, iters=WARM_POWER_ITERS)
+        _certify_branch(blk.kspace_branch, iters=WARM_POWER_ITERS)
         _rescale_branch(blk.kspace_branch)
         if blk.image_branch is not None:
-            _certify_branch(blk.image_branch, params.cert_grid, iters=WARM_POWER_ITERS)
+            _certify_branch(blk.image_branch, iters=WARM_POWER_ITERS)
             _rescale_branch(blk.image_branch)
         blk.alpha = float(min(max(blk.alpha, 0.0), ALPHA_CEIL))
         if params.variant == "hybrid":
@@ -659,7 +657,7 @@ def read_ck01_bytes(data: bytes):
         for br in (blk.kspace_branch, blk.image_branch):
             if br is not None:
                 br.power_vecs = [starts[cin] for cin, _ in widths]
-                _certify_branch(br, params.cert_grid, iters=FULL_POWER_ITERS)
+                _certify_branch(br, iters=FULL_POWER_ITERS)
     return params, float(scalars[-1])
 
 

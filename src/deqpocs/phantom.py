@@ -181,6 +181,8 @@ class DatasetSpec:
     def __post_init__(self):
         if self.n < 1:
             raise ConfigurationError("dataset needs at least one sample")
+        if not self.delta_rel >= 0:
+            raise ConfigurationError(f"relative noise level must be >= 0, got {self.delta_rel}")
         object.__setattr__(self, "mask_kind", canonical_kind(self.mask_kind))
         if self.coil_style not in MAP_STYLES:
             raise ConfigurationError(f"unknown coil map style {self.coil_style!r}")

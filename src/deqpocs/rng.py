@@ -58,7 +58,6 @@ class RandomStream:
     """xoshiro256++ stream with uniform/Gaussian draws (see module docstring)."""
 
     def __init__(self, seed: int):
-        self.seed = seed
         state = seed & _MASK64
         s = []
         for _ in range(4):

@@ -11,8 +11,7 @@ adjoint all run on this loop.
 
 from __future__ import annotations
 
-import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -31,7 +30,6 @@ class FixedPointResult:
     converged: bool
     tolerance: float
     method: str
-    wall_times_ms: list[float] = field(default_factory=list)
     iterates: list[np.ndarray] | None = None
 
     @property
@@ -102,18 +100,15 @@ def anderson_solve(
     hist_x: list[np.ndarray] = []
     hist_g: list[np.ndarray] = []
     residuals: list[float] = []
-    times: list[float] = []
     iterates = [x] if record_iterates else None
     best_x, best_res = x, float("inf")
     growth = 0
     converged = False
     solution = x
-    t0 = time.perf_counter()
     for k in range(max_iter):
         g = T(x)
         res, size = _norms(g, x, k)
         residuals.append(res)
-        times.append((time.perf_counter() - t0) * 1e3)
         if iterates is not None:
             iterates.append(g)
         solution = g
@@ -163,7 +158,6 @@ def anderson_solve(
         converged=converged,
         tolerance=tol,
         method="picard" if m == 1 else "anderson",
-        wall_times_ms=times,
         iterates=iterates,
     )
 
@@ -198,14 +192,9 @@ def numerical_floor(solution: np.ndarray) -> float:
     return 100.0 * np.finfo(np.float64).eps * max(1.0, frob(solution))
 
 
-def diagnostics_csv(result: FixedPointResult, include_timing: bool = True) -> str:
-    """Per-iteration diagnostics: ``iteration,residual,wall-time-ms`` rows."""
-    if include_timing:
-        lines = ["iteration,residual,wall-time-ms"]
-        for i, (r, t) in enumerate(zip(result.residuals, result.wall_times_ms)):
-            lines.append(f"{i},{r:.17g},{t:.3f}")
-    else:
-        lines = ["iteration,residual"]
-        for i, r in enumerate(result.residuals):
-            lines.append(f"{i},{r:.17g}")
+def diagnostics_csv(result: FixedPointResult) -> str:
+    """Per-iteration diagnostics: ``iteration,residual`` rows."""
+    lines = ["iteration,residual"]
+    for i, r in enumerate(result.residuals):
+        lines.append(f"{i},{r:.17g}")
     return "\n".join(lines) + "\n"

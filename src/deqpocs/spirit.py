@@ -31,7 +31,6 @@ class SpiritKernels:
     """
 
     taps: np.ndarray  # complex (k, k, Nc, Nc)
-    lam_rel: float
 
     def __post_init__(self):
         t = np.asarray(self.taps, dtype=np.complex128)
@@ -45,10 +44,6 @@ class SpiritKernels:
         c = t.shape[0] // 2
         if np.any(t[c, c, np.arange(t.shape[2]), np.arange(t.shape[2])] != 0):
             raise InvalidInputError("self-prediction center taps must be zero")
-
-    @property
-    def size(self) -> int:
-        return self.taps.shape[0]
 
     @property
     def coils(self) -> int:
@@ -89,7 +84,7 @@ def calibrate_kernels(acs: np.ndarray, k: int = 5, lam_rel: float = 1e-2) -> Spi
         full = np.zeros(k * k * nc, dtype=np.complex128)
         full[keep] = w
         taps[:, :, :, i] = full.reshape(k, k, nc)
-    return SpiritKernels(taps=taps, lam_rel=lam_rel)
+    return SpiritKernels(taps=taps)
 
 
 def spirit_apply(kernels: SpiritKernels, kspace: np.ndarray) -> np.ndarray:

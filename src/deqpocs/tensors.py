@@ -160,35 +160,21 @@ def conv2d_kernel_grad(x: np.ndarray, cot: np.ndarray, kh: int, kw: int) -> np.n
 # Spectral norm via power iteration
 # ---------------------------------------------------------------------------
 
-def spectral_norm_power_iter(
-    k: np.ndarray,
-    input_shape: tuple[int, int],
-    iters: int = 50,
-    seed: int = 0,
-    start: np.ndarray | None = None,
-    return_vector: bool = False,
-):
-    """Estimate the operator 2-norm of ``conv2d_complex(., k)`` on H x W inputs.
-
-    Power iteration on A^H A from a seeded Gaussian start vector (or a
-    caller-provided warm start). The returned estimate is the running
-    maximum of the Rayleigh quotients ``norm(A v)`` over unit ``v``, hence
-    nondecreasing in ``iters`` and a lower bound on the true norm.
-    """
+def spectral_norm_power_iter(k: np.ndarray, start: np.ndarray, iters: int):
+    """``(sigma, v)``: power iteration on A^H A, A = ``conv2d_complex(., k)``
+    on ``start``'s (H, W, C_in) shape, from ``start`` (all ones if zero).
+    ``sigma`` is the running maximum of ``norm(A v)`` over unit ``v``, hence
+    nondecreasing in ``iters`` and a lower bound on the 2-norm of A; ``v`` is
+    the last unit iterate, a warm start for the next call."""
     k = validate_kernel(k)
     if iters < 1:
         raise ValueError("iters must be >= 1")
-    H, W = input_shape
-    cin = k.shape[2]
-    if start is not None:
-        v = start.astype(np.complex128, copy=True)
-        if v.shape != (H, W, cin):
-            raise ShapeError("warm-start vector shape mismatch")
-    else:
-        v = gaussian_tensor((H, W, cin), RandomStream(seed))
+    v = np.asarray(start, dtype=np.complex128)
+    if v.ndim != 3 or v.shape[2] != k.shape[2]:
+        raise ShapeError(f"start vector shape {v.shape} does not match kernel input width")
     nv = frob(v)
     if nv == 0.0:
-        v = np.ones((H, W, cin), dtype=np.complex128)
+        v = np.ones(v.shape, dtype=np.complex128)
         nv = frob(v)
     v = v / nv
     k_adj = adjoint_kernel(k)
@@ -205,9 +191,7 @@ def spectral_norm_power_iter(
         if nw == 0.0:
             break
         v = w / nw
-    if return_vector:
-        return best, v
-    return best
+    return best, v
 
 
 # ---------------------------------------------------------------------------

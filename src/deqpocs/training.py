@@ -45,14 +45,6 @@ from .solvers import FixedPointResult, anderson_solve, picard_solve
 from .tensors import frob
 
 
-@dataclass(frozen=True)
-class SolverSettings:
-    method: str = "anderson"  # "picard" or "anderson"
-    tol: float = 1e-5
-
-
-INFERENCE_SOLVER = SolverSettings(tol=1e-5)
-TRAIN_FORWARD_SOLVER = SolverSettings(tol=1e-4)
 TRAIN_BACKWARD_MAX_ITER = 300  # adjoint budget per training step
 
 ADAM_BETA1 = 0.9
@@ -91,21 +83,25 @@ def reconstruct(
     params: ConsistencyNetParams,
     meas: Measurement,
     x0: np.ndarray | None = None,
-    settings: SolverSettings = INFERENCE_SOLVER,
+    method: str = "anderson",
+    tol: float = 1e-5,
     record_iterates: bool = False,
 ) -> FixedPointResult:
-    """The package's one certified solve of ``x = P(net(x))`` from ``x0``
-    (default: the measurement). It refuses a certificate L >= 1, stops at
-    ``tol * (1 - L)`` (so the result is within ``tol * max(1, ||x||)`` of the
-    unique fixed point, and any two starts agree to ``10 * tol``) and sizes
-    the budget from L. ``record_iterates`` attaches ``x0`` and every ``T(x_k)``."""
+    """The package's one certified solve of ``x = P(net(x))`` by ``method``
+    (picard or anderson) from ``x0`` (default: the measurement). It refuses a
+    certificate L >= 1, stops at ``tol * (1 - L)`` (so the result is within
+    ``tol * max(1, ||x||)`` of the unique fixed point, and any two starts
+    agree to ``10 * tol``) and sizes the budget from L. ``record_iterates``
+    attaches ``x0`` and every ``T(x_k)``."""
+    if method not in ("picard", "anderson"):
+        raise ValueError(f"unknown solver method {method!r}; expected 'picard' or 'anderson'")
     cert = certified_lipschitz(params)
     require_contractive(cert)
     L = cert.contraction_bound
     T = make_pocs_operator(params, meas)
-    tol_eff = settings.tol * (1.0 - L)
-    max_iter = auto_max_iter(tol_eff, L, settings.method)
-    solve = picard_solve if settings.method == "picard" else anderson_solve
+    tol_eff = tol * (1.0 - L)
+    max_iter = auto_max_iter(tol_eff, L, method)
+    solve = picard_solve if method == "picard" else anderson_solve
     return solve(T, meas.y if x0 is None else x0, tol=tol_eff, max_iter=max_iter,
                  record_iterates=record_iterates)
 
@@ -207,13 +203,14 @@ class TrainConfig:
     features: int = 8
     init_seed: int = 0
     shuffle_seed: int = 0
-    forward_solver: SolverSettings = field(default=TRAIN_FORWARD_SOLVER)
+    forward_method: str = "anderson"
+    forward_tol: float = 1e-4
     backward_tol: float = 1e-4
 
     def __post_init__(self):
         if self.epochs < 1:
             raise TrainingError("epochs must be >= 1")
-        if self.learning_rate <= 0:
+        if not self.learning_rate > 0:
             raise TrainingError("learning rate must be positive")
 
 
@@ -277,7 +274,8 @@ def train(
         for m in order:
             x_full, meas = dataset[m]
             try:
-                result = reconstruct(params, meas, settings=config.forward_solver)
+                result = reconstruct(params, meas, method=config.forward_method,
+                                     tol=config.forward_tol)
                 diff = result.solution - x_full
                 loss = frob(diff) ** 2
                 grad, n_bwd = implicit_backward(
@@ -306,7 +304,7 @@ def train(
             progress(epoch, report)
     residuals = []
     for x_full, meas in dataset:
-        result = reconstruct(params, meas, settings=config.forward_solver)
+        result = reconstruct(params, meas, method=config.forward_method, tol=config.forward_tol)
         residuals.append(frob(result.solution - x_full))
     report.final_train_residual = float(np.mean(residuals))
     return params, report

@@ -2,11 +2,14 @@
 tracer wraps the functions listed in ``spans.PATCHES`` where the calling
 module imported them, and ``run.py`` calls a few functions directly. These
 tests fail when a rename would break the benchmark, instead of leaving the
-failure to its traced runs. They only read ``perfbench/``."""
+failure to its traced runs, and when a changed signature would break a call
+``run.py`` makes. They only read ``perfbench/``."""
 
 import importlib
 import importlib.util
+import inspect
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -63,3 +66,50 @@ CALLED_BY_RUN = [
 @pytest.mark.parametrize("modname,attr", CALLED_BY_RUN)
 def test_function_called_by_run_exists(modname, attr):
     assert callable(getattr(importlib.import_module(modname), attr))
+
+
+# How run.py calls them: (module, name, positional arguments, keyword arguments).
+# Values are placeholders; binding checks only that the call shape fits.
+CALL_FORMS = [
+    ("deqpocs", "reconstruct", ("params", "meas"), {}),
+    ("deqpocs", "TrainConfig", (), dict(epochs=12, variant="hybrid", blocks=1, features=16)),
+    ("deqpocs", "train", ("pairs", "config"), dict(params="p0", progress="progress")),
+    ("deqpocs", "init_params", ("hybrid", 1, 16, 4), dict(seed=0, grid=(32, 32))),
+    ("deqpocs", "add_noise", ("meas", 0.01), dict(seed=0)),
+    ("deqpocs.tensors", "gaussian_tensor", ((32, 32, 4), "stream"), {}),
+    ("deqpocs", "save_checkpoint", ("path", "params"), {}),
+    ("deqpocs", "load_checkpoint", ("path",), {}),
+    ("deqpocs", "DatasetSpec", (), dict(n=2, seed=0, height=32, width=32, coils=4,
+                                        mask_kind="1d-calibrated", accel=4.0)),
+    ("deqpocs", "make_dataset", ("spec",), {}),
+    ("deqpocs", "save_dataset", ("dir", "spec", "samples"), {}),
+    ("deqpocs", "load_dataset", ("dir",), {}),
+    ("deqpocs", "forward", ("params", "v"), {}),
+    ("deqpocs", "derive_seed", (0, 1, 2), {}),
+    ("deqpocs", "RandomStream", (0,), {}),
+    ("deqpocs.harness", "worker_count", (), {}),
+    ("deqpocs.cli", "main", (["verify"],), {}),
+]
+
+
+@pytest.mark.parametrize(
+    "modname,attr,args,kwargs", CALL_FORMS, ids=[f"{m}.{a}" for m, a, *_ in CALL_FORMS]
+)
+def test_call_form_of_run_binds(modname, attr, args, kwargs):
+    fn = getattr(importlib.import_module(modname), attr)
+    inspect.signature(fn).bind(*args, **kwargs)
+
+
+def test_attributes_read_by_run():
+    import deqpocs as dq
+
+    p = dq.init_params("hybrid", 1, 2, 2, grid=(8, 8))
+    # what _kernel_snapshot reads
+    for blk in p.blocks:
+        assert isinstance(blk.alpha + blk.c_k + blk.c_i, float)
+        assert all(k.ndim == 4 for k in blk.kspace_branch.kernels + blk.image_branch.kernels)
+    assert 0.0 < dq.certified_lipschitz(p).contraction_bound < 1.0
+    report = dq.TrainReport()
+    assert report.epoch_certificate == [] and report.epoch_mean_loss == []
+    config = dq.TrainConfig(epochs=12, variant="hybrid", blocks=1, features=16)
+    assert replace(config, epochs=1).epochs == 1

@@ -69,6 +69,14 @@ class TestGenData:
             run("gen-data", "--out", str(tmp_path / "x"), "--bogus", "1")
         assert err.value.code == 2
 
+    @pytest.mark.parametrize("flag, value", [("--acs", "abc"), ("--noise", "-1")])
+    def test_bad_value_exits_2(self, tmp_path, capsys, flag, value):
+        out = tmp_path / "x"
+        assert run("gen-data", "--out", str(out), "--size", "8", flag, value) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err
+        assert not out.exists()
+
 
 class TestTrain:
     def test_checkpoint_and_report(self, checkpoint):
@@ -240,6 +248,12 @@ class TestBaseline:
         ("baseline", "--spirit-iters", "0"),
         ("train", "--fwd-tol", "0"),
         ("train", "--bwd-tol", "0"),
+        ("train", "--lr", "nan"),
+        ("verify", "--trials", "-1"),
+        ("verify", "--init-trials", "-2"),
+        ("verify", "--noise-levels", ","),
+        ("verify", "--noise-levels", "0.1,abc"),
+        ("verify", "--init-levels", ","),
     ],
 )
 def test_bad_solver_flag_exits_2(command, flag, value, dataset_dir, checkpoint, tmp_path, capsys):
@@ -399,6 +413,28 @@ class TestConfigFile:
         assert run("gen-data", "--out", str(out), "--config", str(cfg)) == 0
         files = os.listdir(out)
         assert sum(f.endswith("_full.ct01") for f in files) == 4
+
+    def test_abbreviated_flag_overrides_config(self, tmp_path):
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text("n=1\nsize=16\ncoils=2\naccel=2\n")
+        out = tmp_path / "ds"
+        assert run("gen-data", "--out", str(out), "--config", str(cfg), "--siz", "8") == 0
+        assert load_ct01(out / "sample_0000_full.ct01").shape == (8, 8, 2)
+
+    @pytest.mark.parametrize("line", ["n=abc", "mask=bogus"])
+    def test_bad_config_value_exits_2(self, tmp_path, line):
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text(f"size=8\n{line}\n")
+        with pytest.raises(SystemExit) as err:
+            run("gen-data", "--out", str(tmp_path / "ds"), "--config", str(cfg))
+        assert err.value.code == 2
+
+    @pytest.mark.parametrize("key", ["bogus", "siz", "config", "command", "handler"])
+    def test_unknown_config_key_exits_2(self, tmp_path, capsys, key):
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text(f"size=8\n{key}=1\n")
+        assert run("gen-data", "--out", str(tmp_path / "ds"), "--config", str(cfg)) == 2
+        assert key in capsys.readouterr().err
 
 
 class TestPGM:

@@ -352,9 +352,8 @@ class TestColdStarts:
         for blk in q.blocks:
             for br in (blk.kspace_branch, blk.image_branch):
                 for k, sigma in zip(br.kernels, br.sigmas):
-                    assert sigma == spectral_norm_power_iter(
-                        k, grid, iters=FULL_POWER_ITERS, seed=0
-                    )
+                    start = gaussian_tensor((*grid, k.shape[2]), RandomStream(0))
+                    assert sigma == spectral_norm_power_iter(k, start, FULL_POWER_ITERS)[0]
 
 
 class TestCheckpoint:

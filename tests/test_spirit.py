@@ -66,7 +66,7 @@ class TestCalibration:
         taps = np.zeros((3, 3, 2, 2), dtype=complex)
         taps[1, 1, 0, 0] = 0.5
         with pytest.raises(InvalidInputError):
-            SpiritKernels(taps=taps, lam_rel=0.0)
+            SpiritKernels(taps=taps)
 
     def test_local_minimum_of_regularized_objective(self):
         acs = gaussian_tensor((14, 14, 2), RandomStream(9))
@@ -77,7 +77,7 @@ class TestCalibration:
         def coil_objective(taps, coil):
             # fit term over interior points plus the ridge term with the
             # same absolute weight the calibration used for this coil
-            pred = spirit_apply(SpiritKernels(taps=taps, lam_rel=lam_rel), acs)
+            pred = spirit_apply(SpiritKernels(taps=taps), acs)
             resid = (pred - acs)[c:-c, c:-c, coil]
             w = taps[:, :, :, coil]
             want = dense_calibration_reference(acs, k, lam_rel)  # for lam scale only
@@ -115,7 +115,7 @@ class TestCalibration:
 
 class TestApply:
     def test_zero_kernels(self, rand_tensor):
-        kern = SpiritKernels(taps=np.zeros((3, 3, 2, 2), dtype=complex), lam_rel=0.0)
+        kern = SpiritKernels(taps=np.zeros((3, 3, 2, 2), dtype=complex))
         assert frob(spirit_apply(kern, rand_tensor((8, 8, 2), 0))) == 0.0
 
     def test_shifted_pair_reproduction(self):

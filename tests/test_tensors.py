@@ -171,29 +171,41 @@ class TestWindowRows:
 class TestSpectralNorm:
     def test_scalar_kernel(self):
         k = np.full((1, 1, 1, 1), 2.0 + 0.0j)
-        assert spectral_norm_power_iter(k, (8, 8), iters=10) == pytest.approx(2.0, abs=1e-4)
+        start = gaussian_tensor((8, 8, 1), RandomStream(0))
+        assert spectral_norm_power_iter(k, start, 10)[0] == pytest.approx(2.0, abs=1e-4)
 
     def test_zero_kernel(self):
         k = np.zeros((3, 3, 2, 2), dtype=complex)
-        assert spectral_norm_power_iter(k, (6, 6), iters=5) == 0.0
+        start = gaussian_tensor((6, 6, 2), RandomStream(0))
+        assert spectral_norm_power_iter(k, start, 5)[0] == 0.0
 
     def test_matches_dense_svd(self, materialize):
         k = gaussian_tensor((9, 2, 2), RandomStream(12)).reshape(3, 3, 2, 2)
         dense = materialize(lambda v: conv2d_complex(v, k), (6, 6, 2))
         want = np.linalg.svd(dense, compute_uv=False)[0]
-        got = spectral_norm_power_iter(k, (6, 6), iters=50, seed=0)
+        got, _ = spectral_norm_power_iter(k, gaussian_tensor((6, 6, 2), RandomStream(0)), 50)
         assert got == pytest.approx(want, abs=1e-3)
 
     def test_nondecreasing_in_iters(self):
         k = gaussian_tensor((9, 3, 3), RandomStream(8)).reshape(3, 3, 3, 3)
-        estimates = [
-            spectral_norm_power_iter(k, (8, 8), iters=i, seed=0) for i in (1, 2, 5, 10, 30)
-        ]
+        start = gaussian_tensor((8, 8, 3), RandomStream(0))
+        estimates = [spectral_norm_power_iter(k, start, i)[0] for i in (1, 2, 5, 10, 30)]
         assert all(b >= a for a, b in zip(estimates, estimates[1:]))
+
+    def test_start_checks_and_zero_start(self):
+        k = gaussian_tensor((9, 2, 2), RandomStream(12)).reshape(3, 3, 2, 2)
+        ones = np.ones((6, 6, 2), dtype=complex)
+        with pytest.raises(ShapeError):
+            spectral_norm_power_iter(k, np.ones((6, 6, 3), dtype=complex), 5)
+        with pytest.raises(ValueError):
+            spectral_norm_power_iter(k, ones, 0)
+        zero_start, _ = spectral_norm_power_iter(k, 0 * ones, 5)
+        assert zero_start == spectral_norm_power_iter(k, ones, 5)[0]
 
     def test_lipschitz_bound_on_random_pairs(self):
         k = gaussian_tensor((9, 2, 2), RandomStream(21)).reshape(3, 3, 2, 2)
-        sigma = spectral_norm_power_iter(k, (6, 6), iters=50, seed=0) * 1.01
+        start = gaussian_tensor((6, 6, 2), RandomStream(0))
+        sigma = spectral_norm_power_iter(k, start, 50)[0] * 1.01
         s = RandomStream(22)
         for _ in range(100):
             x = gaussian_tensor((6, 6, 2), s)

@@ -17,7 +17,6 @@ from deqpocs.solvers import picard_solve
 from deqpocs.tensors import frob, gaussian_tensor
 from deqpocs.training import (
     AdamState,
-    SolverSettings,
     TrainConfig,
     adam_step,
     auto_max_iter,
@@ -138,21 +137,24 @@ class TestEquilibrium:
     def test_initialization_independence(self):
         x_full, meas, params = tiny_setup(seed=4)
         tol = 1e-5
-        base = reconstruct(params, meas, settings=SolverSettings(method="picard", tol=tol))
+        base = reconstruct(params, meas, method="picard", tol=tol)
         noisy_x0 = meas.y + 0.5 * frob(meas.y) * gaussian_tensor(
             meas.y.shape, RandomStream(8)
         ) / frob(gaussian_tensor(meas.y.shape, RandomStream(8)))
-        other = reconstruct(
-            params, meas, x0=noisy_x0, settings=SolverSettings(method="picard", tol=tol)
-        )
+        other = reconstruct(params, meas, x0=noisy_x0, method="picard", tol=tol)
         threshold = 10 * tol * max(1.0, frob(base.solution))
         assert frob(base.solution - other.solution) <= threshold
 
     def test_anderson_and_picard_agree(self):
         x_full, meas, params = tiny_setup(seed=6)
-        a = reconstruct(params, meas, settings=SolverSettings(method="anderson", tol=1e-7))
-        p = reconstruct(params, meas, settings=SolverSettings(method="picard", tol=1e-7))
+        a = reconstruct(params, meas, method="anderson", tol=1e-7)
+        p = reconstruct(params, meas, method="picard", tol=1e-7)
         assert frob(a.solution - p.solution) <= 1e-5 * max(1.0, frob(p.solution))
+
+    def test_unknown_method_refused(self):
+        _, meas, params = tiny_setup(seed=6)
+        with pytest.raises(ValueError, match="picrad"):
+            reconstruct(params, meas, method="picrad")
 
     def test_operator_composition(self):
         x_full, meas, params = tiny_setup(seed=7)
@@ -191,7 +193,7 @@ class TestCertifiedSolve:
         T = make_pocs_operator(params, meas)
         x0 = gaussian_tensor(meas.y.shape, RandomStream(14))
         tol = 1e-6
-        res = reconstruct(params, meas, x0, SolverSettings(method, tol), record_iterates=True)
+        res = reconstruct(params, meas, x0, method=method, tol=tol, record_iterates=True)
         L = certified_lipschitz(params).contraction_bound
         assert res.method == method and res.converged
         assert res.tolerance == tol * (1.0 - L)
@@ -202,7 +204,7 @@ class TestCertifiedSolve:
         steps = range(res.iterations) if method == "picard" else range(2)
         for k in steps:
             assert np.array_equal(res.iterates[k + 1], T(res.iterates[k]))
-        assert reconstruct(params, meas, x0, SolverSettings(method, tol)).iterates is None
+        assert reconstruct(params, meas, x0, method=method, tol=tol).iterates is None
 
     @pytest.mark.parametrize(
         "call, error",
@@ -267,5 +269,7 @@ class TestTrainLoop:
             TrainConfig(epochs=0)
         with pytest.raises(TrainingError):
             TrainConfig(learning_rate=0.0)
+        with pytest.raises(TrainingError):
+            TrainConfig(learning_rate=float("nan"))
         with pytest.raises(TrainingError):
             train([], TrainConfig(epochs=1))
