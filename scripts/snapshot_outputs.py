@@ -1,0 +1,93 @@
+#!/usr/bin/env python3
+"""Write every artifact, stdout, stderr and exit code of a fixed command set
+into one directory, so that two checkouts compare with a single ``diff -r``:
+
+    python scripts/snapshot_outputs.py --out /tmp/snap-old   # in one checkout
+    python scripts/snapshot_outputs.py --out /tmp/snap-new   # in the other
+    diff -r /tmp/snap-old /tmp/snap-new
+
+The commands run in this process on the package of the checkout that holds
+this script, from inside ``--out`` with relative paths, so no output names
+the directory. ``log.txt`` records each command with its exit code, stdout
+and stderr, in order:
+
+* ``gen-data --n 4 --size 32 --coils 4 --seed 1``, then the README's desk
+  ``train`` (12 epochs, hybrid, 1 block, F=16) to ``trained.ck01``;
+* ``verify`` at the flags of the benchmark's verify-desk workload on
+  ``init_params("hybrid", 1, 16, 4, seed=0, grid=(32, 32))`` saved as
+  ``init.ck01``, at ``--seed 1`` and ``--seed 2``, each with
+  ``DEQPOCS_THREADS=1`` and with the default thread count;
+* ``recon --baseline zerofill --ref`` with ``init.ck01``;
+* ``baseline --method spirit`` on ``gen-data --n 1 --size 32 --coils 4
+  --acs 6 --seed 3``;
+* ``recon`` with ``trained.ck01``, which load refuses with exit 1 while the
+  certificate is a power-iteration estimate (ROADMAP item 1).
+"""
+
+import argparse
+import contextlib
+import io
+import os
+import sys
+from pathlib import Path
+
+# the package of this checkout, not an installed one: a snapshot is of its code
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
+
+from deqpocs import init_params, save_checkpoint  # noqa: E402
+from deqpocs.cli import main as cli  # noqa: E402
+
+VERIFY_FLAGS = [
+    "--samples", "2", "--inits", "2", "--noise-levels", "0.01,0.1", "--trials", "2",
+    "--init-levels", "0.5,2.0", "--init-trials", "1", "--tol", "1e-05",
+]
+SAMPLE = ["--meas", "data/sample_0000_meas.ct01", "--mask", "data/sample_0000_mask.mk01",
+          "--ref", "data/sample_0000_full.ct01"]
+
+
+def run(log, *argv, threads=None):
+    """One CLI command with ``DEQPOCS_THREADS`` set to ``threads`` (None:
+    unset), logged as its argv, exit code, stdout and stderr."""
+    if threads is not None:
+        os.environ["DEQPOCS_THREADS"] = threads
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli(list(argv))
+    os.environ.pop("DEQPOCS_THREADS", None)
+    env = "" if threads is None else f"DEQPOCS_THREADS={threads} "
+    log.write(f"$ {env}deqpocs {' '.join(argv)}\nexit {code}\n")
+    log.write(f"--- stdout\n{out.getvalue()}--- stderr\n{err.getvalue()}\n")
+
+
+def main():
+    p = argparse.ArgumentParser(description=__doc__,
+                                formatter_class=argparse.RawDescriptionHelpFormatter)
+    p.add_argument("--out", required=True, help="directory to create and fill")
+    ns = p.parse_args()
+    os.environ.pop("DEQPOCS_THREADS", None)  # "default" means the harness's own count
+    os.makedirs(ns.out)
+    os.chdir(ns.out)
+    with open("log.txt", "w") as log:
+        run(log, "gen-data", "--out", "data", "--n", "4", "--size", "32", "--coils", "4",
+            "--seed", "1")
+        run(log, "train", "--data", "data", "--out", "trained.ck01", "--blocks", "1",
+            "--features", "16", "--variant", "hybrid", "--epochs", "12")
+        save_checkpoint("init.ck01", init_params("hybrid", 1, 16, 4, seed=0, grid=(32, 32)))
+        for seed in ("1", "2"):
+            for threads in ("1", None):
+                out = f"verify_seed{seed}_threads{threads or 'default'}"
+                run(log, "verify", "--ckpt", "init.ck01", "--data", "data", "--out", out,
+                    "--seed", seed, *VERIFY_FLAGS, threads=threads)
+        run(log, "recon", "--ckpt", "init.ck01", *SAMPLE, "--baseline", "zerofill",
+            "--out", "recon_init")
+        run(log, "gen-data", "--out", "acs6", "--n", "1", "--size", "32", "--coils", "4",
+            "--acs", "6", "--seed", "3")
+        run(log, "baseline", "--method", "spirit", "--meas", "acs6/sample_0000_meas.ct01",
+            "--mask", "acs6/sample_0000_mask.mk01", "--ref", "acs6/sample_0000_full.ct01",
+            "--out", "baseline_spirit")
+        run(log, "recon", "--ckpt", "trained.ck01", *SAMPLE, "--out", "recon_trained")
+    print(f"snapshot written to {ns.out}")
+
+
+if __name__ == "__main__":
+    main()

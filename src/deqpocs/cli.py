@@ -233,9 +233,10 @@ def cmd_verify(ns) -> int:
     if not ns.tol > 0:
         raise ConfigurationError(f"--tol must be positive, got {ns.tol}")
     # --trials 0 still checks the recursion, which draws its own noise
-    for flag, value in (("--trials", ns.trials), ("--init-trials", ns.init_trials)):
-        if value < 0:
-            raise ConfigurationError(f"{flag} must be >= 0, got {value}")
+    if ns.trials < 0:
+        raise ConfigurationError(f"--trials must be >= 0, got {ns.trials}")
+    if ns.init_trials < 1:
+        raise ConfigurationError(f"--init-trials must be >= 1, got {ns.init_trials}")
     noise_levels = _parse_levels("--noise-levels", ns.noise_levels)
     init_levels = _parse_levels("--init-levels", ns.init_levels)
     params, stored_l = load_checkpoint(ns.ckpt)

@@ -26,12 +26,12 @@ from __future__ import annotations
 import os
 import threading
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 
 import numpy as np
 
 from .errors import ConfigurationError
-from .metrics import MetricsReport, evaluate_kspace_set
+from .metrics import MetricsReport, csv_text, evaluate_kspace_set
 from .network import ConsistencyNetParams, certified_lipschitz, require_contractive
 from .rng import RandomStream, derive_seed
 from .sampling import Measurement, add_noise, apply_sampling, make_mask
@@ -123,9 +123,7 @@ class ConvergenceReport:
     agreement_threshold: list[float]  # per sample
     contraction: float
     slack: float
-
-    # sample 0's solve from the measurement, with iterates (None without samples)
-    clean: FixedPointResult | None = None
+    clean: FixedPointResult  # sample 0's solve from the measurement, with iterates
 
     @property
     def all_pass(self) -> bool:
@@ -138,15 +136,11 @@ class ConvergenceReport:
         )
 
     def to_csv(self) -> str:
-        lines = ["sample,init,converged,iterations,rate_ok,final_residual"]
-        for r in self.runs:
-            lines.append(
-                f"{r.sample},{r.init_label},{int(r.converged)},{r.iterations},"
-                f"{int(r.rate_ok)},{r.final_residual:.17g}"
-            )
-        for s, (d, t) in enumerate(zip(self.pairwise_max_distance, self.agreement_threshold)):
-            lines.append(f"agreement,{s},{d:.17g},{t:.17g},,")
-        return "\n".join(lines) + "\n"
+        agreement = zip(self.pairwise_max_distance, self.agreement_threshold)
+        return csv_text("sample,init,converged,iterations,rate_ok,final_residual", [
+            *map(astuple, self.runs),
+            *(("agreement", s, d, t, None, None) for s, (d, t) in enumerate(agreement)),
+        ])
 
     def summary(self) -> str:
         verdict = "PASS" if self.all_pass else "FAIL"
@@ -172,13 +166,15 @@ def verify_convergence(
     The report's ``clean`` is sample 0's run from the measurement with its
     iterates, the only run that records them: the clean solve that
     :func:`verify_robustness` and :func:`verify_init_independence` take as
-    ``clean`` for the same model, measurement and ``tol``."""
+    ``clean`` for the same model, measurement and ``tol``. Raises
+    ``ValueError`` without measurements, which would check nothing."""
+    if not measurements:
+        raise ValueError("verify_convergence needs at least one measurement")
     cert = certified_lipschitz(params)
     require_contractive(cert)
     L = cert.contraction_bound
     runs: list[ConvergenceRun] = []
     pairwise, thresholds = [], []
-    clean = None
     for s, meas in enumerate(measurements):
         inits = [("measurement", meas.y), ("zero", np.zeros_like(meas.y))]
         big = 10.0 * max(1.0, frob(meas.y))
@@ -267,15 +263,10 @@ class RobustnessReport:
         )
 
     def to_csv(self) -> str:
-        lines = ["delta_rel,delta_abs,observed,bound,margin"]
-        for t in self.trials:
-            lines.append(
-                f"{t.delta_rel:.17g},{t.delta_abs:.17g},{t.observed:.17g},"
-                f"{t.bound:.17g},{t.margin:.17g}"
-            )
-        for level, ok in self.recursion_checks:
-            lines.append(f"recursion,{level:.17g},{int(ok)},,")
-        return "\n".join(lines) + "\n"
+        return csv_text("delta_rel,delta_abs,observed,bound,margin", [
+            *map(astuple, self.trials),
+            *(("recursion", level, ok, None, None) for level, ok in self.recursion_checks),
+        ])
 
     def summary(self) -> str:
         verdict = "PASS" if self.all_within_bound else "FAIL"
@@ -305,8 +296,11 @@ def verify_robustness(
 
     ``clean``, when given, is the Picard solve from ``meas.y`` with its
     iterates (``verify_convergence(...).clean``) and is used instead of
-    solving it again.
+    solving it again. No levels or a negative trial count is a
+    ``ValueError``; zero trials still check the recursion.
     """
+    if not delta_rels or trials_per_level < 0:
+        raise ValueError("verify_robustness needs noise levels and trials_per_level >= 0")
     cert = certified_lipschitz(params)
     require_contractive(cert)
     L = cert.contraction_bound
@@ -376,10 +370,7 @@ class InitIndependenceReport:
         return all(d <= t for _, _, d, t in self.rows)
 
     def to_csv(self) -> str:
-        lines = ["level,trial,distance,threshold"]
-        for level, t, d, thr in self.rows:
-            lines.append(f"{level:.17g},{t},{d:.17g},{thr:.17g}")
-        return "\n".join(lines) + "\n"
+        return csv_text("level,trial,distance,threshold", self.rows)
 
     def summary(self) -> str:
         verdict = "PASS" if self.all_pass else "FAIL"
@@ -400,7 +391,11 @@ def verify_init_independence(
 
     ``clean``, when given, is the Picard solve from ``meas.y`` with its
     iterates (``verify_convergence(...).clean``) and is used as the
-    reconstruction from the measurement instead of solving it again."""
+    reconstruction from the measurement instead of solving it again. No
+    levels or fewer than one trial, which would compare nothing, is a
+    ``ValueError``."""
+    if not levels or trials_per_level < 1:
+        raise ValueError("verify_init_independence needs levels and trials_per_level >= 1")
     cert = certified_lipschitz(params)
     require_contractive(cert)
     base = _clean_solve(params, meas, tol, cert.contraction_bound, clean)

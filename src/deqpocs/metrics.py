@@ -19,6 +19,22 @@ SSIM_WINDOW = 11
 SSIM_SIGMA = 1.5
 
 
+def csv_text(header: str, rows) -> str:
+    """The one report CSV format: the ``header`` line, then one line per row.
+    Floats are written as ``%.17g`` (they read back exactly), bools as 0/1,
+    ``None`` as an empty field and anything else by ``str``."""
+
+    def field(v) -> str:
+        if v is None:
+            return ""
+        if isinstance(v, (bool, np.bool_)):
+            return str(int(v))
+        return f"{v:.17g}" if isinstance(v, float) else str(v)
+
+    lines = [header] + [",".join(map(field, row)) for row in rows]
+    return "\n".join(lines) + "\n"
+
+
 def ssos(coil_images: np.ndarray) -> np.ndarray:
     """Square-root of sum-of-squares magnitude combination across coils."""
     x = as_tensor(coil_images, "coil images")
@@ -117,19 +133,10 @@ class MetricsReport:
         return float(arr.mean()), float(arr.std())
 
     def to_csv(self) -> str:
-        lines = ["sample_id,nmse,psnr,ssim"]
-        for sid, n, p, s in zip(
-            self.sample_ids, self.nmse_values, self.psnr_values, self.ssim_values
-        ):
-            lines.append(f"{sid},{n:.17g},{p:.17g},{s:.17g}")
-        for label, picker in (("mean", 0), ("std", 1)):
-            stats = [
-                self.mean_std(self.nmse_values)[picker],
-                self.mean_std(self.psnr_values)[picker],
-                self.mean_std(self.ssim_values)[picker],
-            ]
-            lines.append(label + "," + ",".join(f"{v:.17g}" for v in stats))
-        return "\n".join(lines) + "\n"
+        columns = (self.nmse_values, self.psnr_values, self.ssim_values)
+        means, stds = zip(*map(self.mean_std, columns))
+        rows = [*zip(self.sample_ids, *columns), ("mean", *means), ("std", *stds)]
+        return csv_text("sample_id,nmse,psnr,ssim", rows)
 
 
 def evaluate_kspace_pair(recon_k: np.ndarray, ref_k: np.ndarray) -> dict:

@@ -24,7 +24,7 @@ updates assume exclusive access (the training loop is the only writer).
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -54,9 +54,11 @@ NORM_SLACK = 1e-3  # kernels divided by sigma * (1 + NORM_SLACK) when above 1
 NORM_DEADZONE = 1e-6  # rescale only when sigma * (1 + slack) exceeds 1 + deadzone
 WARM_POWER_ITERS = 5
 FULL_POWER_ITERS = 50
-# Largest certification-grid side a checkpoint may declare: loading re-runs
-# power iteration on that grid, so a corrupt header must not demand more.
-MAX_CERT_SIDE = 4096
+# Largest certification-grid side: loading a checkpoint re-runs power iteration
+# on its grid, which takes seconds at 256x256 even for a 1.7 kB checkpoint, so
+# a header must not demand more; init_params refuses a larger grid too, so
+# training never writes a checkpoint that the reader refuses.
+MAX_CERT_SIDE = 256
 # How far a loaded checkpoint's recomputed certificate may exceed its stored one.
 CERT_TOL = 1e-3
 
@@ -69,12 +71,13 @@ def layer_widths(nc: int, features: int) -> list[tuple[int, int]]:
 
 @dataclass
 class BranchParams:
-    """One five-layer CNN branch: kernels, biases, and normalization state."""
+    """One five-layer CNN branch: kernels, biases, and normalization state
+    (empty until :func:`_certify` fills it)."""
 
     kernels: list[np.ndarray]
     biases: list[np.ndarray]
-    sigmas: list[float]
-    power_vecs: list[np.ndarray]
+    sigmas: list[float] = field(default_factory=list)
+    power_vecs: list[np.ndarray] = field(default_factory=list)
 
 
 @dataclass
@@ -84,6 +87,11 @@ class BlockParams:
     image_branch: BranchParams | None = None
     c_k: float = 1.0
     c_i: float = 0.0
+
+    @property
+    def branches(self) -> list[BranchParams]:
+        """The block's branches in parameter and checkpoint order: k-space, then image."""
+        return [self.kspace_branch] + ([self.image_branch] if self.image_branch else [])
 
 
 @dataclass
@@ -106,7 +114,6 @@ class LipschitzCertificate:
     block_bounds: tuple[float, ...]
     kernel_bounds: tuple[float, ...]
     method: str = "power-iteration"
-    slack: float = NORM_SLACK
 
     @property
     def is_contractive(self) -> bool:
@@ -124,45 +131,32 @@ def require_contractive(cert: LipschitzCertificate) -> None:
 # Initialization and normalization
 # ---------------------------------------------------------------------------
 
-def _cold_starts(grid, nc: int, features: int) -> dict[int, np.ndarray]:
-    """Power-iteration start vector per kernel input width ``C_in``: a
-    seed-0 Gaussian on ``grid``, drawn once per shape and shared by every
-    kernel of that width."""
-    return {cin: gaussian_tensor((*grid, cin), RandomStream(0)) for cin in {nc, features}}
-
-
-def _init_branch(nc: int, features: int, stream: RandomStream, starts) -> BranchParams:
-    kernels, biases, vecs = [], [], []
-    for cin, cout in layer_widths(nc, features):
-        k = INIT_STD * gaussian_tensor((KERNEL_SIZE * KERNEL_SIZE, cin, cout), stream)
-        kernels.append(k.reshape(KERNEL_SIZE, KERNEL_SIZE, cin, cout))
-        biases.append(np.zeros(cout, dtype=np.complex128))
-        vecs.append(starts[cin])
-    branch = BranchParams(kernels=kernels, biases=biases, sigmas=[], power_vecs=vecs)
-    _certify_branch(branch, iters=FULL_POWER_ITERS)
-    _rescale_branch(branch)
-    return branch
-
-
-def _certify_branch(branch: BranchParams, iters: int) -> None:
-    """(Re)estimate every kernel's spectral norm, starting power iteration
-    from its entry in ``power_vecs`` (whose shape fixes the grid)."""
-    sigmas, vecs = [], []
-    for k, start in zip(branch.kernels, branch.power_vecs, strict=True):
-        sigma, vec = spectral_norm_power_iter(k, start, iters)
-        sigmas.append(sigma)
-        vecs.append(vec)
-    branch.sigmas = sigmas
-    branch.power_vecs = vecs
-
-
-def _rescale_branch(branch: BranchParams) -> None:
-    """Divide kernels whose estimated norm breaches 1 by sigma*(1+slack)."""
-    for i, sigma in enumerate(branch.sigmas):
-        scale = sigma * (1.0 + NORM_SLACK)
-        if scale > 1.0 + NORM_DEADZONE:
-            branch.kernels[i] = branch.kernels[i] / scale
-            branch.sigmas[i] = sigma / scale
+def _certify(params: ConsistencyNetParams, iters: int, rescale: bool) -> None:
+    """The one certification walk: re-estimate every kernel's spectral norm
+    by ``iters`` steps of power iteration from its branch's ``power_vecs``,
+    updating ``sigmas`` and ``power_vecs`` in place. A branch without vectors
+    starts from a seed-0 Gaussian on ``cert_grid``, drawn once per input
+    width ``C_in`` and shared by every kernel of that width. With
+    ``rescale``, a kernel whose estimate breaches 1 is divided by
+    ``sigma * (1 + NORM_SLACK)``."""
+    cold: dict[int, np.ndarray] = {}
+    for blk in params.blocks:
+        for br in blk.branches:
+            if not br.power_vecs:
+                for k in br.kernels:
+                    cin = k.shape[2]
+                    if cin not in cold:
+                        cold[cin] = gaussian_tensor((*params.cert_grid, cin), RandomStream(0))
+                    br.power_vecs.append(cold[cin])
+            sigmas, vecs = [], []
+            for i, (k, start) in enumerate(zip(br.kernels, br.power_vecs, strict=True)):
+                sigma, vec = spectral_norm_power_iter(k, start, iters)
+                scale = sigma * (1.0 + NORM_SLACK)
+                if rescale and scale > 1.0 + NORM_DEADZONE:
+                    br.kernels[i], sigma = k / scale, sigma / scale
+                sigmas.append(sigma)
+                vecs.append(vec)
+            br.sigmas, br.power_vecs = sigmas, vecs
 
 
 def init_params(
@@ -185,21 +179,32 @@ def init_params(
         raise ShapeError(f"unknown variant {variant!r}; expected one of {VARIANTS}")
     if blocks < 1 or features < 1 or nc < 1:
         raise ShapeError("blocks, features and coil count must be >= 1")
+    if max(grid) > MAX_CERT_SIDE:
+        raise ShapeError(f"certification grid {grid} has a side above {MAX_CERT_SIDE}")
     stream = RandomStream(seed)
-    starts = _cold_starts(grid, nc, features)
-    out_blocks = []
-    for _ in range(blocks):
-        kb = _init_branch(nc, features, stream, starts)
-        if variant == "hybrid":
-            ib = _init_branch(nc, features, stream, starts)
-            out_blocks.append(
-                BlockParams(kspace_branch=kb, alpha=0.5, image_branch=ib, c_k=0.5, c_i=0.5)
-            )
-        else:
-            out_blocks.append(BlockParams(kspace_branch=kb, alpha=0.5))
-    return ConsistencyNetParams(
+    widths = layer_widths(nc, features)
+
+    def branch() -> BranchParams:
+        return BranchParams(
+            kernels=[
+                INIT_STD * gaussian_tensor((KERNEL_SIZE**2, cin, cout), stream).reshape(
+                    KERNEL_SIZE, KERNEL_SIZE, cin, cout)
+                for cin, cout in widths
+            ],
+            biases=[np.zeros(cout, dtype=np.complex128) for _, cout in widths],
+        )
+
+    # arguments are evaluated in order: a block's k-space kernels are drawn first
+    out_blocks = [
+        BlockParams(kspace_branch=branch(), alpha=0.5, image_branch=branch(), c_k=0.5, c_i=0.5)
+        if variant == "hybrid" else BlockParams(kspace_branch=branch(), alpha=0.5)
+        for _ in range(blocks)
+    ]
+    params = ConsistencyNetParams(
         variant=variant, blocks=out_blocks, features=features, nc=nc, cert_grid=grid
     )
+    _certify(params, FULL_POWER_ITERS, rescale=True)
+    return params
 
 
 def normalize_params(params: ConsistencyNetParams) -> ConsistencyNetParams:
@@ -212,12 +217,8 @@ def normalize_params(params: ConsistencyNetParams) -> ConsistencyNetParams:
     onto the simplex. The result always certifies at L <= 0.99.
     """
     params = clone_params(params)
+    _certify(params, WARM_POWER_ITERS, rescale=True)
     for blk in params.blocks:
-        _certify_branch(blk.kspace_branch, iters=WARM_POWER_ITERS)
-        _rescale_branch(blk.kspace_branch)
-        if blk.image_branch is not None:
-            _certify_branch(blk.image_branch, iters=WARM_POWER_ITERS)
-            _rescale_branch(blk.image_branch)
         blk.alpha = float(min(max(blk.alpha, 0.0), ALPHA_CEIL))
         if params.variant == "hybrid":
             ck, ci = max(blk.c_k, 0.0), max(blk.c_i, 0.0)
@@ -277,13 +278,11 @@ def certified_lipschitz(params: ConsistencyNetParams) -> LipschitzCertificate:
     kernel_bounds: list[float] = []
     for blk in params.blocks:
         keep, mix = abs(ALPHA_CEIL - blk.alpha), abs(blk.alpha)
-        bound = keep + mix * float(np.prod(blk.kspace_branch.sigmas))
-        kernel_bounds.extend(blk.kspace_branch.sigmas)
-        if blk.image_branch is not None:
-            bi = keep + mix * float(np.prod(blk.image_branch.sigmas))
-            kernel_bounds.extend(blk.image_branch.sigmas)
-            bound = abs(blk.c_k) * bound + abs(blk.c_i) * bi
-        block_bounds.append(bound)
+        bounds = [keep + mix * float(np.prod(br.sigmas)) for br in blk.branches]
+        kernel_bounds.extend(s for br in blk.branches for s in br.sigmas)
+        if len(bounds) == 2:
+            bounds = [abs(blk.c_k) * bounds[0] + abs(blk.c_i) * bounds[1]]
+        block_bounds.extend(bounds)
     total = float(np.prod(block_bounds))
     return LipschitzCertificate(
         contraction_bound=total,
@@ -506,11 +505,10 @@ def pack_params(params: ConsistencyNetParams) -> np.ndarray:
     """
     parts = []
     for blk in params.blocks:
-        for br in (blk.kspace_branch, blk.image_branch):
-            if br is not None:
-                for k, b in zip(br.kernels, br.biases):
-                    parts.append(np.ascontiguousarray(k).view(np.float64).ravel())
-                    parts.append(np.ascontiguousarray(b).view(np.float64).ravel())
+        for br in blk.branches:
+            for k, b in zip(br.kernels, br.biases):
+                parts.append(np.ascontiguousarray(k).view(np.float64).ravel())
+                parts.append(np.ascontiguousarray(b).view(np.float64).ravel())
         scalars = [blk.alpha] + ([blk.c_k, blk.c_i] if params.variant == "hybrid" else [])
         parts.append(np.array(scalars, dtype=np.float64))
     return np.concatenate(parts)
@@ -531,11 +529,10 @@ def unpack_params(params: ConsistencyNetParams, vec: np.ndarray) -> ConsistencyN
         return vec[pos - n : pos].copy().view(np.complex128).reshape(like.shape)
 
     for blk in out.blocks:
-        for br in (blk.kspace_branch, blk.image_branch):
-            if br is not None:
-                for i in range(len(br.kernels)):
-                    br.kernels[i] = take(br.kernels[i])
-                    br.biases[i] = take(br.biases[i])
+        for br in blk.branches:
+            for i in range(len(br.kernels)):
+                br.kernels[i] = take(br.kernels[i])
+                br.biases[i] = take(br.biases[i])
         blk.alpha = float(vec[pos])
         pos += 1
         if out.variant == "hybrid":
@@ -574,8 +571,7 @@ def write_ck01_bytes(params: ConsistencyNetParams) -> bytes:
         )
     )
     for blk in params.blocks:
-        branches = [blk.kspace_branch] + ([blk.image_branch] if blk.image_branch else [])
-        for br in branches:
+        for br in blk.branches:
             for k, b in zip(br.kernels, br.biases):
                 kh, kw, cin, cout = k.shape
                 out.append(write_ct01_bytes(k.reshape(kh, kw, cin * cout)))
@@ -636,13 +632,9 @@ def read_ck01_bytes(data: bytes):
                 kernels.append(payload.reshape(KERNEL_SIZE, KERNEL_SIZE, cin, cout))
                 payload, pos = _read_payload(data, pos, (1, 1, cout))
                 biases.append(payload.reshape(cout))
-            branches.append(BranchParams(kernels=kernels, biases=biases, sigmas=[], power_vecs=[]))
+            branches.append(BranchParams(kernels=kernels, biases=biases))
         blocks.append(
-            BlockParams(
-                kspace_branch=branches[0],
-                alpha=0.0,
-                image_branch=branches[1] if variant == "hybrid" else None,
-            )
+            BlockParams(branches[0], alpha=0.0, image_branch=branches[1] if nbranch == 2 else None)
         )
     scalars = np.frombuffer(data, dtype="<f4", count=3 * B + 1, offset=pos)
     if not np.all(np.isfinite(scalars)):
@@ -652,12 +644,7 @@ def read_ck01_bytes(data: bytes):
     params = ConsistencyNetParams(
         variant=variant, blocks=blocks, features=F, nc=nc, cert_grid=(gh, gw)
     )
-    starts = _cold_starts(params.cert_grid, nc, F)  # only once the input is valid
-    for blk in params.blocks:
-        for br in (blk.kspace_branch, blk.image_branch):
-            if br is not None:
-                br.power_vecs = [starts[cin] for cin, _ in widths]
-                _certify_branch(br, iters=FULL_POWER_ITERS)
+    _certify(params, FULL_POWER_ITERS, rescale=False)  # only once the input is valid
     return params, float(scalars[-1])
 
 

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigurationError
+from .errors import ConfigurationError, InvalidInputError
 from .metrics import ssos
 from .rng import RandomStream, derive_seed
 from .sampling import (
@@ -299,7 +299,16 @@ def load_dataset(directory) -> list[LoadedSample]:
             for line in fh:
                 if line.startswith("sample_") and "delta=" in line:
                     stem = line.split(":")[0].strip()
-                    deltas[stem] = float(line.rsplit("delta=", 1)[1])
+                    text = line.rsplit("delta=", 1)[1].strip()
+                    try:
+                        delta = float(text)
+                    except ValueError:
+                        delta = math.nan
+                    if not 0.0 <= delta < math.inf:  # also refuses nan
+                        raise InvalidInputError(
+                            f"{manifest}: {stem} has delta={text!r}; expected a finite number >= 0"
+                        )
+                    deltas[stem] = delta
     out = []
     for stem in entries:
         kspace = load_ct01(os.path.join(directory, stem + "_full.ct01"))

@@ -16,6 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DivergenceError
+from .metrics import csv_text
 from .tensors import frob
 
 # Anderson's ridge weight, relative to the mean diagonal of the residual Gram matrix.
@@ -194,7 +195,4 @@ def numerical_floor(solution: np.ndarray) -> float:
 
 def diagnostics_csv(result: FixedPointResult) -> str:
     """Per-iteration diagnostics: ``iteration,residual`` rows."""
-    lines = ["iteration,residual"]
-    for i, r in enumerate(result.residuals):
-        lines.append(f"{i},{r:.17g}")
-    return "\n".join(lines) + "\n"
+    return csv_text("iteration,residual", enumerate(result.residuals))

@@ -26,6 +26,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import CertificateError, TrainingError
+from .metrics import csv_text
 from .network import (
     ConsistencyNetParams,
     certified_lipschitz,
@@ -224,14 +225,11 @@ class TrainReport:
     final_train_residual: float = float("nan")
 
     def to_csv(self) -> str:
-        lines = ["epoch,mean_loss,mean_fwd_iters,mean_bwd_iters,L"]
-        for e in range(len(self.epoch_mean_loss)):
-            lines.append(
-                f"{e},{self.epoch_mean_loss[e]:.17g},{self.epoch_mean_fwd_iters[e]:.17g},"
-                f"{self.epoch_mean_bwd_iters[e]:.17g},{self.epoch_certificate[e]:.17g}"
-            )
-        lines.append(f"final_train_residual,{self.final_train_residual:.17g},,,")
-        return "\n".join(lines) + "\n"
+        epochs = zip(self.epoch_mean_loss, self.epoch_mean_fwd_iters,
+                     self.epoch_mean_bwd_iters, self.epoch_certificate)
+        rows = [(e, *row) for e, row in enumerate(epochs)]
+        rows.append(("final_train_residual", self.final_train_residual, None, None, None))
+        return csv_text("epoch,mean_loss,mean_fwd_iters,mean_bwd_iters,L", rows)
 
 
 def train(

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from deqpocs.cli import main, write_pgm16
-from deqpocs.network import init_params, load_checkpoint, save_checkpoint
+from deqpocs.network import init_params, load_checkpoint, save_checkpoint, write_ck01_bytes
 from deqpocs.tensors import load_ct01
 
 
@@ -93,6 +93,25 @@ class TestTrain:
             "train", "--data", str(dataset_dir), "--out", str(tmp_path / "x.ck01"),
             "--epochs", "0",
         ) == 2
+
+    @pytest.mark.parametrize("delta", ["abc", "nan", "inf", "-0.5"])
+    def test_corrupt_manifest_delta_exits_2(self, dataset_dir, tmp_path, capsys, delta):
+        data = tmp_path / "data"
+        data.mkdir()
+        for f in dataset_dir.iterdir():
+            (data / f.name).write_bytes(f.read_bytes())
+        manifest = data / "manifest.txt"
+        lines = manifest.read_text().splitlines()
+        lines = [ln.rsplit("delta=", 1)[0] + f"delta={delta}" if ln.startswith("sample_0001")
+                 else ln for ln in lines]
+        manifest.write_text("\n".join(lines) + "\n")
+        assert run(
+            "train", "--data", str(data), "--out", str(tmp_path / "x.ck01"),
+            "--epochs", "1", "--blocks", "1", "--features", "4",
+        ) == 2
+        err = capsys.readouterr().err
+        assert "manifest.txt" in err and "sample_0001" in err
+        assert not (tmp_path / "x.ck01").exists()
 
     def test_rerun_identical_checkpoint(self, dataset_dir, tmp_path):
         outs = []
@@ -251,6 +270,7 @@ class TestBaseline:
         ("train", "--lr", "nan"),
         ("verify", "--trials", "-1"),
         ("verify", "--init-trials", "-2"),
+        ("verify", "--init-trials", "0"),
         ("verify", "--noise-levels", ","),
         ("verify", "--noise-levels", "0.1,abc"),
         ("verify", "--init-levels", ","),
@@ -283,6 +303,17 @@ class TestVerify:
             "verify", "--ckpt", str(small_grid_checkpoint), "--data", str(dataset_dir),
             "--out", str(tmp_path / "verify"), "--samples", "1",
         ) == 1
+
+    def test_certification_grid_beyond_limit_exits_2(self, dataset_dir, tmp_path, capsys):
+        raw = bytearray(write_ck01_bytes(init_params("kspace", 1, 4, 2, seed=0, grid=(16, 16))))
+        struct.pack_into("<I", raw, 17, 257)  # certification-grid height
+        ck = tmp_path / "big.ck01"
+        ck.write_bytes(bytes(raw))
+        assert run(
+            "verify", "--ckpt", str(ck), "--data", str(dataset_dir),
+            "--out", str(tmp_path / "verify"), "--samples", "1",
+        ) == 2
+        assert "certification grid 257x16" in capsys.readouterr().err
 
     def test_bad_thread_cap_exits_2(self, dataset_dir, checkpoint, tmp_path, monkeypatch):
         monkeypatch.setenv("DEQPOCS_THREADS", "abc")

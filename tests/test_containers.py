@@ -1,6 +1,8 @@
 """Corrupt-container fuzzing: every reader either parses cleanly or raises
 InvalidInputError, never another exception."""
 
+import struct
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -71,3 +73,13 @@ def test_out_of_range_enum_byte_rejected(name, offset, value):
     data[offset] = value
     with pytest.raises(InvalidInputError):
         read(bytes(data))
+
+
+@pytest.mark.parametrize("offset", [17, 21], ids=["height", "width"])
+def test_ck01_certification_grid_beyond_limit_rejected(offset):
+    """Loading re-runs power iteration on the declared grid, so a header
+    alone must not be able to demand a larger one."""
+    data = bytearray(CONTAINERS["ck01"][0])
+    struct.pack_into("<I", data, offset, 257)
+    with pytest.raises(InvalidInputError, match="certification grid"):
+        read_ck01_bytes(bytes(data))

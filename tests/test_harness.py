@@ -83,7 +83,8 @@ class TestConvergence:
         assert report.clean.iterates is not None
         assert report.clean.iterations == report.runs[0].iterations
         assert report.clean.final_residual == report.runs[0].final_residual
-        assert verify_convergence(params, []).clean is None
+        with pytest.raises(ValueError):
+            verify_convergence(params, [])
 
     def test_csv_layout(self, small_problem):
         params, dataset = small_problem
@@ -239,6 +240,21 @@ class TestRobustness:
         lines = report.to_csv().strip().split("\n")
         assert lines[0] == "delta_rel,delta_abs,observed,bound,margin"
         assert len(lines) == 1 + 2 + 1  # header, trials, one recursion row
+
+
+@pytest.mark.parametrize(
+    "check, kwargs",
+    [
+        (verify_robustness, dict(delta_rels=())),
+        (verify_robustness, dict(trials_per_level=-1)),
+        (verify_init_independence, dict(levels=())),
+        (verify_init_independence, dict(trials_per_level=0)),
+    ],
+)
+def test_check_that_compares_nothing_refused(small_problem, check, kwargs):
+    params, dataset = small_problem
+    with pytest.raises(ValueError):
+        check(params, dataset[0][1], **kwargs)
 
 
 class TestInitIndependence:

@@ -2,7 +2,16 @@ import numpy as np
 import pytest
 
 from deqpocs.errors import InvalidInputError, ShapeError
+from deqpocs.harness import (
+    ConvergenceReport,
+    ConvergenceRun,
+    InitIndependenceReport,
+    MaskTransferReport,
+    RobustnessReport,
+    RobustnessTrial,
+)
 from deqpocs.metrics import (
+    MetricsReport,
     evaluate_kspace_pair,
     evaluate_kspace_set,
     image_from_kspace,
@@ -12,7 +21,9 @@ from deqpocs.metrics import (
     ssos,
 )
 from oracles import ssim_reference
+from deqpocs.solvers import FixedPointResult, diagnostics_csv
 from deqpocs.tensors import fft2_centered
+from deqpocs.training import TrainReport
 
 
 class TestSSoS:
@@ -130,3 +141,83 @@ class TestPipeline:
         pair = evaluate_kspace_pair(b, b)
         assert pair["nmse"] == 0.0 and pair["psnr"] == 99.0
         assert pair["ssim"] == pytest.approx(1.0, abs=1e-9)
+
+
+class TestReportCsvBytes:
+    """Every report CSV, byte for byte: floats as %.17g (``0.1 + 0.2`` needs
+    all 17 digits), ints as written, bools (numpy's too) as 0/1, and empty
+    trailing fields. The expected strings are the output of the per-report
+    formatting that ``csv_text`` replaced."""
+
+    X = 0.1 + 0.2
+    RESULT = FixedPointResult(solution=np.zeros((1, 1, 1)), residuals=[X, 3, 1e-17],
+                              iterations=3, converged=True, tolerance=1e-5, method="picard")
+    METRICS = MetricsReport(sample_ids=(0, "sample_0001"), nmse_values=(X, 1),
+                            psnr_values=(20.5, 99.0), ssim_values=(0.75, 1 / 3))
+    METRICS_CSV = (
+        "sample_id,nmse,psnr,ssim\n0,0.30000000000000004,20.5,0.75\n"
+        "sample_0001,1,99,0.33333333333333331\n"
+        "mean,0.65000000000000002,59.75,0.54166666666666663\n"
+        "std,0.34999999999999998,39.25,0.20833333333333334\n"
+    )
+
+    def test_convergence(self):
+        report = ConvergenceReport(
+            runs=[ConvergenceRun(0, "measurement", True, 7, False, self.X),
+                  ConvergenceRun(1, "random0", False, 12, np.True_, 1e-300)],
+            pairwise_max_distance=[self.X, 2], agreement_threshold=[1e-05, 3.5],
+            contraction=0.9, slack=1.05, clean=self.RESULT,
+        )
+        assert report.to_csv() == (
+            "sample,init,converged,iterations,rate_ok,final_residual\n"
+            "0,measurement,1,7,0,0.30000000000000004\n1,random0,0,12,1,1e-300\n"
+            "agreement,0,0.30000000000000004,1.0000000000000001e-05,,\nagreement,1,2,3.5,,\n"
+        )
+
+    def test_robustness(self):
+        report = RobustnessReport(
+            trials=[RobustnessTrial(0.01, self.X, 1.5, 2, -0.25)],
+            recursion_checks=[(0.01, True), (0.1, np.False_)], contraction=0.9, tolerance=1e-5,
+        )
+        assert report.to_csv() == (
+            "delta_rel,delta_abs,observed,bound,margin\n0.01,0.30000000000000004,1.5,2,-0.25\n"
+            "recursion,0.01,1,,\nrecursion,0.10000000000000001,0,,\n"
+        )
+
+    def test_init_independence(self):
+        report = InitIndependenceReport(rows=[(0.5, 0, self.X, 1e-4), (2, 3, 0.0, 1)],
+                                        contraction=0.9)
+        assert report.to_csv() == (
+            "level,trial,distance,threshold\n0.5,0,0.30000000000000004,0.0001\n2,3,0,1\n"
+        )
+
+    def test_train(self):
+        report = TrainReport(
+            epoch_mean_loss=[self.X, 2], epoch_mean_fwd_iters=[4.25, 5],
+            epoch_mean_bwd_iters=[12.0, 1e20], epoch_certificate=[0.9875, 1 / 3],
+            final_train_residual=self.X,
+        )
+        assert report.to_csv() == (
+            "epoch,mean_loss,mean_fwd_iters,mean_bwd_iters,L\n"
+            "0,0.30000000000000004,4.25,12,0.98750000000000004\n"
+            "1,2,5,1e+20,0.33333333333333331\nfinal_train_residual,0.30000000000000004,,,\n"
+        )
+
+    def test_metrics(self):
+        assert self.METRICS.to_csv() == self.METRICS_CSV
+
+    def test_mask_transfer(self):
+        zero_fill = MetricsReport(sample_ids=(0,), nmse_values=(self.X,), psnr_values=(10,),
+                                  ssim_values=(0.5,))
+        report = MaskTransferReport(metrics=self.METRICS, zero_fill_metrics=zero_fill,
+                                    mask_kind="1d-free", accel=4.0)
+        assert report.to_csv() == (
+            "# reconstruction under 1d-free R=4.0\n" + self.METRICS_CSV
+            + "# zero-filled baseline\nsample_id,nmse,psnr,ssim\n0,0.30000000000000004,10,0.5\n"
+            "mean,0.30000000000000004,10,0.5\nstd,0,0,0\n"
+        )
+
+    def test_solver_diagnostics(self):
+        assert diagnostics_csv(self.RESULT) == (
+            "iteration,residual\n0,0.30000000000000004\n1,3\n2,1.0000000000000001e-17\n"
+        )

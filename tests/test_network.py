@@ -68,6 +68,13 @@ class TestInit:
             assert cert.contraction_bound <= 0.99 + 1e-12
             assert all(s <= 1 + 1e-6 for s in cert.kernel_bounds)
 
+    def test_certification_grid_limit(self):
+        """Training must not write a checkpoint that the reader refuses."""
+        assert init_params("kspace", 1, 1, 1, grid=(256, 1)).cert_grid == (256, 1)
+        for grid in [(257, 1), (1, 257)]:
+            with pytest.raises(ShapeError):
+                init_params("kspace", 1, 1, 1, grid=grid)
+
     def test_alpha_init(self):
         p = small_net(seed=2)
         assert all(b.alpha == 0.5 for b in p.blocks)

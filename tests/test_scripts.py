@@ -38,3 +38,17 @@ def test_desk_study(tmp_path):
     done = run_script("run_desk_study.py", "--out", "desk", "--epochs", "1", cwd=tmp_path)
     assert done.returncode == 0, done.stdout + done.stderr
     assert (tmp_path / "desk" / "metrics_model.csv").exists()
+
+
+def test_snapshot_outputs(tmp_path):
+    done = run_script("snapshot_outputs.py", "--out", "snap", cwd=tmp_path)
+    assert done.returncode == 0, done.stdout + done.stderr
+    log = (tmp_path / "snap" / "log.txt").read_text()
+    codes = [line for line in log.splitlines() if line.startswith("exit ")]
+    # the trained model's recon is refused at load until the certificate is
+    # a sound upper bound (ROADMAP item 1)
+    assert codes == ["exit 0"] * 9 + ["exit 1"]
+    assert "checkpoint certificate invalid" in log
+    for report in ("trained.ck01.report.csv", "verify_seed2_threads1/robustness.csv",
+                   "recon_init/recon_residuals.csv", "baseline_spirit/baseline_spirit.ct01"):
+        assert (tmp_path / "snap" / report).exists()
