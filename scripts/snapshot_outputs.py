@@ -20,6 +20,8 @@ and stderr, in order:
 * ``recon --baseline zerofill --ref`` with ``init.ck01``;
 * ``baseline --method spirit`` on ``gen-data --n 1 --size 32 --coils 4
   --acs 6 --seed 3``;
+* ``gen-data --n 2 --size 16 --coils 2 --accel 4`` with ``--mask 2d-cal``
+  and with ``--mask 2d-free``, so the 2-D mask draw is in the snapshot too;
 * ``recon`` with ``trained.ck01``, which load refuses with exit 1 while the
   certificate is a power-iteration estimate (ROADMAP item 1).
 """
@@ -85,6 +87,9 @@ def main():
         run(log, "baseline", "--method", "spirit", "--meas", "acs6/sample_0000_meas.ct01",
             "--mask", "acs6/sample_0000_mask.mk01", "--ref", "acs6/sample_0000_full.ct01",
             "--out", "baseline_spirit")
+        for kind in ("2d-cal", "2d-free"):
+            run(log, "gen-data", "--out", f"mask_{kind}", "--n", "2", "--size", "16",
+                "--coils", "2", "--accel", "4", "--mask", kind, "--seed", "5")
         run(log, "recon", "--ckpt", "trained.ck01", *SAMPLE, "--out", "recon_trained")
     print(f"snapshot written to {ns.out}")
 

@@ -12,6 +12,7 @@ threads, the calling one included.
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 
@@ -33,7 +34,7 @@ from .harness import (
 from .metrics import evaluate_kspace_pair, evaluate_kspace_set, image_from_kspace
 from .network import load_checkpoint, save_checkpoint
 from .phantom import DatasetSpec, load_dataset, make_dataset, save_dataset
-from .sampling import Measurement, load_mk01
+from .sampling import MASK_NAMES, Measurement, load_mk01
 from .solvers import diagnostics_csv
 from .spirit import calibrate_kernels, extract_acs, spirit_pocs_recon
 from .tensors import load_ct01, save_ct01
@@ -75,8 +76,10 @@ def _parse_levels(flag: str, text: str) -> tuple[float, ...]:
         levels = tuple(float(v) for v in text.split(",") if v.strip())
     except ValueError:
         levels = ()
-    if not levels:
-        raise ConfigurationError(f"{flag} must be a comma-separated list of numbers, got {text!r}")
+    if not levels or not all(map(math.isfinite, levels)):
+        raise ConfigurationError(
+            f"{flag} must be a comma-separated list of finite numbers, got {text!r}"
+        )
     return levels
 
 
@@ -85,8 +88,11 @@ def _parse_levels(flag: str, text: str) -> tuple[float, ...]:
 # ---------------------------------------------------------------------------
 
 def cmd_gen_data(ns) -> int:
-    if ns.accel < 1:
-        raise ConfigurationError(f"--accel must be >= 1, got {ns.accel}")
+    if not 1 <= ns.accel < math.inf:
+        raise ConfigurationError(f"--accel must be finite and >= 1, got {ns.accel}")
+    for flag, value in (("--noise", ns.noise), ("--edge-sigma", ns.edge_sigma)):
+        if not 0 <= value < math.inf:
+            raise ConfigurationError(f"{flag} must be finite and >= 0, got {value}")
     if ns.n < 1:
         raise ConfigurationError("--n must be >= 1")
     try:
@@ -121,11 +127,9 @@ def _load_training_pairs(directory):
 def cmd_train(ns) -> int:
     if ns.epochs < 1:
         raise ConfigurationError(f"--epochs must be >= 1, got {ns.epochs}")
-    if not ns.lr > 0:
-        raise ConfigurationError(f"--lr must be positive, got {ns.lr}")
-    for flag, value in (("--fwd-tol", ns.fwd_tol), ("--bwd-tol", ns.bwd_tol)):
-        if not value > 0:
-            raise ConfigurationError(f"{flag} must be positive, got {value}")
+    for flag, value in (("--lr", ns.lr), ("--fwd-tol", ns.fwd_tol), ("--bwd-tol", ns.bwd_tol)):
+        if not 0 < value < math.inf:
+            raise ConfigurationError(f"{flag} must be finite and positive, got {value}")
     pairs = _load_training_pairs(ns.data)
     config = TrainConfig(
         epochs=ns.epochs,
@@ -175,8 +179,10 @@ def _write_recon_outputs(outdir, stem, kspace, residual_result=None):
 
 def _check_solve_flags(ns) -> None:
     """The ``recon`` and ``baseline`` flags that the solvers would refuse."""
-    if not ns.tol > 0:
-        raise ConfigurationError(f"--tol must be positive, got {ns.tol}")
+    if not 0 < ns.tol < math.inf:
+        raise ConfigurationError(f"--tol must be finite and positive, got {ns.tol}")
+    if not 0 <= ns.spirit_ridge < math.inf:
+        raise ConfigurationError(f"--spirit-ridge must be finite and >= 0, got {ns.spirit_ridge}")
     if ns.spirit_iters < 1:
         raise ConfigurationError(f"--spirit-iters must be >= 1, got {ns.spirit_iters}")
 
@@ -228,16 +234,18 @@ def cmd_baseline(ns) -> int:
 def cmd_verify(ns) -> int:
     if ns.samples < 1:
         raise ConfigurationError(f"--samples must be >= 1, got {ns.samples}")
-    if not ns.slack >= 1:
-        raise ConfigurationError(f"--slack must be >= 1, got {ns.slack}")
-    if not ns.tol > 0:
-        raise ConfigurationError(f"--tol must be positive, got {ns.tol}")
+    if not 1 <= ns.slack < math.inf:
+        raise ConfigurationError(f"--slack must be finite and >= 1, got {ns.slack}")
+    if not 0 < ns.tol < math.inf:
+        raise ConfigurationError(f"--tol must be finite and positive, got {ns.tol}")
     # --trials 0 still checks the recursion, which draws its own noise
     if ns.trials < 0:
         raise ConfigurationError(f"--trials must be >= 0, got {ns.trials}")
     if ns.init_trials < 1:
         raise ConfigurationError(f"--init-trials must be >= 1, got {ns.init_trials}")
     noise_levels = _parse_levels("--noise-levels", ns.noise_levels)
+    if min(noise_levels) < 0:
+        raise ConfigurationError(f"--noise-levels must be >= 0, got {ns.noise_levels!r}")
     init_levels = _parse_levels("--init-levels", ns.init_levels)
     params, stored_l = load_checkpoint(ns.ckpt)
     samples = load_dataset(ns.data)
@@ -330,19 +338,25 @@ def build_parser() -> argparse.ArgumentParser:
     def add_common(p):
         p.add_argument("--config", type=str, default=None, help="key=value defaults file")
 
+    def add_solve_flags(p):
+        """The flags ``recon`` and ``baseline`` share."""
+        p.add_argument("--meas", type=str, default=None, help="measurement .ct01")
+        p.add_argument("--mask", type=str, default=None, help="mask .mk01")
+        p.add_argument("--out", type=str, default=None, help="output directory")
+        p.add_argument("--ref", type=str, default=None, help="reference full k-space .ct01")
+        p.add_argument("--tol", type=float, default=1e-5)
+        p.add_argument("--spirit-kernel", type=int, default=5)
+        p.add_argument("--spirit-ridge", type=float, default=1e-2)
+        p.add_argument("--spirit-iters", type=int, default=100)
+        add_common(p)
+
     p = sub.add_parser("gen-data", help="generate a synthetic multi-coil dataset")
     p.add_argument("--out", type=str, default=None, help="output directory")
     p.add_argument("--n", type=int, default=8, help="number of samples")
     p.add_argument("--size", type=int, default=32, help="grid size (square)")
     p.add_argument("--coils", type=int, default=4, help="number of coils")
-    p.add_argument(
-        "--mask",
-        type=str,
-        default="1d-cal",
-        choices=["1d-cal", "2d-cal", "1d-free", "2d-free",
-                 "1d-calibrated", "2d-calibrated"],
-        help="sampling pattern family",
-    )
+    p.add_argument("--mask", type=str, default=DatasetSpec.mask_kind, choices=MASK_NAMES,
+                   help="sampling pattern family")
     p.add_argument("--accel", type=float, default=4.0, help="acceleration factor R")
     p.add_argument("--acs", type=str, default="auto", help="ACS lines/size or 'auto'")
     p.add_argument("--noise", type=float, default=0.0, help="relative measurement noise")
@@ -372,30 +386,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("recon", help="reconstruct one measurement with a checkpoint")
     p.add_argument("--ckpt", type=str, default=None)
-    p.add_argument("--meas", type=str, default=None, help="measurement .ct01")
-    p.add_argument("--mask", type=str, default=None, help="mask .mk01")
-    p.add_argument("--out", type=str, default=None, help="output directory")
-    p.add_argument("--ref", type=str, default=None, help="reference full k-space .ct01")
     p.add_argument("--baseline", type=str, default=None, choices=["zerofill", "spirit"])
     p.add_argument("--method", type=str, default="anderson", choices=["anderson", "picard"])
-    p.add_argument("--tol", type=float, default=1e-5)
-    p.add_argument("--spirit-kernel", type=int, default=5)
-    p.add_argument("--spirit-ridge", type=float, default=1e-2)
-    p.add_argument("--spirit-iters", type=int, default=100)
-    add_common(p)
+    add_solve_flags(p)
     p.set_defaults(handler=cmd_recon)
 
     p = sub.add_parser("baseline", help="run a classical baseline reconstruction")
     p.add_argument("--method", type=str, default=None, choices=["zerofill", "spirit"])
-    p.add_argument("--meas", type=str, default=None)
-    p.add_argument("--mask", type=str, default=None)
-    p.add_argument("--out", type=str, default=None)
-    p.add_argument("--ref", type=str, default=None)
-    p.add_argument("--tol", type=float, default=1e-5)
-    p.add_argument("--spirit-kernel", type=int, default=5)
-    p.add_argument("--spirit-ridge", type=float, default=1e-2)
-    p.add_argument("--spirit-iters", type=int, default=100)
-    add_common(p)
+    add_solve_flags(p)
     p.set_defaults(handler=cmd_baseline)
 
     p = sub.add_parser("verify", help="run the convergence/robustness certification")

@@ -47,8 +47,8 @@ def generate_phantom(H: int, W: int, seed: int = 0, edge_sigma: float = 1.0) -> 
     """
     if H < 8 or W < 8:
         raise ConfigurationError("phantom grid must be at least 8x8")
-    if edge_sigma < 0:
-        raise ConfigurationError("edge_sigma must be nonnegative")
+    if not 0 <= edge_sigma < math.inf:
+        raise ConfigurationError(f"edge_sigma must be finite and nonnegative, got {edge_sigma}")
     stream = RandomStream(seed)
     n_ell = MIN_ELLIPSES + stream.randint(MAX_ELLIPSES - MIN_ELLIPSES + 1)
     ys = (np.arange(H) - H / 2 + 0.5) / H
@@ -181,8 +181,10 @@ class DatasetSpec:
     def __post_init__(self):
         if self.n < 1:
             raise ConfigurationError("dataset needs at least one sample")
-        if not self.delta_rel >= 0:
-            raise ConfigurationError(f"relative noise level must be >= 0, got {self.delta_rel}")
+        if not 0 <= self.delta_rel < math.inf:
+            raise ConfigurationError(
+                f"relative noise level must be finite and >= 0, got {self.delta_rel}"
+            )
         object.__setattr__(self, "mask_kind", canonical_kind(self.mask_kind))
         if self.coil_style not in MAP_STYLES:
             raise ConfigurationError(f"unknown coil map style {self.coil_style!r}")

@@ -2,9 +2,10 @@
 and the data-consistency projection.
 
 A mask is a boolean H x W grid shared by every coil; True marks acquired
-locations. Four families are supported: ``1d-calibrated`` / ``1d-free``
-sample whole columns (readout direction fully sampled), ``2d-calibrated`` /
-``2d-free`` sample individual points. Calibrated families force a fully
+locations. Four families are supported: ``2d-calibrated`` / ``2d-free``
+sample individual points, and ``1d-calibrated`` / ``1d-free`` are their
+one-row case, whole columns (readout direction fully sampled) drawn on a
+single row and repeated down the grid. Calibrated families force a fully
 sampled central auto-calibration (ACS) block; free families force none.
 """
 
@@ -21,12 +22,8 @@ from .rng import RandomStream
 from .tensors import as_tensor, frob, gaussian_tensor
 
 MASK_KINDS = ("1d-calibrated", "2d-calibrated", "1d-free", "2d-free")
-_KIND_ALIASES = {
-    "1d-cal": "1d-calibrated",
-    "2d-cal": "2d-calibrated",
-    "1d-free": "1d-free",
-    "2d-free": "2d-free",
-}
+_KIND_ALIASES = {"1d-cal": "1d-calibrated", "2d-cal": "2d-calibrated"}
+MASK_NAMES = (*_KIND_ALIASES, *MASK_KINDS)  # every spelling canonical_kind accepts
 MK01_MAGIC = b"MK01"
 
 
@@ -65,16 +62,9 @@ class SamplingMask:
     def acs_slices(self) -> tuple[slice, slice]:
         """Row/column slices of the forced ACS block (empty for free kinds)."""
         H, W = self.grid.shape
-        if self.kind == "1d-calibrated":
-            lines = self.acs[0]
-            c0 = W // 2 - lines // 2
-            return slice(0, H), slice(c0, c0 + lines)
-        if self.kind == "2d-calibrated":
-            ah, aw = self.acs
-            r0 = H // 2 - ah // 2
-            c0 = W // 2 - aw // 2
-            return slice(r0, r0 + ah), slice(c0, c0 + aw)
-        return slice(0, 0), slice(0, 0)
+        ah, aw = (H, self.acs[0]) if self.kind.startswith("1d") else self.acs  # 1-D: every row
+        r0, c0 = H // 2 - ah // 2, W // 2 - aw // 2
+        return slice(r0, r0 + ah), slice(c0, c0 + aw)
 
 
 def default_acs_lines(W: int) -> int:
@@ -102,72 +92,47 @@ def make_mask(
 ) -> SamplingMask:
     """Draw a sampling mask. Deterministic given (kind, H, W, R, acs, seed).
 
-    1-D kinds choose whole columns; 2-D kinds choose points uniformly at
-    random without replacement outside the ACS block. Calibrated kinds force
-    the central ACS block to be fully sampled; pass ``acs`` to override the
-    scaled default (a line count for 1-D, an (h, w) pair for 2-D).
+    The draw runs on a grid of cells: one row of W columns for 1-D kinds,
+    repeated down every row of the mask, and the H x W points for 2-D kinds.
+    Calibrated kinds fill a central ACS block of cells; the rest of the
+    budget ``max(1, round(cells / R))`` is chosen uniformly without
+    replacement among the free cells in row-major order. Pass ``acs`` to
+    override the scaled default (a line count for 1-D, an (h, w) pair for
+    2-D).
     """
     kind = canonical_kind(kind)
-    if R < 1:
-        raise ConfigurationError(f"acceleration must be >= 1, got {R}")
+    if not 1 <= R < math.inf:
+        raise ConfigurationError(f"acceleration must be finite and >= 1, got {R}")
     if H < 1 or W < 1:
         raise ConfigurationError("grid dimensions must be positive")
     stream = RandomStream(seed)
-    grid = np.zeros((H, W), dtype=bool)
-
-    if kind.startswith("1d"):
-        budget = max(1, round(W / R))
-        if kind == "1d-calibrated":
-            if acs is None:
-                lines = default_acs_lines(W)
-            elif isinstance(acs, (tuple, list)):
-                lines = int(acs[0])
-            else:
-                lines = int(acs)
-            if lines < 1 or lines > W:
-                raise ConfigurationError(f"ACS line count {lines} does not fit width {W}")
-            if lines > budget:
-                raise ConfigurationError(
-                    f"ACS lines ({lines}) alone exceed the sampling budget ({budget}) at R={R}"
-                )
-            c0 = W // 2 - lines // 2
-            forced = list(range(c0, c0 + lines))
-            acs_desc = (lines, 0)
-        else:
-            forced = []
-            acs_desc = (0, 0)
-        free_cols = [c for c in range(W) if c not in set(forced)]
-        extra = stream.choice_without_replacement(len(free_cols), budget - len(forced))
-        cols = forced + [free_cols[i] for i in extra]
-        grid[:, cols] = True
+    one_d = kind.startswith("1d")
+    cells = np.zeros((1 if one_d else H, W), dtype=bool)
+    rows = len(cells)
+    budget = max(1, round(cells.size / R))
+    if kind.endswith("free"):
+        ah = aw = 0
+    elif acs is None:
+        ah, aw = (1, default_acs_lines(W)) if one_d else default_acs_region(H, W)
+    elif one_d:
+        ah, aw = 1, int(acs[0] if isinstance(acs, (tuple, list)) else acs)
     else:
-        budget = max(1, round(H * W / R))
-        if kind == "2d-calibrated":
-            if acs is None:
-                ah, aw = default_acs_region(H, W)
-            elif isinstance(acs, int):
-                ah = aw = int(acs)
-            else:
-                ah, aw = int(acs[0]), int(acs[1])
-            if ah < 1 or aw < 1 or ah > H or aw > W:
-                raise ConfigurationError(f"ACS region {ah}x{aw} does not fit grid {H}x{W}")
-            if ah * aw > budget:
-                raise ConfigurationError(
-                    f"ACS region ({ah}x{aw}) alone exceeds the sampling budget ({budget}) at R={R}"
-                )
-            r0, c0 = H // 2 - ah // 2, W // 2 - aw // 2
-            grid[r0 : r0 + ah, c0 : c0 + aw] = True
-            acs_desc = (ah, aw)
-        else:
-            acs_desc = (0, 0)
-        flat_free = np.flatnonzero(~grid.ravel())
-        remaining = budget - int(grid.sum())
-        extra = stream.choice_without_replacement(len(flat_free), remaining)
-        pick = flat_free[extra]
-        flat = grid.ravel()
-        flat[pick] = True
+        ah, aw = (int(acs), int(acs)) if isinstance(acs, int) else (int(acs[0]), int(acs[1]))
+    if kind.endswith("calibrated") and not (1 <= ah <= rows and 1 <= aw <= W):
+        raise ConfigurationError(
+            f"ACS block {ah}x{aw} does not fit the {rows}x{W} cells of a {H}x{W} {kind} mask"
+        )
+    if ah * aw > budget:
+        raise ConfigurationError(
+            f"ACS block ({ah}x{aw} cells) alone exceeds the sampling budget ({budget}) at R={R}"
+        )
+    r0, c0 = rows // 2 - ah // 2, W // 2 - aw // 2
+    cells[r0 : r0 + ah, c0 : c0 + aw] = True
+    free = np.flatnonzero(~cells.ravel())
+    cells.flat[free[stream.choice_without_replacement(len(free), budget - ah * aw)]] = True
 
-    mask = SamplingMask(grid=grid, kind=kind, accel=float(R), acs=acs_desc)
+    grid = np.broadcast_to(cells, (H, W)).copy()
+    mask = SamplingMask(grid=grid, kind=kind, accel=float(R), acs=(aw, 0) if one_d else (ah, aw))
     frac = mask.fraction_sampled()
     if abs(frac - 1.0 / R) > 0.1 / R:
         raise ConfigurationError(

@@ -94,8 +94,8 @@ def anderson_solve(
     """
     if m < 1:
         raise ValueError("require m >= 1")
-    if tol <= 0 or max_iter < 1:
-        raise ValueError("tol must be positive and max_iter >= 1")
+    if not 0 < tol < np.inf or max_iter < 1:
+        raise ValueError("tol must be finite and positive and max_iter >= 1")
     x = np.asarray(x0, dtype=np.complex128)
     shape = x.shape
     hist_x: list[np.ndarray] = []

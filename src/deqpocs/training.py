@@ -211,8 +211,8 @@ class TrainConfig:
     def __post_init__(self):
         if self.epochs < 1:
             raise TrainingError("epochs must be >= 1")
-        if not self.learning_rate > 0:
-            raise TrainingError("learning rate must be positive")
+        if not 0 < self.learning_rate < math.inf:
+            raise TrainingError("learning rate must be finite and positive")
 
 
 @dataclass

@@ -69,12 +69,15 @@ class TestGenData:
             run("gen-data", "--out", str(tmp_path / "x"), "--bogus", "1")
         assert err.value.code == 2
 
-    @pytest.mark.parametrize("flag, value", [("--acs", "abc"), ("--noise", "-1")])
+    @pytest.mark.parametrize("flag, value", [
+        ("--acs", "abc"), ("--noise", "-1"), ("--noise", "inf"), ("--accel", "nan"),
+        ("--edge-sigma", "nan"),
+    ])
     def test_bad_value_exits_2(self, tmp_path, capsys, flag, value):
         out = tmp_path / "x"
         assert run("gen-data", "--out", str(out), "--size", "8", flag, value) == 2
         err = capsys.readouterr().err
-        assert err.startswith("error: ") and "Traceback" not in err
+        assert err.startswith("error: ") and flag in err and "Traceback" not in err
         assert not out.exists()
 
 
@@ -268,6 +271,17 @@ class TestBaseline:
         ("train", "--fwd-tol", "0"),
         ("train", "--bwd-tol", "0"),
         ("train", "--lr", "nan"),
+        ("train", "--lr", "inf"),
+        ("train", "--fwd-tol", "inf"),
+        ("train", "--bwd-tol", "inf"),
+        ("verify", "--tol", "inf"),
+        ("verify", "--slack", "inf"),
+        ("verify", "--noise-levels", "inf"),
+        ("verify", "--noise-levels", "-0.1"),
+        ("verify", "--init-levels", "inf"),
+        ("recon", "--tol", "inf"),
+        ("baseline", "--tol", "inf"),
+        ("baseline", "--spirit-ridge", "inf"),
         ("verify", "--trials", "-1"),
         ("verify", "--init-trials", "-2"),
         ("verify", "--init-trials", "0"),

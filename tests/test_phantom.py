@@ -41,6 +41,10 @@ class TestPhantom:
         with pytest.raises(ConfigurationError):
             generate_phantom(4, 4, seed=0)
 
+    def test_non_finite_edge_sigma_rejected(self):
+        with pytest.raises(ConfigurationError):
+            generate_phantom(16, 16, seed=0, edge_sigma=float("nan"))
+
 
 class TestCoilMaps:
     def test_single_coil_unit_magnitude(self):
@@ -85,6 +89,10 @@ class TestDataset:
         spec = DatasetSpec(n=2, height=16, width=16, coils=2, accel=2.0, seed=6, delta_rel=0.05)
         for sample, meas in make_dataset(spec):
             assert meas.delta == pytest.approx(0.05 * frob(apply_sampling(sample.kspace, meas.mask).y))
+
+    def test_non_finite_noise_rejected(self):
+        with pytest.raises(ConfigurationError):
+            DatasetSpec(n=1, delta_rel=float("inf"))
 
     def test_shared_mask_flag(self):
         spec = DatasetSpec(n=4, height=16, width=16, coils=2, accel=2.0, seed=7, shared_mask=True)

@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -51,8 +53,9 @@ class TestMakeMask:
             make_mask("1d-calibrated", 32, 32, 32, acs=8, seed=0)
 
     def test_acceleration_below_one_rejected(self):
-        with pytest.raises(ConfigurationError):
-            make_mask("1d-free", 32, 32, 0.5, seed=0)
+        for R in (0.5, float("inf"), float("nan")):
+            with pytest.raises(ConfigurationError):
+                make_mask("1d-free", 32, 32, R, seed=0)
 
     def test_default_acs_scaling(self):
         assert default_acs_lines(384) == 16
@@ -71,6 +74,53 @@ class TestMakeMask:
     def test_fraction_close_to_budget(self, seed):
         m = make_mask("2d-free", 32, 32, 4, seed=seed)
         assert abs(m.fraction_sampled() - 0.25) <= 0.025
+
+
+# SHA-256 of write_mk01_bytes(make_mask(kind, H, W, 3, acs, seed=7)), captured
+# from the two-path draw that preceded the one-row cell grid; free kinds
+# ignore ``acs``, so their two digests per grid agree.
+MASK_DIGESTS = {
+    ("1d-calibrated", 16, 16, None): "b9dad719585d1377dc6dc17529e97feb55791b76334321ade08bd3263ffdc2cd",
+    ("1d-calibrated", 16, 16, 3): "e2cd1817db0d69d4fc0907557879fe296366b23d3356a4a3c66413e326d44f4d",
+    ("1d-calibrated", 9, 15, None): "8935e2089e53799ca2ef01b4c38e834851f70eb1e7685241a560745191954aa0",
+    ("1d-calibrated", 9, 15, 3): "faa1c811544271dbb2cb6519a714f15cf23bc98681befc0eb006bdc60642489c",
+    ("2d-calibrated", 16, 16, None): "9b42f35de1cbe7caac2e2f6392816f2d5ebfbda35cb75d74342b31bded2cef6a",
+    ("2d-calibrated", 16, 16, (4, 2)): "6fcddf843ff92aaa8ef2d7cef311fd9068f4cb90176dba1d9079c63f93574877",
+    ("2d-calibrated", 9, 15, None): "beb448c1155f1bd123ee6d8dd531235650ee1c326b0714c4a8c6bbdb6945715d",
+    ("2d-calibrated", 9, 15, (4, 2)): "9707e1e97e6f4a328eb7c242e77c8c41e641d61a28eec3224f95ef6cfb92bf4e",
+    ("1d-free", 16, 16, None): "38c1ce2260f875fadeaf95ba80447cdd46a5ec23919396e6583bc928cb596e35",
+    ("1d-free", 16, 16, 3): "38c1ce2260f875fadeaf95ba80447cdd46a5ec23919396e6583bc928cb596e35",
+    ("1d-free", 9, 15, None): "9dc57fa5c14f922dcafb187c8bc9b5ee2384d2e12ee587824077431febbba4b6",
+    ("1d-free", 9, 15, 3): "9dc57fa5c14f922dcafb187c8bc9b5ee2384d2e12ee587824077431febbba4b6",
+    ("2d-free", 16, 16, None): "d15fadf01ce0eed1ef752d4b5ae511e1c6b5575a7e9468fb14d7ecf6200877be",
+    ("2d-free", 16, 16, (4, 2)): "d15fadf01ce0eed1ef752d4b5ae511e1c6b5575a7e9468fb14d7ecf6200877be",
+    ("2d-free", 9, 15, None): "d6b7fd2cb08128785da3bcff15bb1702da7603274830236d230ceb92a3f0d5c8",
+    ("2d-free", 9, 15, (4, 2)): "d6b7fd2cb08128785da3bcff15bb1702da7603274830236d230ceb92a3f0d5c8",
+}
+ACS_SLICES = {
+    ("1d-calibrated", 16, 16, None): (slice(0, 16), slice(8, 9)),
+    ("1d-calibrated", 16, 16, 3): (slice(0, 16), slice(7, 10)),
+    ("1d-calibrated", 9, 15, None): (slice(0, 9), slice(7, 8)),
+    ("1d-calibrated", 9, 15, 3): (slice(0, 9), slice(6, 9)),
+    ("2d-calibrated", 16, 16, None): (slice(6, 10), slice(6, 10)),
+    ("2d-calibrated", 16, 16, (4, 2)): (slice(6, 10), slice(7, 9)),
+    ("2d-calibrated", 9, 15, None): (slice(3, 5), slice(5, 9)),
+    ("2d-calibrated", 9, 15, (4, 2)): (slice(2, 6), slice(6, 8)),
+}
+
+
+class TestMaskKnownAnswers:
+    @pytest.mark.parametrize("kind, H, W, acs", list(MASK_DIGESTS))
+    def test_mk01_digest(self, kind, H, W, acs):
+        raw = write_mk01_bytes(make_mask(kind, H, W, 3, acs=acs, seed=7))
+        assert hashlib.sha256(raw).hexdigest() == MASK_DIGESTS[kind, H, W, acs]
+
+    @pytest.mark.parametrize("kind, H, W, acs", list(ACS_SLICES))
+    def test_acs_slices(self, kind, H, W, acs):
+        m = make_mask(kind, H, W, 3, acs=acs, seed=7)
+        assert m.acs_slices() == ACS_SLICES[kind, H, W, acs]
+        rows, cols = m.acs_slices()
+        assert m.grid[rows, cols].all()
 
 
 class TestApplySampling:

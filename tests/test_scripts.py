@@ -47,8 +47,9 @@ def test_snapshot_outputs(tmp_path):
     codes = [line for line in log.splitlines() if line.startswith("exit ")]
     # the trained model's recon is refused at load until the certificate is
     # a sound upper bound (ROADMAP item 1)
-    assert codes == ["exit 0"] * 9 + ["exit 1"]
+    assert codes == ["exit 0"] * 11 + ["exit 1"]
     assert "checkpoint certificate invalid" in log
     for report in ("trained.ck01.report.csv", "verify_seed2_threads1/robustness.csv",
-                   "recon_init/recon_residuals.csv", "baseline_spirit/baseline_spirit.ct01"):
+                   "recon_init/recon_residuals.csv", "baseline_spirit/baseline_spirit.ct01",
+                   "mask_2d-cal/sample_0001_mask.mk01", "mask_2d-free/sample_0001_mask.mk01"):
         assert (tmp_path / "snap" / report).exists()

@@ -109,6 +109,8 @@ class TestAnderson:
             anderson_solve(lambda x: x, c, m=0)
         with pytest.raises(ValueError):
             picard_solve(lambda x: x, c, tol=-1.0)
+        with pytest.raises(ValueError):
+            anderson_solve(lambda x: x, c, tol=float("inf"))
 
 
 class TestGeometricRateCheck:

@@ -272,4 +272,6 @@ class TestTrainLoop:
         with pytest.raises(TrainingError):
             TrainConfig(learning_rate=float("nan"))
         with pytest.raises(TrainingError):
+            TrainConfig(learning_rate=float("inf"))
+        with pytest.raises(TrainingError):
             train([], TrainConfig(epochs=1))
