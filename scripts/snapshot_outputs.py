@@ -23,7 +23,10 @@ and stderr, in order:
 * ``gen-data --n 2 --size 16 --coils 2 --accel 4`` with ``--mask 2d-cal``
   and with ``--mask 2d-free``, so the 2-D mask draw is in the snapshot too;
 * ``recon`` with ``trained.ck01``, which load refuses with exit 1 while the
-  certificate is a power-iteration estimate (ROADMAP item 1).
+  certificate is a power-iteration estimate (ROADMAP item 1);
+* four usage errors, each exit 2: ``gen-data --bogus 1``, ``gen-data`` with
+  a ``--config`` line ``n=abc``, ``verify --tol inf`` and ``gen-data``
+  without ``--out``.
 """
 
 import argparse
@@ -54,7 +57,10 @@ def run(log, *argv, threads=None):
         os.environ["DEQPOCS_THREADS"] = threads
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = cli(list(argv))
+        try:
+            code = cli(list(argv))
+        except SystemExit as exc:  # a CLI whose argparse errors exit instead of returning 2
+            code = exc.code
     os.environ.pop("DEQPOCS_THREADS", None)
     env = "" if threads is None else f"DEQPOCS_THREADS={threads} "
     log.write(f"$ {env}deqpocs {' '.join(argv)}\nexit {code}\n")
@@ -91,6 +97,12 @@ def main():
             run(log, "gen-data", "--out", f"mask_{kind}", "--n", "2", "--size", "16",
                 "--coils", "2", "--accel", "4", "--mask", kind, "--seed", "5")
         run(log, "recon", "--ckpt", "trained.ck01", *SAMPLE, "--out", "recon_trained")
+        run(log, "gen-data", "--bogus", "1")
+        Path("bad.cfg").write_text("n=abc\n")
+        run(log, "gen-data", "--out", "bad_config", "--config", "bad.cfg")
+        run(log, "verify", "--ckpt", "init.ck01", "--data", "data", "--out", "verify_tol_inf",
+            "--tol", "inf")
+        run(log, "gen-data")
     print(f"snapshot written to {ns.out}")
 
 

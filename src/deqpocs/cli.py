@@ -5,8 +5,11 @@ via flags), writes only the artifacts it names, and uses the exit-code
 contract: 0 success, 1 check/quality failure, 2 usage or I/O error. Flags,
 however abbreviated, override values from an optional ``--config`` file of
 ``key=value`` lines (each key names a flag of the command; ``#`` starts a
-comment). The ``DEQPOCS_THREADS`` environment variable caps the harness's
-threads, the calling one included.
+comment). Each numeric flag declares its domain where the parser adds it, so
+a flag and a config line are checked alike at parse time. Every usage error,
+argparse's own included, prints one ``error:`` line and exits 2. The
+``DEQPOCS_THREADS`` environment variable caps the harness's threads, the
+calling one included.
 """
 
 from __future__ import annotations
@@ -71,30 +74,11 @@ def _load_config(path) -> dict:
     return out
 
 
-def _parse_levels(flag: str, text: str) -> tuple[float, ...]:
-    try:
-        levels = tuple(float(v) for v in text.split(",") if v.strip())
-    except ValueError:
-        levels = ()
-    if not levels or not all(map(math.isfinite, levels)):
-        raise ConfigurationError(
-            f"{flag} must be a comma-separated list of finite numbers, got {text!r}"
-        )
-    return levels
-
-
 # ---------------------------------------------------------------------------
 # Command handlers
 # ---------------------------------------------------------------------------
 
 def cmd_gen_data(ns) -> int:
-    if not 1 <= ns.accel < math.inf:
-        raise ConfigurationError(f"--accel must be finite and >= 1, got {ns.accel}")
-    for flag, value in (("--noise", ns.noise), ("--edge-sigma", ns.edge_sigma)):
-        if not 0 <= value < math.inf:
-            raise ConfigurationError(f"{flag} must be finite and >= 0, got {value}")
-    if ns.n < 1:
-        raise ConfigurationError("--n must be >= 1")
     try:
         acs = None if ns.acs in (None, "auto") else int(ns.acs)
     except ValueError:
@@ -125,11 +109,6 @@ def _load_training_pairs(directory):
 
 
 def cmd_train(ns) -> int:
-    if ns.epochs < 1:
-        raise ConfigurationError(f"--epochs must be >= 1, got {ns.epochs}")
-    for flag, value in (("--lr", ns.lr), ("--fwd-tol", ns.fwd_tol), ("--bwd-tol", ns.bwd_tol)):
-        if not 0 < value < math.inf:
-            raise ConfigurationError(f"{flag} must be finite and positive, got {value}")
     pairs = _load_training_pairs(ns.data)
     config = TrainConfig(
         epochs=ns.epochs,
@@ -177,16 +156,6 @@ def _write_recon_outputs(outdir, stem, kspace, residual_result=None):
             fh.write(diagnostics_csv(residual_result))
 
 
-def _check_solve_flags(ns) -> None:
-    """The ``recon`` and ``baseline`` flags that the solvers would refuse."""
-    if not 0 < ns.tol < math.inf:
-        raise ConfigurationError(f"--tol must be finite and positive, got {ns.tol}")
-    if not 0 <= ns.spirit_ridge < math.inf:
-        raise ConfigurationError(f"--spirit-ridge must be finite and >= 0, got {ns.spirit_ridge}")
-    if ns.spirit_iters < 1:
-        raise ConfigurationError(f"--spirit-iters must be >= 1, got {ns.spirit_iters}")
-
-
 def _run_baseline(method, meas, ns):
     if method == "zerofill":
         return zero_fill(meas), None
@@ -197,7 +166,6 @@ def _run_baseline(method, meas, ns):
 
 
 def cmd_recon(ns) -> int:
-    _check_solve_flags(ns)
     params, stored_l = load_checkpoint(ns.ckpt)
     meas = _load_measurement(ns.meas, ns.mask)
     result = reconstruct(params, meas, method=ns.method, tol=ns.tol)
@@ -220,7 +188,6 @@ def cmd_recon(ns) -> int:
 
 
 def cmd_baseline(ns) -> int:
-    _check_solve_flags(ns)
     meas = _load_measurement(ns.meas, ns.mask)
     base_k, result = _run_baseline(ns.method, meas, ns)
     _write_recon_outputs(ns.out, f"baseline_{ns.method}", base_k, result)
@@ -232,21 +199,6 @@ def cmd_baseline(ns) -> int:
 
 
 def cmd_verify(ns) -> int:
-    if ns.samples < 1:
-        raise ConfigurationError(f"--samples must be >= 1, got {ns.samples}")
-    if not 1 <= ns.slack < math.inf:
-        raise ConfigurationError(f"--slack must be finite and >= 1, got {ns.slack}")
-    if not 0 < ns.tol < math.inf:
-        raise ConfigurationError(f"--tol must be finite and positive, got {ns.tol}")
-    # --trials 0 still checks the recursion, which draws its own noise
-    if ns.trials < 0:
-        raise ConfigurationError(f"--trials must be >= 0, got {ns.trials}")
-    if ns.init_trials < 1:
-        raise ConfigurationError(f"--init-trials must be >= 1, got {ns.init_trials}")
-    noise_levels = _parse_levels("--noise-levels", ns.noise_levels)
-    if min(noise_levels) < 0:
-        raise ConfigurationError(f"--noise-levels must be >= 0, got {ns.noise_levels!r}")
-    init_levels = _parse_levels("--init-levels", ns.init_levels)
     params, stored_l = load_checkpoint(ns.ckpt)
     samples = load_dataset(ns.data)
     measurements = [s.measurement for s in samples[: ns.samples]]
@@ -263,7 +215,7 @@ def cmd_verify(ns) -> int:
     rob = verify_robustness(
         params,
         measurements[0],
-        delta_rels=noise_levels,
+        delta_rels=ns.noise_levels,
         trials_per_level=ns.trials,
         seed=ns.seed,
         tol=ns.tol,
@@ -272,7 +224,7 @@ def cmd_verify(ns) -> int:
     init = verify_init_independence(
         params,
         measurements[0],
-        levels=init_levels,
+        levels=ns.init_levels,
         trials_per_level=ns.init_trials,
         seed=ns.seed,
         tol=ns.tol,
@@ -327,8 +279,40 @@ def cmd_eval(ns) -> int:
 # Parser
 # ---------------------------------------------------------------------------
 
+class _Parser(argparse.ArgumentParser):
+    """Sends argparse's usage errors down ``main``'s one path (an ``error:``
+    line and exit 2) instead of a usage banner and ``SystemExit``."""
+
+    def error(self, message):
+        raise ConfigurationError(message)
+
+
+def _domain(kind=float, low=-math.inf, *, above=False, many=False):
+    """An argparse ``type``: a finite ``kind`` value at least ``low`` (above it
+    with ``above``), or with ``many`` a comma-separated list of such values.
+    Text that does not parse is refused with the same message."""
+    rule = "an integer" if kind is int else "finite"
+    if low > -math.inf:
+        rule += f"{'' if kind is int else ' and'} {'>' if above else '>='} {low:g}"
+    if many:
+        rule = f"a comma-separated list of values, each {rule}"
+
+    def parse(text):
+        try:
+            values = [kind(v) for v in text.split(",") if v.strip()] if many else [kind(text)]
+        except ValueError:
+            values = []
+        if not values or not all(
+            -math.inf < v < math.inf and (v > low if above else v >= low) for v in values
+        ):
+            raise argparse.ArgumentTypeError(f"must be {rule}, got {text!r}")
+        return tuple(values) if many else values[0]
+
+    return parse
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="deqpocs",
         description=__doc__,
         formatter_class=argparse.RawDescriptionHelpFormatter,
@@ -344,24 +328,24 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--mask", type=str, default=None, help="mask .mk01")
         p.add_argument("--out", type=str, default=None, help="output directory")
         p.add_argument("--ref", type=str, default=None, help="reference full k-space .ct01")
-        p.add_argument("--tol", type=float, default=1e-5)
+        p.add_argument("--tol", type=_domain(low=0, above=True), default=1e-5)
         p.add_argument("--spirit-kernel", type=int, default=5)
-        p.add_argument("--spirit-ridge", type=float, default=1e-2)
-        p.add_argument("--spirit-iters", type=int, default=100)
+        p.add_argument("--spirit-ridge", type=_domain(low=0), default=1e-2)
+        p.add_argument("--spirit-iters", type=_domain(int, 1), default=100)
         add_common(p)
 
     p = sub.add_parser("gen-data", help="generate a synthetic multi-coil dataset")
     p.add_argument("--out", type=str, default=None, help="output directory")
-    p.add_argument("--n", type=int, default=8, help="number of samples")
+    p.add_argument("--n", type=_domain(int, 1), default=8, help="number of samples")
     p.add_argument("--size", type=int, default=32, help="grid size (square)")
     p.add_argument("--coils", type=int, default=4, help="number of coils")
     p.add_argument("--mask", type=str, default=DatasetSpec.mask_kind, choices=MASK_NAMES,
                    help="sampling pattern family")
-    p.add_argument("--accel", type=float, default=4.0, help="acceleration factor R")
+    p.add_argument("--accel", type=_domain(low=1), default=4.0, help="acceleration factor R")
     p.add_argument("--acs", type=str, default="auto", help="ACS lines/size or 'auto'")
-    p.add_argument("--noise", type=float, default=0.0, help="relative measurement noise")
-    p.add_argument("--edge-sigma", type=float, default=1.0, help="phantom band-limit (px)")
-    p.add_argument("--shared-mask", type=int, default=0, help="1: one trajectory for all samples")
+    p.add_argument("--noise", type=_domain(low=0), default=0.0, help="relative measurement noise")
+    p.add_argument("--edge-sigma", type=_domain(low=0), default=1.0, help="phantom band-limit (px)")
+    p.add_argument("--shared-mask", type=int, default=0, choices=[0, 1], help="1: one trajectory for all samples")
     p.add_argument("--coil-style", type=str, default="localized", choices=["localized", "quadrature"])
     p.add_argument("--seed", type=int, default=0)
     add_common(p)
@@ -371,16 +355,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--data", type=str, default=None, help="dataset directory")
     p.add_argument("--out", type=str, default=None, help="checkpoint path (.ck01)")
     p.add_argument("--report", type=str, default=None, help="training report CSV path")
-    p.add_argument("--epochs", type=int, default=50)
-    p.add_argument("--lr", type=float, default=1e-4)
+    p.add_argument("--epochs", type=_domain(int, 1), default=50)
+    p.add_argument("--lr", type=_domain(low=0, above=True), default=1e-4)
     p.add_argument("--blocks", type=int, default=10)
     p.add_argument("--features", type=int, default=8)
     p.add_argument("--variant", type=str, default="kspace", choices=["kspace", "hybrid"])
     p.add_argument("--seed", type=int, default=0, help="weight init seed")
     p.add_argument("--shuffle-seed", type=int, default=0)
     p.add_argument("--fwd-method", type=str, default="anderson", choices=["anderson", "picard"])
-    p.add_argument("--fwd-tol", type=float, default=1e-4)
-    p.add_argument("--bwd-tol", type=float, default=1e-4)
+    p.add_argument("--fwd-tol", type=_domain(low=0, above=True), default=1e-4)
+    p.add_argument("--bwd-tol", type=_domain(low=0, above=True), default=1e-4)
     add_common(p)
     p.set_defaults(handler=cmd_train)
 
@@ -400,14 +384,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--ckpt", type=str, default=None)
     p.add_argument("--data", type=str, default=None, help="dataset directory")
     p.add_argument("--out", type=str, default=None, help="report directory")
-    p.add_argument("--samples", type=int, default=4, help="samples for the convergence check")
-    p.add_argument("--inits", type=int, default=3, help="initializations per sample")
-    p.add_argument("--slack", type=float, default=1.05, help="geometric-rate slack")
-    p.add_argument("--noise-levels", type=str, default="0.005,0.01,0.05,0.1")
-    p.add_argument("--trials", type=int, default=20, help="trials per noise level")
-    p.add_argument("--init-levels", type=str, default="0.5,2.0")
-    p.add_argument("--init-trials", type=int, default=3)
-    p.add_argument("--tol", type=float, default=1e-5)
+    p.add_argument("--samples", type=_domain(int, 1), default=4, help="samples for the convergence check")
+    p.add_argument("--inits", type=_domain(int, 1), default=3, help="initializations per sample")
+    p.add_argument("--slack", type=_domain(low=1), default=1.05, help="geometric-rate slack")
+    p.add_argument("--noise-levels", type=_domain(low=0, many=True), default="0.005,0.01,0.05,0.1")
+    # --trials 0 still checks the recursion, which draws its own noise
+    p.add_argument("--trials", type=_domain(int, 0), default=20, help="trials per noise level")
+    p.add_argument("--init-levels", type=_domain(many=True), default="0.5,2.0")
+    p.add_argument("--init-trials", type=_domain(int, 1), default=3)
+    p.add_argument("--tol", type=_domain(low=0, above=True), default=1e-5)
     p.add_argument("--seed", type=int, default=0)
     add_common(p)
     p.set_defaults(handler=cmd_verify)
@@ -435,8 +420,8 @@ REQUIRED = {
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     parser = build_parser()
-    ns = parser.parse_args(argv)
     try:
+        ns = parser.parse_args(argv)
         if ns.config:
             # config lines become flags ahead of the given ones: argparse checks
             # both alike, and the given flags, however abbreviated, come last and win
@@ -451,21 +436,14 @@ def main(argv=None) -> int:
             ns = parser.parse_args(argv[:at] + lines + argv[at:])
         missing = [f"--{k.replace('_', '-')}" for k in REQUIRED[ns.command] if getattr(ns, k) is None]
         if missing:
-            print(f"error: missing required arguments: {', '.join(missing)}", file=sys.stderr)
-            return USAGE_ERROR
+            raise ConfigurationError(f"missing required arguments: {', '.join(missing)}")
         return ns.handler(ns)
-    except (ConfigurationError, InvalidInputError, ShapeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return USAGE_ERROR
-    except FileNotFoundError as exc:
+    except (ConfigurationError, InvalidInputError, ShapeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
     except (CertificateError, TrainingError, DivergenceError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return CHECK_FAILURE
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return USAGE_ERROR
 
 
 if __name__ == "__main__":

@@ -12,6 +12,7 @@ sampled central auto-calibration (ACS) block; free families force none.
 from __future__ import annotations
 
 import math
+import operator
 import struct
 from dataclasses import dataclass
 
@@ -51,6 +52,15 @@ class SamplingMask:
             raise ShapeError("mask grid must be 2-D")
         if not grid.any():
             raise ConfigurationError("mask samples no locations")
+        H, W = grid.shape
+        rows, cols = self.acs_slices()
+        calibrated = (0 <= rows.start < rows.stop <= H and 0 <= cols.start < cols.stop <= W
+                      and grid[rows, cols].all() and (self.acs[1] == 0 or "2d" in self.kind))
+        if not (tuple(self.acs) == (0, 0) if self.kind.endswith("free") else calibrated):
+            raise ConfigurationError(
+                f"ACS descriptor {tuple(self.acs)} names no fully sampled block inside a {H}x{W} "
+                f"{self.kind} mask ((0, 0) for free kinds, (lines, 0) for 1-D)"
+            )
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -114,10 +124,14 @@ def make_mask(
         ah = aw = 0
     elif acs is None:
         ah, aw = (1, default_acs_lines(W)) if one_d else default_acs_region(H, W)
-    elif one_d:
-        ah, aw = 1, int(acs[0] if isinstance(acs, (tuple, list)) else acs)
     else:
-        ah, aw = (int(acs), int(acs)) if isinstance(acs, int) else (int(acs[0]), int(acs[1]))
+        try:
+            pair = (1, acs) if one_d else acs if isinstance(acs, (tuple, list)) else (acs, acs)
+            ah, aw = map(operator.index, pair)
+        except (TypeError, ValueError):
+            raise ConfigurationError(
+                f"acs must be an integer, or for a 2-D kind a pair of them; got {acs!r}"
+            ) from None
     if kind.endswith("calibrated") and not (1 <= ah <= rows and 1 <= aw <= W):
         raise ConfigurationError(
             f"ACS block {ah}x{aw} does not fit the {rows}x{W} cells of a {H}x{W} {kind} mask"
@@ -257,7 +271,10 @@ def read_mk01_bytes(data: bytes) -> SamplingMask:
     (accel,) = struct.unpack("<f", data[off + 1 : off + 5])
     acs = struct.unpack("<HH", data[off + 5 : off + 9])
     grid = cells.reshape(H, W).astype(bool)
-    return SamplingMask(grid=grid, kind=MASK_KINDS[kind_byte], accel=float(accel), acs=acs)
+    try:
+        return SamplingMask(grid=grid, kind=MASK_KINDS[kind_byte], accel=float(accel), acs=acs)
+    except ConfigurationError as exc:
+        raise InvalidInputError(f"MK01 {exc}") from None
 
 
 def save_mk01(path, mask: SamplingMask) -> None:

@@ -4,7 +4,7 @@ import struct
 import numpy as np
 import pytest
 
-from deqpocs.cli import main, write_pgm16
+from deqpocs.cli import build_parser, main, write_pgm16
 from deqpocs.network import init_params, load_checkpoint, save_checkpoint, write_ck01_bytes
 from deqpocs.tensors import load_ct01
 
@@ -64,14 +64,14 @@ class TestGenData:
     def test_bad_accel_exits_2(self, tmp_path):
         assert run("gen-data", "--out", str(tmp_path / "x"), "--accel", "0.5") == 2
 
-    def test_unknown_flag_exits_2(self, tmp_path):
-        with pytest.raises(SystemExit) as err:
-            run("gen-data", "--out", str(tmp_path / "x"), "--bogus", "1")
-        assert err.value.code == 2
+    def test_unknown_flag_exits_2(self, tmp_path, capsys):
+        assert run("gen-data", "--out", str(tmp_path / "x"), "--bogus", "1") == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "--bogus" in err
 
     @pytest.mark.parametrize("flag, value", [
         ("--acs", "abc"), ("--noise", "-1"), ("--noise", "inf"), ("--accel", "nan"),
-        ("--edge-sigma", "nan"),
+        ("--edge-sigma", "nan"), ("--n", "1.5"), ("--shared-mask", "5"),
     ])
     def test_bad_value_exits_2(self, tmp_path, capsys, flag, value):
         out = tmp_path / "x"
@@ -246,6 +246,17 @@ class TestBaseline:
             "--out", str(tmp_path / "base"),
         )
 
+    def test_spirit_on_unsampled_acs_descriptor_exits_2(self, dataset_dir, tmp_path, capsys):
+        raw = (dataset_dir / "sample_0000_mask.mk01").read_bytes()
+        mask = tmp_path / "wrapped.mk01"
+        mask.write_bytes(raw[:-4] + struct.pack("<HH", 40, 0))  # block wraps a 16-wide grid
+        assert run(
+            "baseline", "--method", "spirit", "--meas", str(dataset_dir / "sample_0000_meas.ct01"),
+            "--mask", str(mask), "--out", str(tmp_path / "base"),
+        ) == 2
+        assert "ACS descriptor (40, 0)" in capsys.readouterr().err
+        assert not (tmp_path / "base").exists()
+
     def test_spirit_on_auto_acs_desk_data_exits_2(self, tmp_path, capsys):
         # the automatic ACS block of a 32x32 R=4 mask is 2 lines wide,
         # narrower than the default 5x5 SPIRiT kernel
@@ -288,6 +299,8 @@ class TestBaseline:
         ("verify", "--noise-levels", ","),
         ("verify", "--noise-levels", "0.1,abc"),
         ("verify", "--init-levels", ","),
+        ("verify", "--inits", "0"),
+        ("verify", "--inits", "-5"),
     ],
 )
 def test_bad_solver_flag_exits_2(command, flag, value, dataset_dir, checkpoint, tmp_path, capsys):
@@ -466,13 +479,15 @@ class TestConfigFile:
         assert run("gen-data", "--out", str(out), "--config", str(cfg), "--siz", "8") == 0
         assert load_ct01(out / "sample_0000_full.ct01").shape == (8, 8, 2)
 
-    @pytest.mark.parametrize("line", ["n=abc", "mask=bogus"])
-    def test_bad_config_value_exits_2(self, tmp_path, line):
+    @pytest.mark.parametrize("line", ["n=abc", "mask=bogus", "noise=inf"])
+    def test_bad_config_value_exits_2(self, tmp_path, capsys, line):
         cfg = tmp_path / "c.cfg"
         cfg.write_text(f"size=8\n{line}\n")
-        with pytest.raises(SystemExit) as err:
-            run("gen-data", "--out", str(tmp_path / "ds"), "--config", str(cfg))
-        assert err.value.code == 2
+        assert run("gen-data", "--out", str(tmp_path / "ds"), "--config", str(cfg)) == 2
+        err = capsys.readouterr().err
+        key, value = line.split("=")
+        assert err.startswith("error: ") and f"--{key}" in err and value in err
+        assert not (tmp_path / "ds").exists()
 
     @pytest.mark.parametrize("key", ["bogus", "siz", "config", "command", "handler"])
     def test_unknown_config_key_exits_2(self, tmp_path, capsys, key):
@@ -480,6 +495,47 @@ class TestConfigFile:
         cfg.write_text(f"size=8\n{key}=1\n")
         assert run("gen-data", "--out", str(tmp_path / "ds"), "--config", str(cfg)) == 2
         assert key in capsys.readouterr().err
+
+
+def _subparsers():
+    (sub,) = (a for a in build_parser()._actions if a.choices and a.dest == "command")
+    return sub.choices
+
+
+def _domain_flags():
+    """(command, flag) of every flag whose type is the parser's domain check."""
+    return [
+        (command, action.option_strings[0])
+        for command, parser in _subparsers().items()
+        for action in parser._actions
+        if getattr(action.type, "__qualname__", "").startswith("_domain.")
+    ]
+
+
+class TestParser:
+    def test_no_bare_float_flag(self):
+        """A float flag without a domain would take nan and inf."""
+        bare = [(command, a.option_strings) for command, p in _subparsers().items()
+                for a in p._actions if a.type is float]
+        assert bare == []
+
+    @pytest.mark.parametrize("command, flag", _domain_flags())
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_non_finite_value_exits_2(self, capsys, command, flag, value):
+        assert run(command, flag, value) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and flag in err and err.count("\n") == 1
+
+    @pytest.mark.parametrize("command", sorted(_subparsers()))
+    def test_help_exits_0(self, capsys, command):
+        with pytest.raises(SystemExit) as exc:
+            run(command, "--help")
+        assert exc.value.code == 0
+        assert capsys.readouterr().out.startswith(f"usage: deqpocs {command}")
+
+    def test_no_command_exits_2(self, capsys):
+        assert run() == 2
+        assert capsys.readouterr().err.startswith("error: ")
 
 
 class TestPGM:

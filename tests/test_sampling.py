@@ -1,11 +1,12 @@
 import hashlib
+import struct
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from deqpocs.errors import ConfigurationError, ShapeError
+from deqpocs.errors import ConfigurationError, InvalidInputError, ShapeError
 from deqpocs.rng import RandomStream
 from deqpocs.sampling import (
     Measurement,
@@ -51,6 +52,22 @@ class TestMakeMask:
     def test_acs_infeasible(self):
         with pytest.raises(ConfigurationError):
             make_mask("1d-calibrated", 32, 32, 32, acs=8, seed=0)
+
+    @pytest.mark.parametrize("kind, acs", [
+        ("2d-cal", (2,)), ("2d-cal", (2, 2, 2)), ("2d-cal", 2.0), ("2d-cal", "2"),
+        ("1d-cal", 2.7), ("1d-cal", (2, 0)),
+    ])
+    def test_malformed_acs_rejected(self, kind, acs):
+        with pytest.raises(ConfigurationError, match="acs must be an integer"):
+            make_mask(kind, 12, 10, 2, acs=acs)
+
+    @pytest.mark.parametrize("kind, acs, same", [
+        ("2d-cal", np.int64(2), 2), ("2d-cal", (np.int64(4), 2), (4, 2)),
+        ("1d-cal", np.int32(3), 3),
+    ])
+    def test_numpy_integer_acs_accepted(self, kind, acs, same):
+        got, want = make_mask(kind, 12, 10, 2, acs=acs), make_mask(kind, 12, 10, 2, acs=same)
+        assert write_mk01_bytes(got) == write_mk01_bytes(want)
 
     def test_acceleration_below_one_rejected(self):
         for R in (0.5, float("inf"), float("nan")):
@@ -249,3 +266,16 @@ class TestMK01:
         assert raw[:4] == b"MK01"
         assert np.frombuffer(raw[4:12], dtype="<u4").tolist() == [8, 8]
         assert len(raw) == 12 + 64 + 1 + 4 + 4
+
+    @pytest.mark.parametrize("kind, R, descriptor", [
+        ("1d-calibrated", 2, (40, 0)),  # block wraps past the grid's edges
+        ("2d-calibrated", 4, (6, 6)),  # block over unsampled cells
+        ("1d-calibrated", 2, (0, 0)),  # empty block
+        ("1d-calibrated", 2, (2, 3)),  # a 1-D descriptor is (lines, 0)
+        ("1d-free", 2, (2, 0)),  # a free kind's is (0, 0)
+    ])
+    def test_acs_descriptor_must_name_sampled_block(self, kind, R, descriptor):
+        mask = make_mask(kind, 16, 16, R, acs=None if kind.endswith("free") else 2, seed=3)
+        raw = write_mk01_bytes(mask)[:-4] + struct.pack("<HH", *descriptor)
+        with pytest.raises(InvalidInputError, match="ACS descriptor"):
+            read_mk01_bytes(raw)
