@@ -22,6 +22,11 @@ and stderr, in order:
   --acs 6 --seed 3``;
 * ``gen-data --n 2 --size 16 --coils 2 --accel 4`` with ``--mask 2d-cal``
   and with ``--mask 2d-free``, so the 2-D mask draw is in the snapshot too;
+* the k-space block path, which every model above skips: ``gen-data --n 2
+  --size 16 --coils 2 --accel 2 --seed 4``, ``train --variant kspace
+  --blocks 2 --features 4 --epochs 3`` on it to ``kspace.ck01``, then
+  ``verify --samples 2 --trials 1 --init-trials 1`` and ``recon --method
+  picard --ref`` with that checkpoint;
 * ``recon`` with ``trained.ck01``, which load refuses with exit 1 while the
   certificate is a power-iteration estimate (ROADMAP item 1);
 * four usage errors, each exit 2: ``gen-data --bogus 1``, ``gen-data`` with
@@ -46,8 +51,12 @@ VERIFY_FLAGS = [
     "--samples", "2", "--inits", "2", "--noise-levels", "0.01,0.1", "--trials", "2",
     "--init-levels", "0.5,2.0", "--init-trials", "1", "--tol", "1e-05",
 ]
-SAMPLE = ["--meas", "data/sample_0000_meas.ct01", "--mask", "data/sample_0000_mask.mk01",
-          "--ref", "data/sample_0000_full.ct01"]
+
+
+def sample(data):
+    """The flags that name sample 0 of dataset ``data`` for ``recon``."""
+    return ["--meas", f"{data}/sample_0000_meas.ct01", "--mask", f"{data}/sample_0000_mask.mk01",
+            "--ref", f"{data}/sample_0000_full.ct01"]
 
 
 def run(log, *argv, threads=None):
@@ -86,7 +95,7 @@ def main():
                 out = f"verify_seed{seed}_threads{threads or 'default'}"
                 run(log, "verify", "--ckpt", "init.ck01", "--data", "data", "--out", out,
                     "--seed", seed, *VERIFY_FLAGS, threads=threads)
-        run(log, "recon", "--ckpt", "init.ck01", *SAMPLE, "--baseline", "zerofill",
+        run(log, "recon", "--ckpt", "init.ck01", *sample("data"), "--baseline", "zerofill",
             "--out", "recon_init")
         run(log, "gen-data", "--out", "acs6", "--n", "1", "--size", "32", "--coils", "4",
             "--acs", "6", "--seed", "3")
@@ -96,7 +105,15 @@ def main():
         for kind in ("2d-cal", "2d-free"):
             run(log, "gen-data", "--out", f"mask_{kind}", "--n", "2", "--size", "16",
                 "--coils", "2", "--accel", "4", "--mask", kind, "--seed", "5")
-        run(log, "recon", "--ckpt", "trained.ck01", *SAMPLE, "--out", "recon_trained")
+        run(log, "gen-data", "--out", "kdata", "--n", "2", "--size", "16", "--coils", "2",
+            "--accel", "2", "--seed", "4")
+        run(log, "train", "--data", "kdata", "--out", "kspace.ck01", "--variant", "kspace",
+            "--blocks", "2", "--features", "4", "--epochs", "3")
+        run(log, "verify", "--ckpt", "kspace.ck01", "--data", "kdata", "--out", "verify_kspace",
+            "--samples", "2", "--trials", "1", "--init-trials", "1")
+        run(log, "recon", "--ckpt", "kspace.ck01", *sample("kdata"), "--method", "picard",
+            "--out", "recon_kspace")
+        run(log, "recon", "--ckpt", "trained.ck01", *sample("data"), "--out", "recon_trained")
         run(log, "gen-data", "--bogus", "1")
         Path("bad.cfg").write_text("n=abc\n")
         run(log, "gen-data", "--out", "bad_config", "--config", "bad.cfg")

@@ -36,7 +36,7 @@ from .harness import (
 )
 from .metrics import evaluate_kspace_pair, evaluate_kspace_set, image_from_kspace
 from .network import load_checkpoint, save_checkpoint
-from .phantom import DatasetSpec, load_dataset, make_dataset, save_dataset
+from .phantom import MIN_SIDE, DatasetSpec, load_dataset, make_dataset, save_dataset
 from .sampling import MASK_NAMES, Measurement, load_mk01
 from .solvers import diagnostics_csv
 from .spirit import calibrate_kernels, extract_acs, spirit_pocs_recon
@@ -201,6 +201,10 @@ def cmd_baseline(ns) -> int:
 def cmd_verify(ns) -> int:
     params, stored_l = load_checkpoint(ns.ckpt)
     samples = load_dataset(ns.data)
+    if ns.samples > len(samples):
+        raise ConfigurationError(
+            f"--samples {ns.samples} exceeds the {len(samples)} samples of {ns.data}"
+        )
     measurements = [s.measurement for s in samples[: ns.samples]]
     os.makedirs(ns.out, exist_ok=True)
     conv = verify_convergence(
@@ -329,7 +333,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", type=str, default=None, help="output directory")
         p.add_argument("--ref", type=str, default=None, help="reference full k-space .ct01")
         p.add_argument("--tol", type=_domain(low=0, above=True), default=1e-5)
-        p.add_argument("--spirit-kernel", type=int, default=5)
+        p.add_argument("--spirit-kernel", type=_domain(int, 1), default=5)
         p.add_argument("--spirit-ridge", type=_domain(low=0), default=1e-2)
         p.add_argument("--spirit-iters", type=_domain(int, 1), default=100)
         add_common(p)
@@ -337,8 +341,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("gen-data", help="generate a synthetic multi-coil dataset")
     p.add_argument("--out", type=str, default=None, help="output directory")
     p.add_argument("--n", type=_domain(int, 1), default=8, help="number of samples")
-    p.add_argument("--size", type=int, default=32, help="grid size (square)")
-    p.add_argument("--coils", type=int, default=4, help="number of coils")
+    p.add_argument("--size", type=_domain(int, MIN_SIDE), default=32, help="grid size (square)")
+    p.add_argument("--coils", type=_domain(int, 1), default=4, help="number of coils")
     p.add_argument("--mask", type=str, default=DatasetSpec.mask_kind, choices=MASK_NAMES,
                    help="sampling pattern family")
     p.add_argument("--accel", type=_domain(low=1), default=4.0, help="acceleration factor R")
@@ -357,8 +361,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--report", type=str, default=None, help="training report CSV path")
     p.add_argument("--epochs", type=_domain(int, 1), default=50)
     p.add_argument("--lr", type=_domain(low=0, above=True), default=1e-4)
-    p.add_argument("--blocks", type=int, default=10)
-    p.add_argument("--features", type=int, default=8)
+    p.add_argument("--blocks", type=_domain(int, 1), default=10)
+    p.add_argument("--features", type=_domain(int, 1), default=8)
     p.add_argument("--variant", type=str, default="kspace", choices=["kspace", "hybrid"])
     p.add_argument("--seed", type=int, default=0, help="weight init seed")
     p.add_argument("--shuffle-seed", type=int, default=0)

@@ -1,14 +1,15 @@
 """Learnable self-consistency operator with a certified contraction bound.
 
-The operator is a composition of residual blocks. Each block mixes its input
-``a`` with a five-layer complex CNN branch as ``(0.99 - alpha) * a +
-alpha * cnn(a)`` with ``alpha in [0, 0.99]``, which keeps the block a
-contraction whenever every convolution layer has spectral norm <= 1. The
-``hybrid`` variant adds a second five-layer branch that operates after an
-inverse FFT (image domain) and returns through a forward FFT; the two branch
-outputs are combined convexly with weights ``(c_k, c_i)``. Activations are
-leaky ReLU (slope 0.2) applied separately to real and imaginary parts, a
-1-Lipschitz choice, on all but the final layer of each branch.
+The operator is a composition of residual blocks, each one formula:
+``c_k * mix_k(a) + c_i * F(mix_i(F^-1 a))`` with convex weights ``(c_k, c_i)``,
+where a branch's mix ``(0.99 - alpha) * a + alpha * cnn(a)`` (five-layer
+complex CNN, ``alpha in [0, 0.99]``) is a contraction whenever every
+convolution layer has spectral norm <= 1. The image branch works after an
+inverse FFT and returns through a forward FFT. A ``kspace`` block has no
+image branch and weights ``(1, 0)``; a ``hybrid`` block has both branches.
+Activations are leaky ReLU (slope 0.2) applied separately to real and
+imaginary parts, a 1-Lipschitz choice, on all but the final layer of each
+branch.
 
 Certification multiplies per-layer power-iteration spectral-norm estimates
 (lower bounds on the true norms) within a branch, mixes branches, and
@@ -213,21 +214,21 @@ def normalize_params(params: ConsistencyNetParams) -> ConsistencyNetParams:
     Each kernel is divided by ``sigma * (1 + 1e-3)`` when its warm-started
     power-iteration estimate ``sigma`` exceeds 1 (a dead zone of 1e-6 keeps
     the projection a bitwise no-op on already-normalized kernels); alpha is
-    clamped to [0, 0.99] and the hybrid combination weights are projected
-    onto the simplex. The result always certifies at L <= 0.99.
+    clamped to [0, 0.99] and ``(c_k, c_i)`` is projected onto the simplex
+    (a k-space block's (1, 0) is a fixed point). The result always certifies
+    at L <= 0.99.
     """
     params = clone_params(params)
     _certify(params, WARM_POWER_ITERS, rescale=True)
     for blk in params.blocks:
         blk.alpha = float(min(max(blk.alpha, 0.0), ALPHA_CEIL))
-        if params.variant == "hybrid":
-            ck, ci = max(blk.c_k, 0.0), max(blk.c_i, 0.0)
-            s = ck + ci
-            if s == 0.0:
-                ck = ci = 0.5
-            else:
-                ck, ci = ck / s, ci / s
-            blk.c_k, blk.c_i = float(ck), float(ci)
+        ck, ci = max(blk.c_k, 0.0), max(blk.c_i, 0.0)
+        s = ck + ci
+        if s == 0.0:
+            ck = ci = 0.5
+        else:
+            ck, ci = ck / s, ci / s
+        blk.c_k, blk.c_i = float(ck), float(ci)
     return params
 
 
@@ -266,9 +267,9 @@ def clone_params(params: ConsistencyNetParams) -> ConsistencyNetParams:
 def certified_lipschitz(params: ConsistencyNetParams) -> LipschitzCertificate:
     """Contraction bound from the stored per-kernel norm estimates.
 
-    Per branch: ``|0.99 - alpha| + |alpha| * prod(layer norms)`` (activation
-    Lipschitz constant 1); the hybrid variant mixes its branches as
-    ``|c_k| * b_k + |c_i| * b_i``; bounds multiply across blocks. The
+    Per block: ``sum |w| * (|0.99 - alpha| + |alpha| * prod(layer norms))``
+    over its branches and their weights ``(c_k, c_i)`` (activation Lipschitz
+    constant 1); bounds multiply across blocks. The
     absolute values keep the formula valid for any stored alpha or mixing
     weight; normalized parameters certify at <= 0.99. The layer norms are
     power-iteration estimates, that is lower bounds on the true norms, so
@@ -279,10 +280,8 @@ def certified_lipschitz(params: ConsistencyNetParams) -> LipschitzCertificate:
     for blk in params.blocks:
         keep, mix = abs(ALPHA_CEIL - blk.alpha), abs(blk.alpha)
         bounds = [keep + mix * float(np.prod(br.sigmas)) for br in blk.branches]
+        block_bounds.append(sum(abs(w) * b for w, b in zip((blk.c_k, blk.c_i), bounds)))
         kernel_bounds.extend(s for br in blk.branches for s in br.sigmas)
-        if len(bounds) == 2:
-            bounds = [abs(blk.c_k) * bounds[0] + abs(blk.c_i) * bounds[1]]
-        block_bounds.extend(bounds)
     total = float(np.prod(block_bounds))
     return LipschitzCertificate(
         contraction_bound=total,
@@ -318,7 +317,8 @@ def _lrelu_with_mult(z: np.ndarray):
     return _scale_parts(z, mult), mult
 
 
-def _branch_forward(branch: BranchParams, a: np.ndarray, trace: dict | None) -> np.ndarray:
+def _branch_forward(branch: BranchParams, alpha: float, a: np.ndarray, trace: dict | None):
+    """The residual mix ``(0.99 - alpha) * a + alpha * cnn(a)``."""
     h = a
     inputs, mults = [], []
     n = len(branch.kernels)
@@ -332,32 +332,28 @@ def _branch_forward(branch: BranchParams, a: np.ndarray, trace: dict | None) -> 
         else:
             h = z
     if trace is not None:
+        trace["a"] = a
         trace["inputs"] = inputs
         trace["mults"] = mults
         trace["out"] = h
         trace["adj_kernels"] = [adjoint_kernel(k) for k in branch.kernels]
-    return h
+    return (ALPHA_CEIL - alpha) * a + alpha * h
 
 
 def _block_forward(blk: BlockParams, a: np.ndarray, trace: dict | None) -> np.ndarray:
+    """``c_k * mix_k(a)``, plus ``c_i * F(mix_i(F^-1 a))`` with an image branch."""
     ktrace = {} if trace is not None else None
-    bk = _branch_forward(blk.kspace_branch, a, ktrace)
-    out_k = (ALPHA_CEIL - blk.alpha) * a + blk.alpha * bk
-    if blk.image_branch is None:
-        if trace is not None:
-            trace.update({"a": a, "k": ktrace})
-        return out_k
-    a_img = ifft2_centered(a)
-    itrace = {} if trace is not None else None
-    bi = _branch_forward(blk.image_branch, a_img, itrace)
-    out_i_img = (ALPHA_CEIL - blk.alpha) * a_img + blk.alpha * bi
-    out_img = fft2_centered(out_i_img)
-    out = blk.c_k * out_k + blk.c_i * out_img
+    out_k = _branch_forward(blk.kspace_branch, blk.alpha, a, ktrace)
+    out = blk.c_k * out_k
     if trace is not None:
-        trace.update(
-            {"a": a, "k": ktrace, "i": itrace, "a_img": a_img,
-             "out_k": out_k, "out_img": out_img}
-        )
+        trace.update({"k": ktrace, "out_k": out_k})
+    if blk.image_branch is not None:
+        itrace = {} if trace is not None else None
+        mix_i = _branch_forward(blk.image_branch, blk.alpha, ifft2_centered(a), itrace)
+        out_img = fft2_centered(mix_i)
+        out += blk.c_i * out_img
+        if trace is not None:
+            trace.update({"i": itrace, "out_img": out_img})
     return out
 
 
@@ -392,13 +388,10 @@ def forward_with_trace(params: ConsistencyNetParams, x: np.ndarray):
 # ---------------------------------------------------------------------------
 
 def _branch_backward(
-    branch: BranchParams,
-    trace: dict,
-    cot: np.ndarray,
-    grad: BranchParams | None,
+    branch: BranchParams, alpha: float, trace: dict, cot: np.ndarray, grad: BranchParams | None
 ) -> np.ndarray:
-    """Cotangent of the branch input; optionally accumulate kernel/bias grads."""
-    g = cot
+    """Cotangent of the mix's input; optionally accumulate kernel/bias grads."""
+    g = alpha * cot
     n = len(branch.kernels)
     for i in range(n - 1, -1, -1):
         if i < n - 1:
@@ -408,7 +401,7 @@ def _branch_backward(
             grad.kernels[i] += conv2d_kernel_grad(trace["inputs"][i], g, kh, kw)
             grad.biases[i] += g.sum(axis=(0, 1))
         g = conv2d_complex(g, trace["adj_kernels"][i])
-    return g
+    return (ALPHA_CEIL - alpha) * cot + g
 
 
 def _block_backward(
@@ -417,27 +410,23 @@ def _block_backward(
     cot: np.ndarray,
     grad: BlockParams | None,
 ) -> np.ndarray:
-    a = trace["a"]
-    kgrad = None if grad is None else grad.kspace_branch
-    if blk.image_branch is None:
-        if grad is not None:
-            grad.alpha = inner_real(cot, trace["k"]["out"] - a)
-        gb = _branch_backward(blk.kspace_branch, trace["k"], blk.alpha * cot, kgrad)
-        return (ALPHA_CEIL - blk.alpha) * cot + gb
-    cot_k = blk.c_k * cot
-    cot_img = ifft2_centered(blk.c_i * cot)  # adjoint of the closing FFT
+    k = trace["k"]
     if grad is not None:
-        d_alpha = blk.c_k * inner_real(cot, trace["k"]["out"] - a)
-        d_alpha += inner_real(cot_img, trace["i"]["out"] - trace["a_img"])
-        grad.alpha = d_alpha
+        # c_k after this inner product, c_i before its own: other orders round differently
+        grad.alpha = blk.c_k * inner_real(cot, k["out"] - k["a"])
         grad.c_k = inner_real(cot, trace["out_k"])
-        grad.c_i = inner_real(cot, trace["out_img"])
-    gb_k = _branch_backward(blk.kspace_branch, trace["k"], blk.alpha * cot_k, kgrad)
-    grad_a = (ALPHA_CEIL - blk.alpha) * cot_k + gb_k
-    igrad = None if grad is None else grad.image_branch
-    gb_i = _branch_backward(blk.image_branch, trace["i"], blk.alpha * cot_img, igrad)
-    grad_a_img = (ALPHA_CEIL - blk.alpha) * cot_img + gb_i
-    return grad_a + fft2_centered(grad_a_img)  # adjoint of the opening inverse FFT
+    kgrad = None if grad is None else grad.kspace_branch
+    grad_a = _branch_backward(blk.kspace_branch, blk.alpha, k, blk.c_k * cot, kgrad)
+    if blk.image_branch is not None:
+        i = trace["i"]
+        cot_img = ifft2_centered(blk.c_i * cot)  # adjoint of the closing FFT
+        if grad is not None:
+            grad.alpha += inner_real(cot_img, i["out"] - i["a"])
+            grad.c_i = inner_real(cot, trace["out_img"])
+        igrad = None if grad is None else grad.image_branch
+        gb_i = _branch_backward(blk.image_branch, blk.alpha, i, cot_img, igrad)
+        grad_a += fft2_centered(gb_i)  # adjoint of the opening inverse FFT
+    return grad_a
 
 
 def _zero_grads(params: ConsistencyNetParams) -> ConsistencyNetParams:
@@ -596,7 +585,8 @@ def read_ck01_bytes(data: bytes):
     Any malformed input raises InvalidInputError: the header must be
     complete, the variant byte known, every count and the certification
     grid at least 1 (each grid side at most ``MAX_CERT_SIDE``), the length
-    exactly what the header implies, and every value finite.
+    exactly what the header implies, every value finite, and a k-space
+    block's weights exactly (1, 0), since the one block formula reads them.
     Spectral-norm estimates are recomputed with the full power iteration on
     the stored certification grid, so the returned parameters carry a fresh,
     verifiable certificate.
@@ -641,6 +631,10 @@ def read_ck01_bytes(data: bytes):
         raise InvalidInputError("CK01 mixing weights or certificate not finite")
     for b, blk in enumerate(blocks):
         blk.alpha, blk.c_k, blk.c_i = (float(v) for v in scalars[3 * b : 3 * b + 3])
+        if blk.image_branch is None and (blk.c_k, blk.c_i) != (1.0, 0.0):
+            raise InvalidInputError(
+                f"CK01 k-space block {b} has weights ({blk.c_k:g}, {blk.c_i:g}), not (1, 0)"
+            )
     params = ConsistencyNetParams(
         variant=variant, blocks=blocks, features=F, nc=nc, cert_grid=(gh, gw)
     )

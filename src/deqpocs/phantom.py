@@ -33,6 +33,7 @@ from .tensors import ifft2_centered  # noqa: F401  (perfbench traces it under th
 
 MIN_ELLIPSES = 6
 MAX_ELLIPSES = 10
+MIN_SIDE = 8  # smallest phantom grid side
 
 
 def generate_phantom(H: int, W: int, seed: int = 0, edge_sigma: float = 1.0) -> np.ndarray:
@@ -45,8 +46,8 @@ def generate_phantom(H: int, W: int, seed: int = 0, edge_sigma: float = 1.0) -> 
     and the envelope keeps the synthetic k-space tail realistic. Pass 0 for
     hard-edged ellipses.
     """
-    if H < 8 or W < 8:
-        raise ConfigurationError("phantom grid must be at least 8x8")
+    if H < MIN_SIDE or W < MIN_SIDE:
+        raise ConfigurationError(f"phantom grid must be at least {MIN_SIDE}x{MIN_SIDE}")
     if not 0 <= edge_sigma < math.inf:
         raise ConfigurationError(f"edge_sigma must be finite and nonnegative, got {edge_sigma}")
     stream = RandomStream(seed)

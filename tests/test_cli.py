@@ -72,6 +72,7 @@ class TestGenData:
     @pytest.mark.parametrize("flag, value", [
         ("--acs", "abc"), ("--noise", "-1"), ("--noise", "inf"), ("--accel", "nan"),
         ("--edge-sigma", "nan"), ("--n", "1.5"), ("--shared-mask", "5"),
+        ("--size", "4"), ("--coils", "0"),
     ])
     def test_bad_value_exits_2(self, tmp_path, capsys, flag, value):
         out = tmp_path / "x"
@@ -301,6 +302,9 @@ class TestBaseline:
         ("verify", "--init-levels", ","),
         ("verify", "--inits", "0"),
         ("verify", "--inits", "-5"),
+        ("train", "--blocks", "0"),
+        ("train", "--features", "0"),
+        ("baseline", "--spirit-kernel", "0"),
     ],
 )
 def test_bad_solver_flag_exits_2(command, flag, value, dataset_dir, checkpoint, tmp_path, capsys):
@@ -320,6 +324,31 @@ def test_bad_solver_flag_exits_2(command, flag, value, dataset_dir, checkpoint, 
     err = capsys.readouterr().err
     assert err.startswith("error: ") and flag in err
     assert "Traceback" not in err
+
+
+@pytest.fixture(scope="module")
+def kspace_weights_checkpoint(tmp_path_factory):
+    """A k-space CK01 whose block stores weights (0.5, 0), which no writer makes."""
+    params = init_params("kspace", 1, 4, 2, seed=0, grid=(16, 16))
+    params.blocks[0].c_k = 0.5
+    ck = tmp_path_factory.mktemp("ckw") / "weights.ck01"
+    ck.write_bytes(write_ck01_bytes(params))
+    return ck
+
+
+@pytest.mark.parametrize("command", ["verify", "recon"])
+def test_kspace_weights_other_than_one_zero_exit_2(
+    command, dataset_dir, kspace_weights_checkpoint, tmp_path, capsys
+):
+    inputs = {
+        "verify": ("--data", str(dataset_dir), "--samples", "1"),
+        "recon": ("--meas", str(dataset_dir / "sample_0000_meas.ct01"),
+                  "--mask", str(dataset_dir / "sample_0000_mask.mk01")),
+    }[command]
+    out = tmp_path / "out"
+    assert run(command, "--ckpt", str(kspace_weights_checkpoint), *inputs, "--out", str(out)) == 2
+    assert "k-space block 0 has weights (0.5, 0), not (1, 0)" in capsys.readouterr().err
+    assert not out.exists()
 
 
 class TestVerify:
@@ -348,6 +377,16 @@ class TestVerify:
             "verify", "--ckpt", str(checkpoint), "--data", str(dataset_dir),
             "--out", str(tmp_path / "verify"), "--samples", "1",
         ) == 2
+
+    def test_samples_beyond_dataset_exits_2(self, dataset_dir, checkpoint, tmp_path, capsys):
+        out = tmp_path / "verify"
+        assert run(
+            "verify", "--ckpt", str(checkpoint), "--data", str(dataset_dir),
+            "--out", str(out), "--samples", "4",
+        ) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: --samples 4 exceeds the 3 samples")
+        assert not out.exists()
 
     def test_fresh_init_passes(self, dataset_dir, checkpoint, tmp_path):
         out = tmp_path / "verify"
@@ -517,6 +556,14 @@ class TestParser:
         """A float flag without a domain would take nan and inf."""
         bare = [(command, a.option_strings) for command, p in _subparsers().items()
                 for a in p._actions if a.type is float]
+        assert bare == []
+
+    def test_no_bare_int_flag(self):
+        """An int flag without a domain would take 0 and negative counts; only
+        seeds, which take any integer, and flags with choices may be bare."""
+        bare = [(command, a.option_strings) for command, p in _subparsers().items()
+                for a in p._actions if a.type is int and a.choices is None
+                and a.dest not in ("seed", "shuffle_seed")]
         assert bare == []
 
     @pytest.mark.parametrize("command, flag", _domain_flags())

@@ -3,7 +3,7 @@ import struct
 import numpy as np
 import pytest
 
-from deqpocs.errors import CertificateError, ShapeError
+from deqpocs.errors import CertificateError, InvalidInputError, ShapeError
 from deqpocs.network import (
     FULL_POWER_ITERS,
     _lrelu_with_mult,
@@ -118,6 +118,39 @@ class TestForward:
         for blk in kspace_only.blocks:
             blk.image_branch = None
         assert np.array_equal(forward(p, x), forward(kspace_only, x))
+
+    @staticmethod
+    def _weighted_hybrid_and_kspace_copy(seed):
+        """A hybrid model with weights (1, 0) and its copy without image branches."""
+        p = small_net(variant="hybrid", seed=seed)
+        for blk in p.blocks:
+            blk.c_k, blk.c_i = 1.0, 0.0
+        kspace_only = clone_params(p)
+        kspace_only.variant = "kspace"
+        for blk in kspace_only.blocks:
+            blk.image_branch = None
+        return p, kspace_only
+
+    def test_hybrid_with_zero_image_weight_matches_kspace_vjp(self, rand_tensor):
+        p, kspace_only = self._weighted_hybrid_and_kspace_copy(48)
+        x = rand_tensor((8, 8, 2), 49)
+        cot = rand_tensor((8, 8, 2), 50)
+        gp, gx = vjp(p, x, cot)
+        gq, gy = vjp(kspace_only, x, cot)
+        assert np.array_equal(gx, gy)
+        hybrid, kspace = unpack_params(p, gp), unpack_params(kspace_only, gq)
+        for a, b in zip(hybrid.blocks, kspace.blocks, strict=True):
+            assert a.alpha == b.alpha
+            for ka, kb in zip(a.kspace_branch.kernels, b.kspace_branch.kernels, strict=True):
+                assert np.array_equal(ka, kb)
+            for ba, bb in zip(a.kspace_branch.biases, b.kspace_branch.biases, strict=True):
+                assert np.array_equal(ba, bb)
+
+    def test_hybrid_with_zero_image_weight_matches_kspace_certificate(self):
+        p, kspace_only = self._weighted_hybrid_and_kspace_copy(51)
+        got, want = certified_lipschitz(p), certified_lipschitz(kspace_only)
+        assert got.block_bounds == want.block_bounds
+        assert got.contraction_bound == want.contraction_bound
 
     def test_deterministic(self, rand_tensor):
         p = small_net(variant="hybrid", seed=10)
@@ -386,6 +419,15 @@ class TestCheckpoint:
         path.write_bytes(bytes(raw))
         with pytest.raises(CertificateError):
             load_checkpoint(path)
+
+    @pytest.mark.parametrize("c_k, c_i", [(0.5, 0.0), (1.0, 0.25)])
+    def test_kspace_weights_other_than_one_zero_refused(self, c_k, c_i):
+        """A k-space block's formula reads its weights, and the writer only
+        ever stores (1, 0) for them."""
+        p = small_net(seed=52)
+        p.blocks[1].c_k, p.blocks[1].c_i = c_k, c_i
+        with pytest.raises(InvalidInputError, match=r"k-space block 1 has weights"):
+            read_ck01_bytes(write_ck01_bytes(p))
 
     def test_save_is_deterministic(self, tmp_path):
         p = small_net(seed=47)
