@@ -175,8 +175,8 @@ class Measurement:
             )
         if np.any(y[~self.mask.grid] != 0):
             raise InvalidInputError("measurement has nonzero entries off the sampled set")
-        if self.delta < 0:
-            raise InvalidInputError("noise level must be nonnegative")
+        if not 0 <= self.delta < math.inf:
+            raise InvalidInputError(f"noise level must be finite and >= 0, got {self.delta!r}")
 
 
 def apply_sampling(x_full: np.ndarray, mask: SamplingMask) -> Measurement:

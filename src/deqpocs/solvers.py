@@ -6,7 +6,8 @@ fixed-point residual ``||T(x_k) - x_k||_F`` at every step (for Picard this
 equals the step norm ``||x_{k+1} - x_k||_F``). Convergence is relative: the
 run stops once the residual drops below ``tol * max(1, ||T(x_k)||_F)``. The
 forward equilibrium, the harness's plain iteration and the training
-adjoint all run on this loop.
+adjoint all run on this loop. Anderson mixes the last ``m`` iterates by one
+plain least-squares solve on residual differences, with no ridge.
 """
 
 from __future__ import annotations
@@ -18,9 +19,6 @@ import numpy as np
 from .errors import DivergenceError
 from .metrics import csv_text
 from .tensors import frob
-
-# Anderson's ridge weight, relative to the mean diagonal of the residual Gram matrix.
-ANDERSON_RIDGE = 1e-4
 
 
 @dataclass
@@ -79,12 +77,16 @@ def anderson_solve(
 ) -> FixedPointResult:
     """Anderson-accelerated fixed-point solve with memory ``m``.
 
-    Mixing weights minimize the norm of the combined residual over the last
-    ``m`` iterates subject to summing to one, through a ridge-regularized
-    bordered system (the ridge ``ANDERSON_RIDGE`` scales with the residual
-    Gram trace so it stays meaningful as residuals shrink); any degenerate
-    solve falls back to a plain step. With ``m = 1`` every step is the
-    plain step ``x <- T(x)``, i.e. Picard iteration.
+    Over the last ``m`` iterates, with residuals ``f_i = T(x_i) - x_i`` taken
+    as real vectors, the step solves the plain least-squares problem
+    ``gamma = argmin ||f_k - dF gamma||`` on the residual differences
+    ``dF = [f_{i+1} - f_i]`` and moves to ``x = T(x_k) - dG gamma`` with the
+    matching differences ``dG`` of the ``T(x_i)``: the mixing weights
+    minimize the combined residual subject to summing to one, with no
+    ridge. On an affine map this is GMRES on the same Krylov space (Walker &
+    Ni, SINUM 2011). A rank-deficient ``dF`` gets the minimum-norm
+    ``gamma``, so ``dF = 0`` gives the plain step. With ``m = 1`` every step
+    is the plain step ``x <- T(x)``, i.e. Picard iteration.
 
     ``divergence_window`` enables a watchdog for operators without a
     contraction guarantee: when the residual grows for that many consecutive
@@ -98,7 +100,7 @@ def anderson_solve(
         raise ValueError("tol must be finite and positive and max_iter >= 1")
     x = np.asarray(x0, dtype=np.complex128)
     shape = x.shape
-    hist_x: list[np.ndarray] = []
+    hist_f: list[np.ndarray] = []  # residuals g_i - x_i as real views
     hist_g: list[np.ndarray] = []
     residuals: list[float] = []
     iterates = [x] if record_iterates else None
@@ -124,32 +126,18 @@ def anderson_solve(
             break
         if divergence_window is not None and growth >= divergence_window:
             break
-        hist_x.append(x.ravel())
+        hist_f.append((g - x).ravel().view(np.float64))
         hist_g.append(g.ravel())
-        if len(hist_x) > m:
-            hist_x.pop(0)
+        if len(hist_g) > m:
+            hist_f.pop(0)
             hist_g.pop(0)
-        if len(hist_x) == 1:
+        if len(hist_g) == 1:
             x = g
             continue
-        F = np.stack([gi - xi for gi, xi in zip(hist_g, hist_x)], axis=0)
-        gram = np.real(F @ F.conj().T)
-        lam = ANDERSON_RIDGE * max(np.trace(gram) / gram.shape[0], np.finfo(np.float64).tiny)
-        mk = gram.shape[0]
-        system = np.zeros((mk + 1, mk + 1))
-        system[0, 1:] = 1.0
-        system[1:, 0] = 1.0
-        system[1:, 1:] = gram + lam * np.eye(mk)
-        rhs = np.zeros(mk + 1)
-        rhs[0] = 1.0
-        try:
-            weights = np.linalg.solve(system, rhs)[1:]
-        except np.linalg.LinAlgError:
-            weights = None
-        if weights is None or not np.all(np.isfinite(weights)):
-            x = g  # degenerate least squares: plain step
-            continue
-        x = (weights @ np.stack(hist_g, axis=0)).reshape(shape)
+        dF = np.diff(np.stack(hist_f, axis=1), axis=1)
+        dG = np.diff(np.stack(hist_g, axis=1), axis=1)
+        gamma = np.linalg.lstsq(dF, hist_f[-1], rcond=None)[0]
+        x = (hist_g[-1] - dG @ gamma).reshape(shape)
     if not converged and divergence_window is not None:
         solution = best_x
     return FixedPointResult(

@@ -101,9 +101,12 @@ def window_rows(x: np.ndarray, kh: int, kw: int) -> np.ndarray:
     order, columns in (dy, dx, channel) order: the layout of a kernel
     reshaped to (kh*kw*C_in, C_out).
     """
+    x = np.ascontiguousarray(x)
     H, W, c = x.shape
-    view = np.lib.stride_tricks.sliding_window_view(x, (kh, kw), axis=(0, 1))
-    return view.transpose(0, 1, 3, 4, 2).reshape((H - kh + 1) * (W - kw + 1), kh * kw * c)
+    s0, s1, s2 = x.strides
+    # built directly: sliding_window_view plus transpose cost ~20 us a call
+    view = np.ndarray((H - kh + 1, W - kw + 1, kh, kw, c), x.dtype, x, 0, (s0, s1, s0, s1, s2))
+    return view.reshape((H - kh + 1) * (W - kw + 1), kh * kw * c)
 
 
 def _padded_rows(x: np.ndarray, kh: int, kw: int) -> np.ndarray:

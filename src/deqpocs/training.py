@@ -4,10 +4,11 @@ Training solves, per sample, the fixed point ``x* = P(net(x*))`` of the
 consistency operator composed with the data-consistency projection, scores
 it with a squared-Frobenius k-space loss against the fully sampled truth,
 and backpropagates through the equilibrium with the implicit-function
-adjoint: ``v = (I - J^T)^{-1} g`` is found by the (provably convergent,
-certificate-backed) iteration ``v <- g + J^T v``, run on the same
-fixed-point loop as the forward solve (:func:`picard_solve`), after which
-one parameter-side reverse product of the composed operator yields the
+adjoint: ``v = (I - J^T)^{-1} g`` is the fixed point of the (provably
+contractive, certificate-backed) linear map ``v <- g + J^T v``, solved by
+Anderson acceleration on the forward solve's loop (:func:`anderson_solve`;
+on a linear map, Anderson within its memory is GMRES), after which one
+parameter-side reverse product of the composed operator yields the
 gradient. Parameters are updated with bias-corrected Adam on their real
 parameterization and re-projected onto the certified-contractive set after
 every step.
@@ -131,9 +132,10 @@ def implicit_backward(
     contributes the sampled-set complement, the network contributes its
     reverse-mode product on a cached trace), then returns the parameter
     cotangent of one application. The adjoint is solved with
-    :func:`picard_solve` from ``v = g``. With a certificate L < 1 it
-    converges geometrically; hitting ``max_iter`` first only warns and
-    returns the last iterate.
+    :func:`anderson_solve` at its default memory from ``v = g``: the map
+    is affine with a certificate L < 1, and within its memory Anderson on
+    it is GMRES. Hitting ``max_iter`` first only warns and returns the last
+    iterate.
 
     Returns ``(grad, iterations)``: the flat real gradient aligned with
     :func:`pack_params` and the number of adjoint iterations run.
@@ -144,7 +146,7 @@ def implicit_backward(
     def adjoint_map(v: np.ndarray) -> np.ndarray:
         return g + jacobian_vjp(params, traces, mask_complement_multiply(v, meas.mask))
 
-    adjoint = picard_solve(adjoint_map, g, tol=tol, max_iter=max_iter)
+    adjoint = anderson_solve(adjoint_map, g, tol=tol, max_iter=max_iter)
     if not adjoint.converged:
         warnings.warn(
             f"adjoint fixed-point iteration did not reach tol={tol} in {max_iter} steps",

@@ -113,7 +113,7 @@ class TestDataset:
         for (sample, meas), ls in zip(ds, loaded):
             assert frob(ls.kspace - sample.kspace) <= 1e-5 * frob(sample.kspace)
             assert np.array_equal(ls.measurement.mask.grid, meas.mask.grid)
-            assert ls.measurement.delta == pytest.approx(meas.delta, rel=1e-5)
+            assert ls.measurement.delta == meas.delta
 
     def test_byte_identical_across_runs(self, tmp_path):
         spec = DatasetSpec(n=2, height=16, width=16, coils=2, accel=2.0, seed=9)

@@ -172,6 +172,14 @@ class TestApplySampling:
             apply_sampling(rand_tensor((9, 8, 2), 0), m)
 
 
+class TestMeasurement:
+    @pytest.mark.parametrize("delta", [float("nan"), float("inf"), -1.0])
+    def test_delta_not_finite_nonnegative_refused(self, delta):
+        m = make_mask("1d-free", 8, 8, 2, seed=0)
+        with pytest.raises(InvalidInputError, match="noise level"):
+            Measurement(y=np.zeros((8, 8, 1), dtype=complex), mask=m, delta=delta)
+
+
 class TestAddNoise:
     def _meas(self, seed=0):
         x = gaussian_tensor((16, 16, 2), RandomStream(seed))

@@ -89,6 +89,28 @@ class TestAnderson:
         assert acc.iterations < pic.iterations
         assert frob(acc.solution - pic.solution) <= 1e-5
 
+    @pytest.mark.parametrize("tol", [1e-8, 1e-12])
+    def test_finite_termination_on_four_eigenvalues(self, tol):
+        # on an affine map Anderson is GMRES (Walker & Ni 2011): with four
+        # distinct eigenvalues its fifth iterate is the fixed point, which the
+        # sixth evaluation confirms
+        diag = np.repeat([0.3, 0.6, 0.9, 0.95], 4).reshape(4, 4, 1)
+        c = gaussian_tensor((4, 4, 1), RandomStream(9))
+        res = anderson_solve(lambda x: diag * x + c, np.zeros_like(c), m=5, tol=tol, max_iter=100)
+        assert res.converged and res.iterations <= 6
+        assert frob(res.solution - c / (1.0 - diag)) <= 10 * tol * max(1.0, frob(res.solution))
+
+    def test_zero_residual_differences_give_plain_steps(self):
+        # a translation has the same residual at every iterate, so the
+        # differences are zero and the minimum-norm mixing is the plain step
+        d = np.full((2, 2, 1), 0.5 + 0.25j)
+        x0 = np.zeros_like(d)
+        res = anderson_solve(lambda x: x + d, x0, m=5, tol=1e-9, max_iter=7,
+                             record_iterates=True)
+        assert not res.converged and res.iterations == 7
+        for k, it in enumerate(res.iterates):
+            assert np.array_equal(it, x0 + k * d)
+
     def test_never_converged_above_tolerance(self):
         for seed in range(5):
             c = gaussian_tensor((4, 4, 1), RandomStream(seed))

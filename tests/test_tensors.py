@@ -157,6 +157,18 @@ class TestWindowRows:
         assert got.shape == ((7 - kh + 1) * (9 - kw + 1), kh * kw * 3)
         assert np.array_equal(got, want)
 
+    @settings(max_examples=60, deadline=None)
+    @given(h=st.integers(1, 9), w=st.integers(1, 9), c=st.integers(1, 5),
+           kh=st.integers(1, 5), kw=st.integers(1, 5), step=st.integers(1, 3),
+           seed=st.integers(0, 2**16))
+    def test_matches_sliding_window_view(self, h, w, c, kh, kw, step, seed):
+        # the former expression, on a strided (non-contiguous when step > 1) input
+        H, W = h + kh - 1, w + kw - 1
+        x = gaussian_tensor((H, W * step, c * step), RandomStream(seed))[:, ::step, ::step]
+        view = np.lib.stride_tricks.sliding_window_view(x, (kh, kw), axis=(0, 1))
+        want = view.transpose(0, 1, 3, 4, 2).reshape(h * w, kh * kw * c)
+        assert np.array_equal(window_rows(x, kh, kw), want)
+
     def test_column_order_is_dy_dx_channel(self):
         # x[y, x, c] = 100 y + 10 x + c, so each column's value in the first
         # row spells out its (dy, dx, channel) offset

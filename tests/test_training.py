@@ -6,16 +6,24 @@ from deqpocs.harness import verify_convergence, verify_init_independence, verify
 from deqpocs.network import (
     certified_lipschitz,
     forward,
+    forward_with_trace,
     init_params,
+    jacobian_vjp,
     pack_params,
     unpack_params,
 )
 from deqpocs.phantom import DatasetSpec, make_dataset
 from deqpocs.rng import RandomStream
-from deqpocs.sampling import apply_sampling, make_mask, project_data_consistency
+from deqpocs.sampling import (
+    apply_sampling,
+    make_mask,
+    mask_complement_multiply,
+    project_data_consistency,
+)
 from deqpocs.solvers import picard_solve
 from deqpocs.tensors import frob, gaussian_tensor
 from deqpocs.training import (
+    TRAIN_BACKWARD_MAX_ITER,
     AdamState,
     TrainConfig,
     adam_step,
@@ -114,6 +122,22 @@ class TestImplicitBackward:
             h = 1e-4
             fd = (loss(vec + h * d) - loss(vec - h * d)) / (2 * h)
             assert fd == pytest.approx(float(grad @ d), rel=1e-3, abs=1e-12)
+
+    def test_anderson_adjoint_beats_picard_at_training_tol(self):
+        x_full, meas, params = tiny_setup()
+        res = reference_solve(params, meas, 1e-11, 5000)
+        g = 2.0 * (res.solution - x_full)
+        grad, n_iter = implicit_backward(params, res.solution, meas, g,
+                                         tol=1e-4, max_iter=TRAIN_BACKWARD_MAX_ITER)
+        _, traces = forward_with_trace(params, res.solution)
+
+        def adjoint_map(v):
+            return g + jacobian_vjp(params, traces, mask_complement_multiply(v, meas.mask))
+
+        plain = picard_solve(adjoint_map, g, tol=1e-4, max_iter=TRAIN_BACKWARD_MAX_ITER)
+        assert plain.converged and n_iter < plain.iterations
+        tight, _ = implicit_backward(params, res.solution, meas, g, tol=1e-11, max_iter=5000)
+        assert np.linalg.norm(grad - tight) <= 1e-3 * np.linalg.norm(tight)
 
     def test_warns_when_adjoint_budget_exhausted(self):
         x_full, meas, params = tiny_setup()
