@@ -16,7 +16,9 @@ and stderr, in order:
 * ``verify`` at the flags of the benchmark's verify-desk workload on
   ``init_params("hybrid", 1, 16, 4, seed=0, grid=(32, 32))`` saved as
   ``init.ck01``, at ``--seed 1`` and ``--seed 2``, each with
-  ``DEQPOCS_THREADS=1`` and with the default thread count;
+  ``DEQPOCS_THREADS=1`` and with the default thread count, then once more
+  at ``--seed 1`` with ``--trials 0``, which solves only each noise level's
+  trial 0 (the recursion run) and writes no trial rows;
 * ``recon --baseline zerofill --ref`` with ``init.ck01``;
 * ``baseline --method spirit`` on ``gen-data --n 1 --size 32 --coils 4
   --acs 6 --seed 3``;
@@ -95,6 +97,8 @@ def main():
                 out = f"verify_seed{seed}_threads{threads or 'default'}"
                 run(log, "verify", "--ckpt", "init.ck01", "--data", "data", "--out", out,
                     "--seed", seed, *VERIFY_FLAGS, threads=threads)
+        run(log, "verify", "--ckpt", "init.ck01", "--data", "data", "--out", "verify_trials0",
+            "--seed", "1", *VERIFY_FLAGS, "--trials", "0")
         run(log, "recon", "--ckpt", "init.ck01", *sample("data"), "--baseline", "zerofill",
             "--out", "recon_init")
         run(log, "gen-data", "--out", "acs6", "--n", "1", "--size", "32", "--coils", "4",

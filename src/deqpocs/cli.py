@@ -251,19 +251,20 @@ def _collect_pairs(recon_path, ref_path):
     if os.path.isdir(recon_path) != os.path.isdir(ref_path):
         raise ConfigurationError("--recon and --ref must both be files or both directories")
     if os.path.isdir(recon_path):
-        recon_files = sorted(
-            os.path.join(recon_path, f) for f in os.listdir(recon_path) if f.endswith(".ct01")
+        recon, ref = (
+            {f[: -len(".ct01")]: os.path.join(d, f) for f in os.listdir(d) if f.endswith(".ct01")}
+            for d in (recon_path, ref_path)
         )
-        ref_files = sorted(
-            os.path.join(ref_path, f) for f in os.listdir(ref_path) if f.endswith(".ct01")
-        )
-        if len(recon_files) != len(ref_files) or not recon_files:
+        if not recon and not ref:
+            raise ConfigurationError("no .ct01 files in --recon or --ref")
+        unpaired = sorted(recon.keys() ^ ref.keys())
+        if unpaired:
+            side = "--recon" if unpaired[0] in recon else "--ref"
             raise ConfigurationError(
-                f"directory mismatch: {len(recon_files)} reconstructions vs "
-                f"{len(ref_files)} references"
+                f"{unpaired[0]}.ct01 is only in {side}; files are paired by name"
             )
-        ids = [os.path.splitext(os.path.basename(f))[0] for f in recon_files]
-        return ids, list(zip(recon_files, ref_files))
+        ids = sorted(recon)
+        return ids, [(recon[i], ref[i]) for i in ids]
     return [os.path.splitext(os.path.basename(recon_path))[0]], [(recon_path, ref_path)]
 
 

@@ -13,16 +13,19 @@ deviate by at most twice that. Every equilibrium is solved by
 :func:`deqpocs.training.reconstruct`, which owns that stop rule, the
 certificate gate and the iteration budget.
 
-Trials are independent and seeded individually. They run on
-``worker_count()`` threads, the calling thread included, and
-``DEQPOCS_THREADS`` caps that count. ``deqpocs verify`` solves each clean
-equilibrium once: the convergence check's solve of sample 0 from the
-measurement, with its iterates, is handed to the robustness and
-init-independence checks, which would otherwise solve it again.
+Trials are independent and seeded individually. Each check builds all of
+its jobs first and runs them as one batch on ``worker_count()`` threads,
+the calling thread included; ``DEQPOCS_THREADS`` caps that count.
+``deqpocs verify`` solves each equilibrium once. The convergence check's
+solve of sample 0 from the measurement, with its iterates, is handed to
+the robustness and init-independence checks, which would otherwise solve
+it again. The robustness check's trial 0 of each noise level is also its
+recursion run, so that noisy equilibrium is solved once too.
 """
 
 from __future__ import annotations
 
+import itertools
 import os
 import threading
 from concurrent.futures import ThreadPoolExecutor
@@ -173,44 +176,39 @@ def verify_convergence(
     cert = certified_lipschitz(params)
     require_contractive(cert)
     L = cert.contraction_bound
-    runs: list[ConvergenceRun] = []
-    pairwise, thresholds = [], []
+    jobs = []
     for s, meas in enumerate(measurements):
-        inits = [("measurement", meas.y), ("zero", np.zeros_like(meas.y))]
+        jobs += [(s, meas, "measurement", meas.y), (s, meas, "zero", np.zeros_like(meas.y))]
         big = 10.0 * max(1.0, frob(meas.y))
         for j in range(inits_per_sample - 2):
             noise = gaussian_tensor(meas.y.shape, RandomStream(derive_seed(seed, s, j)))
-            inits.append((f"random{j}", noise * (big / frob(noise))))
+            jobs.append((s, meas, f"random{j}", noise * (big / frob(noise))))
 
-        def run_one(labeled):
-            label, x0 = labeled
-            res = reconstruct(params, meas, x0, method="picard", tol=tol,
-                              record_iterates=s == 0 and label == "measurement")
-            rate_ok = geometric_rate_check(
-                res.residuals, L, slack, floor=numerical_floor(res.solution)
-            )
-            return res, ConvergenceRun(
-                sample=s,
-                init_label=label,
-                converged=res.converged,
-                iterations=res.iterations,
-                rate_ok=rate_ok,
-                final_residual=res.final_residual,
-            )
+    def run_one(job):
+        s, meas, label, x0 = job
+        res = reconstruct(params, meas, x0, method="picard", tol=tol,
+                          record_iterates=s == 0 and label == "measurement")
+        rate_ok = geometric_rate_check(
+            res.residuals, L, slack, floor=numerical_floor(res.solution)
+        )
+        return res, ConvergenceRun(
+            sample=s,
+            init_label=label,
+            converged=res.converged,
+            iterations=res.iterations,
+            rate_ok=rate_ok,
+            final_residual=res.final_residual,
+        )
 
-        results = _map_ordered(run_one, inits)
-        if s == 0:
-            clean = results[0][0]
-        solutions = [r.solution for r, _ in results]
-        runs.extend(row for _, row in results)
-        dmax = 0.0
-        for a in range(len(solutions)):
-            for b in range(a + 1, len(solutions)):
-                dmax = max(dmax, frob(solutions[a] - solutions[b]))
-        pairwise.append(dmax)
+    results = _map_ordered(run_one, jobs)  # item 0, the one that records iterates, runs here
+    clean = results[0][0]
+    pairwise, thresholds = [], []
+    for s in range(len(measurements)):
+        solutions = [res.solution for res, row in results if row.sample == s]
+        pairwise.append(max(frob(a - b) for a, b in itertools.combinations(solutions, 2)))
         thresholds.append(10.0 * tol * max(1.0, frob(solutions[0])))
     return ConvergenceReport(
-        runs=runs,
+        runs=[row for _, row in results],
         pairwise_max_distance=pairwise,
         agreement_threshold=thresholds,
         contraction=L,
@@ -288,7 +286,10 @@ def verify_robustness(
     bound on every trial, plus the per-iteration contraction recursion
     ``d_k <= L * d_{k-1} + delta`` checked on one synchronized pair of plain
     iterations per noise level (both runs share the starting point ``y``).
-    The recursion's noisy run uses the measurement of the level's trial 0.
+    Trial 0 of each level is that recursion run: its noisy measurement is
+    solved once, by Picard with its iterates, and gives the level's
+    recursion verdict and trial 0's bound row. Trials 1 and on are solved by
+    Anderson. All of them run as one batch of independent jobs.
 
     The slack term ``20 * tol * max(1, ||x||)`` absorbs the inexactness of
     the two equilibrium solves (each within ``tol * max(1, ||x||)`` of its
@@ -297,7 +298,8 @@ def verify_robustness(
     ``clean``, when given, is the Picard solve from ``meas.y`` with its
     iterates (``verify_convergence(...).clean``) and is used instead of
     solving it again. No levels or a negative trial count is a
-    ``ValueError``; zero trials still check the recursion.
+    ``ValueError``; zero trials still solve trial 0 of each level for the
+    recursion, and report no trial rows.
     """
     if not delta_rels or trials_per_level < 0:
         raise ValueError("verify_robustness needs noise levels and trials_per_level >= 0")
@@ -307,15 +309,16 @@ def verify_robustness(
     clean = _clean_solve(params, meas, tol, L, clean)
     x_clean = clean.solution
     slack_term = 20.0 * tol * max(1.0, frob(x_clean))
-    jobs = []
-    for li, level in enumerate(delta_rels):
-        for t in range(trials_per_level):
-            jobs.append((level, t, derive_seed(seed, li, t)))
+    eps_num = 1e-9 * max(1.0, frob(x_clean))
+    jobs = [(li, level, t) for li, level in enumerate(delta_rels)
+            for t in range(max(trials_per_level, 1))]
 
     def run_trial(job):
-        level, t, trial_seed = job
-        noisy_meas = add_noise(meas, level, seed=trial_seed)
-        noisy = reconstruct(params, noisy_meas, meas.y, method="anderson", tol=tol)
+        li, level, t = job
+        noisy_meas = add_noise(meas, level, seed=derive_seed(seed, li, t))
+        first = t == 0  # the level's recursion run: Picard, with its iterates
+        noisy = reconstruct(params, noisy_meas, meas.y, method="picard" if first else "anderson",
+                            tol=tol, record_iterates=first)
         bound = noisy_meas.delta / (1.0 - L) + slack_term
         observed = frob(noisy.solution - x_clean)
         trial = RobustnessTrial(
@@ -325,32 +328,19 @@ def verify_robustness(
             bound=bound,
             margin=bound - observed,
         )
-        return trial, (noisy_meas if t == 0 else None)
-
-    results = _map_ordered(run_trial, jobs)
-    trials = [trial for trial, _ in results]
-    first_draws = [draw for _, draw in results if draw is not None]
-
-    def run_recursion(li_level):
-        li, level = li_level
-        if first_draws:
-            noisy_meas = first_draws[li]
-        else:  # no trials: draw trial 0's measurement here
-            noisy_meas = add_noise(meas, level, seed=derive_seed(seed, li, 0))
-        noisy = reconstruct(
-            params, noisy_meas, meas.y, method="picard", tol=tol, record_iterates=True
-        )
-        n = min(len(clean.iterates), len(noisy.iterates))
-        eps_num = 1e-9 * max(1.0, frob(x_clean))
+        if not first:
+            return trial, None
         d_prev = 0.0
-        for k in range(1, n):
+        for k in range(1, min(len(clean.iterates), len(noisy.iterates))):
             d_k = frob(noisy.iterates[k] - clean.iterates[k])
             if d_k > L * d_prev + noisy_meas.delta + eps_num:
-                return (level, False)
+                return trial, (level, False)
             d_prev = d_k
-        return (level, True)
+        return trial, (level, True)
 
-    recursion = _map_ordered(run_recursion, list(enumerate(delta_rels)))
+    results = _map_ordered(run_trial, jobs)
+    trials = [trial for trial, _ in results] if trials_per_level else []
+    recursion = [check for _, check in results if check is not None]
     return RobustnessReport(
         trials=trials, recursion_checks=recursion, contraction=L, tolerance=tol
     )

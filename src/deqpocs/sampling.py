@@ -52,6 +52,8 @@ class SamplingMask:
             raise ShapeError("mask grid must be 2-D")
         if not grid.any():
             raise ConfigurationError("mask samples no locations")
+        if not 1 <= self.accel < math.inf:
+            raise ConfigurationError(f"acceleration must be finite and >= 1, got {self.accel}")
         H, W = grid.shape
         rows, cols = self.acs_slices()
         calibrated = (0 <= rows.start < rows.stop <= H and 0 <= cols.start < cols.stop <= W

@@ -440,9 +440,24 @@ class TestVerifySharedSolve:
         counting(training, "picard_solve")
         counting(training, "anderson_solve")
         self._verify(dataset_dir, checkpoint, tmp_path / "verify")
-        # convergence 2 samples x 2 starts, 4 noisy trials + 2 recursion runs,
-        # 2 perturbed starts; the clean solve of sample 0 is shared
-        assert len(solves) == 12
+        # convergence 2 samples x 2 starts, 4 noisy trials (trial 0 of each
+        # level is also its recursion run), 2 perturbed starts; the clean
+        # solve of sample 0 is shared
+        assert len(solves) == 10
+
+    def test_runs_one_batch_per_check(self, dataset_dir, checkpoint, tmp_path, monkeypatch):
+        import deqpocs.harness as harness
+
+        batches = []
+        map_ordered = harness._map_ordered
+
+        def counting(fn, items):
+            batches.append(len(items))
+            return map_ordered(fn, items)
+
+        monkeypatch.setattr(harness, "_map_ordered", counting)
+        self._verify(dataset_dir, checkpoint, tmp_path / "verify")
+        assert batches == [4, 4, 2]  # convergence, robustness, init-independence
 
     def test_reports_match_separate_checks(self, dataset_dir, checkpoint, tmp_path):
         from deqpocs.harness import (
@@ -490,6 +505,32 @@ class TestEval:
         empty = tmp_path / "empty"
         empty.mkdir()
         assert run("eval", "--recon", str(empty), "--ref", str(dataset_dir)) == 2
+
+    @staticmethod
+    def _dirs(dataset_dir, tmp_path, recon_names, ref_names):
+        """``recon`` and ``ref`` directories holding samples 0 and 1 as named."""
+        dirs = []
+        for side, names in (("recon", recon_names), ("ref", ref_names)):
+            d = tmp_path / side
+            d.mkdir()
+            for i, name in enumerate(names):
+                (d / f"{name}.ct01").write_bytes(
+                    (dataset_dir / f"sample_000{i}_full.ct01").read_bytes()
+                )
+            dirs.append(str(d))
+        return dirs
+
+    def test_eval_pairs_directory_files_by_name(self, dataset_dir, tmp_path, capsys):
+        recon, ref = self._dirs(dataset_dir, tmp_path, ["a", "b"], ["a", "b"])
+        assert run("eval", "--recon", recon, "--ref", ref) == 0
+        rows = [r.split(",") for r in capsys.readouterr().out.splitlines()[1:]]
+        assert [(r[0], float(r[1])) for r in rows[:2]] == [("a", 0.0), ("b", 0.0)]
+
+    def test_eval_unpaired_name_exits_2(self, dataset_dir, tmp_path, capsys):
+        recon, ref = self._dirs(dataset_dir, tmp_path, ["a", "b"], ["a", "zzz"])
+        assert run("eval", "--recon", recon, "--ref", ref) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error:") and "b.ct01" in err[0]
 
 
 class TestConfigFile:

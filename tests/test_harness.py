@@ -18,9 +18,11 @@ from deqpocs.harness import (
 )
 from deqpocs.network import certified_lipschitz, init_params
 from deqpocs.phantom import DatasetSpec, make_dataset
-from deqpocs.sampling import apply_sampling, make_mask
+from deqpocs.rng import derive_seed
+from deqpocs.sampling import add_noise, apply_sampling, make_mask
 from deqpocs.solvers import picard_solve
-from deqpocs.tensors import gaussian_tensor
+from deqpocs.tensors import frob, gaussian_tensor
+from deqpocs.training import reconstruct
 
 
 @pytest.fixture(scope="module")
@@ -189,8 +191,8 @@ class TestRobustness:
 
     @pytest.mark.parametrize("trials, draws", [(2, 4), (0, 2)])
     def test_draws_each_noisy_measurement_once(self, small_problem, monkeypatch, trials, draws):
-        """The recursion check reuses trial 0's noisy measurement of its
-        level, and draws it itself only when there are no trials."""
+        """Each (level, trial) slot draws its noisy measurement once; with no
+        trials, trial 0 of each level is still drawn for the recursion."""
         params, dataset = small_problem
         calls = []
         add_noise = harness.add_noise
@@ -207,6 +209,47 @@ class TestRobustness:
         assert len(set(calls)) == draws
         assert len(report.trials) == 2 * trials
         assert [ok for _, ok in report.recursion_checks] == [True, True]
+
+    @pytest.mark.parametrize("trials", [3, 1, 0])
+    def test_trial_0_is_the_one_recursion_solve(self, small_problem, monkeypatch, trials):
+        """One solve per (level, trial) slot, zero trials counting as one
+        slot: trial 0 is the only Picard solve with iterates of its level,
+        on trial 0's noisy measurement, and its bound row is that solve's."""
+        params, dataset = small_problem
+        meas = dataset[0][1]
+        levels, seed = (0.01, 0.1), 6
+        clean = verify_convergence(params, [meas], inits_per_sample=2).clean
+        solves = []
+        monkeypatch.setenv("DEQPOCS_THREADS", "1")  # solves in job order
+
+        def spy(name):
+            solve = getattr(training, name)
+
+            def wrapped(*args, record_iterates=False, **kwargs):
+                res = solve(*args, record_iterates=record_iterates, **kwargs)
+                solves.append((name, record_iterates, res))
+                return res
+
+            monkeypatch.setattr(training, name, wrapped)
+
+        spy("picard_solve")
+        spy("anderson_solve")
+        report = verify_robustness(params, meas, delta_rels=levels, trials_per_level=trials,
+                                   seed=seed, clean=clean)
+        monkeypatch.undo()
+        assert len(solves) == len(levels) * max(trials, 1)
+        assert all(recorded == (name == "picard_solve") for name, recorded, _ in solves)
+        picard = [res for name, _, res in solves if name == "picard_solve"]
+        assert len(picard) == len(levels)
+        assert len(report.trials) == len(levels) * trials
+        assert [level for level, _ in report.recursion_checks] == list(levels)
+        for li, (level, res) in enumerate(zip(levels, picard)):
+            noisy = add_noise(meas, level, seed=derive_seed(seed, li, 0))
+            want = reconstruct(params, noisy, meas.y, method="picard")
+            assert np.array_equal(res.solution, want.solution)
+            if trials:
+                trial0 = report.trials[li * trials]
+                assert trial0.observed == frob(res.solution - clean.solution)
 
     def test_shared_clean_solve_gives_same_report(self, small_problem):
         params, dataset = small_problem

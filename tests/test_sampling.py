@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from deqpocs.errors import ConfigurationError, InvalidInputError, ShapeError
 from deqpocs.rng import RandomStream
 from deqpocs.sampling import (
+    MASK_KINDS,
     Measurement,
     add_noise,
     apply_sampling,
@@ -287,3 +288,17 @@ class TestMK01:
         raw = write_mk01_bytes(mask)[:-4] + struct.pack("<HH", *descriptor)
         with pytest.raises(InvalidInputError, match="ACS descriptor"):
             read_mk01_bytes(raw)
+
+    @pytest.mark.parametrize("accel", [float("nan"), float("inf"), 0.5, -3.0])
+    def test_acceleration_must_be_finite_and_at_least_one(self, accel):
+        raw = write_mk01_bytes(make_mask("1d-calibrated", 16, 16, 2, acs=2, seed=3))
+        raw = raw[:-8] + struct.pack("<f", accel) + raw[-4:]
+        with pytest.raises(InvalidInputError, match="acceleration"):
+            read_mk01_bytes(raw)
+
+    @pytest.mark.parametrize("kind", MASK_KINDS)
+    def test_every_kind_round_trips(self, kind):
+        m = make_mask(kind, 16, 16, 3, seed=11)
+        back = read_mk01_bytes(write_mk01_bytes(m))
+        assert write_mk01_bytes(back) == write_mk01_bytes(m)
+        assert (back.kind, back.acs) == (m.kind, m.acs)

@@ -47,7 +47,7 @@ def test_snapshot_outputs(tmp_path):
     codes = [line for line in log.splitlines() if line.startswith("exit ")]
     # the trained model's recon is refused at load until the certificate is
     # a sound upper bound (ROADMAP item 1); the last four are usage errors
-    assert codes == ["exit 0"] * 15 + ["exit 1"] + ["exit 2"] * 4
+    assert codes == ["exit 0"] * 16 + ["exit 1"] + ["exit 2"] * 4
     assert "checkpoint certificate invalid" in log
     for report in ("trained.ck01.report.csv", "verify_seed2_threads1/robustness.csv",
                    "recon_init/recon_residuals.csv", "baseline_spirit/baseline_spirit.ct01",
