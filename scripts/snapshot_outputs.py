@@ -29,8 +29,8 @@ and stderr, in order:
   --blocks 2 --features 4 --epochs 3`` on it to ``kspace.ck01``, then
   ``verify --samples 2 --trials 1 --init-trials 1`` and ``recon --method
   picard --ref`` with that checkpoint;
-* ``recon`` with ``trained.ck01``, which load refuses with exit 1 while the
-  certificate is a power-iteration estimate (ROADMAP item 1);
+* ``recon`` with ``trained.ck01``, so the README's desk model is loaded,
+  re-certified and applied too;
 * four usage errors, each exit 2: ``gen-data --bogus 1``, ``gen-data`` with
   a ``--config`` line ``n=abc``, ``verify --tol inf`` and ``gen-data``
   without ``--out``.

@@ -1,8 +1,9 @@
 """Certified-contractive fixed-point k-space interpolation for parallel MRI.
 
-A learnable multi-coil consistency operator with a power-iteration Lipschitz
-certificate is driven to a fixed point under the data-consistency
-projection; training differentiates through the equilibrium. The package
+A learnable multi-coil consistency operator with a Fourier-symbol Lipschitz
+certificate, sound on every grid size, is driven to a fixed point under the
+data-consistency projection; training differentiates through the
+equilibrium and through the spectral normalization. The package
 also ships a classical SPIRiT baseline, synthetic phantom data, image
 metrics, and a harness that certifies the convergence-rate and
 noise-robustness guarantees numerically.

@@ -11,11 +11,14 @@ Activations are leaky ReLU (slope 0.2) applied separately to real and
 imaginary parts, a 1-Lipschitz choice, on all but the final layer of each
 branch.
 
-Certification multiplies per-layer power-iteration spectral-norm estimates
-(lower bounds on the true norms) within a branch, mixes branches, and
-multiplies across blocks; the bound is maintained by
-:func:`normalize_params` after every optimizer step. Exact reverse-mode
-products (:func:`vjp`) treat complex tensors as stacked real pairs.
+Certification bounds each kernel's zero-padded convolution on every grid
+size by the maximum of its Fourier symbol over a fixed ``SYMBOL_GRID`` x
+``SYMBOL_GRID`` frequency grid divided by ``cos^2(pi / SYMBOL_GRID)``, multiplies
+those bounds within a branch, mixes branches and multiplies across blocks.
+:func:`normalize_params` divides each kernel whose bound breaches 1, and
+training differentiates through that division (:func:`normalize_vjp`).
+Exact reverse-mode products (:func:`vjp`) treat complex tensors as stacked
+real pairs.
 
 ``forward`` and ``vjp`` never mutate parameters, so one parameter state can
 serve many concurrent evaluations; ``normalize_params`` and optimizer
@@ -24,6 +27,7 @@ updates assume exclusive access (the training loop is the only writer).
 
 from __future__ import annotations
 
+import math
 import struct
 from dataclasses import dataclass, field, replace
 
@@ -32,6 +36,7 @@ import numpy as np
 from .errors import CertificateError, InvalidInputError, ShapeError
 from .rng import RandomStream
 from .tensors import (
+    SYMBOL_MARGIN,
     adjoint_kernel,
     as_tensor,
     conv2d_complex,
@@ -41,7 +46,8 @@ from .tensors import (
     ifft2_centered,
     inner_real,
     read_ct01_bytes,
-    spectral_norm_power_iter,
+    spectral_norm_power_iter,  # noqa: F401  (perfbench traces it under this name)
+    symbol_norm,
     write_ct01_bytes,
 )
 
@@ -51,14 +57,17 @@ CK01_MAGIC = b"CK01"
 ALPHA_CEIL = 0.99
 KERNEL_SIZE = 3
 INIT_STD = 0.05
-NORM_SLACK = 1e-3  # kernels divided by sigma * (1 + NORM_SLACK) when above 1
-NORM_DEADZONE = 1e-6  # rescale only when sigma * (1 + slack) exceeds 1 + deadzone
-WARM_POWER_ITERS = 5
-FULL_POWER_ITERS = 50
-# Largest certification-grid side: loading a checkpoint re-runs power iteration
-# on its grid, which takes seconds at 256x256 even for a 1.7 kB checkpoint, so
-# a header must not demand more; init_params refuses a larger grid too, so
-# training never writes a checkpoint that the reader refuses.
+NORM_SLACK = 1e-3  # kernels divided by bound * (1 + NORM_SLACK) when above 1
+NORM_DEADZONE = 1e-6  # rescale only when bound * (1 + slack) exceeds 1 + deadzone
+# Side M of the frequency grid on which kernel symbols are maximized. For
+# centered 3x3 taps, u^H K(w) v is a trigonometric polynomial of degree 1 per
+# axis, so its supremum over the torus is at most its M-grid maximum over
+# cos(pi / M) per axis; that bounds the zero-padded norm on every grid size.
+SYMBOL_GRID = 17
+SYMBOL_FACTOR = math.sqrt(1.0 + SYMBOL_MARGIN) / math.cos(math.pi / SYMBOL_GRID) ** 2
+# Largest certification-grid side that a checkpoint header may declare, and
+# that init_params accepts. The certificate no longer depends on this grid;
+# the grid still limits the measurements a model may be applied to.
 MAX_CERT_SIDE = 256
 # How far a loaded checkpoint's recomputed certificate may exceed its stored one.
 CERT_TOL = 1e-3
@@ -73,12 +82,15 @@ def layer_widths(nc: int, features: int) -> list[tuple[int, int]]:
 @dataclass
 class BranchParams:
     """One five-layer CNN branch: kernels, biases, and normalization state
-    (empty until :func:`_certify` fills it)."""
+    (empty until :func:`_certify` fills it): each kernel's certified norm
+    bound in ``sigmas``, and in ``rescales`` the ``(s, grad_bound)`` of each
+    kernel that the last normalization divided by ``s`` (None for the rest),
+    which :func:`normalize_vjp` reads."""
 
     kernels: list[np.ndarray]
     biases: list[np.ndarray]
     sigmas: list[float] = field(default_factory=list)
-    power_vecs: list[np.ndarray] = field(default_factory=list)
+    rescales: list[tuple[float, np.ndarray] | None] = field(default_factory=list)
 
 
 @dataclass
@@ -107,14 +119,13 @@ class ConsistencyNetParams:
 @dataclass(frozen=True)
 class LipschitzCertificate:
     """Contraction bound for the whole operator: the product bound of
-    :func:`certified_lipschitz` over power-iteration estimates of the
-    per-kernel spectral norms. Those estimates are lower bounds on the true
-    norms, so the bound can fall short of the operator's Lipschitz constant."""
+    :func:`certified_lipschitz` over Fourier-symbol upper bounds of the
+    per-kernel spectral norms, valid for inputs of every grid size."""
 
     contraction_bound: float
     block_bounds: tuple[float, ...]
     kernel_bounds: tuple[float, ...]
-    method: str = "power-iteration"
+    method: str = "fourier-symbol"
 
     @property
     def is_contractive(self) -> bool:
@@ -132,32 +143,24 @@ def require_contractive(cert: LipschitzCertificate) -> None:
 # Initialization and normalization
 # ---------------------------------------------------------------------------
 
-def _certify(params: ConsistencyNetParams, iters: int, rescale: bool) -> None:
-    """The one certification walk: re-estimate every kernel's spectral norm
-    by ``iters`` steps of power iteration from its branch's ``power_vecs``,
-    updating ``sigmas`` and ``power_vecs`` in place. A branch without vectors
-    starts from a seed-0 Gaussian on ``cert_grid``, drawn once per input
-    width ``C_in`` and shared by every kernel of that width. With
-    ``rescale``, a kernel whose estimate breaches 1 is divided by
-    ``sigma * (1 + NORM_SLACK)``."""
-    cold: dict[int, np.ndarray] = {}
+def _certify(params: ConsistencyNetParams, rescale: bool) -> None:
+    """The one certification walk: bound every kernel's spectral norm by
+    ``SYMBOL_FACTOR`` times its symbol maximum on the ``SYMBOL_GRID`` grid,
+    filling ``sigmas`` and ``rescales`` in place. With ``rescale``, a kernel
+    whose bound breaches 1 is divided by ``s = bound * (1 + NORM_SLACK)``."""
     for blk in params.blocks:
         for br in blk.branches:
-            if not br.power_vecs:
-                for k in br.kernels:
-                    cin = k.shape[2]
-                    if cin not in cold:
-                        cold[cin] = gaussian_tensor((*params.cert_grid, cin), RandomStream(0))
-                    br.power_vecs.append(cold[cin])
-            sigmas, vecs = [], []
-            for i, (k, start) in enumerate(zip(br.kernels, br.power_vecs, strict=True)):
-                sigma, vec = spectral_norm_power_iter(k, start, iters)
-                scale = sigma * (1.0 + NORM_SLACK)
+            br.sigmas, br.rescales = [], []
+            for i, k in enumerate(br.kernels):
+                sigma, grad = symbol_norm(k, SYMBOL_GRID)
+                bound = SYMBOL_FACTOR * sigma
+                scale = bound * (1.0 + NORM_SLACK)
                 if rescale and scale > 1.0 + NORM_DEADZONE:
-                    br.kernels[i], sigma = k / scale, sigma / scale
-                sigmas.append(sigma)
-                vecs.append(vec)
-            br.sigmas, br.power_vecs = sigmas, vecs
+                    br.kernels[i], bound = k / scale, bound / scale
+                    br.rescales.append((scale, SYMBOL_FACTOR * grad))
+                else:
+                    br.rescales.append(None)
+                br.sigmas.append(bound)
 
 
 def init_params(
@@ -170,11 +173,10 @@ def init_params(
 ) -> ConsistencyNetParams:
     """Gaussian-initialized (std 0.05), spectrally normalized parameters.
 
-    ``grid`` fixes the input size on which spectral norms are certified;
-    zero same-padding makes the conv operator norm nondecreasing in grid
-    size, so a certificate on ``grid`` also covers smaller inputs.
-    Deterministic given the seed; alpha starts at 0.5, branch combination
-    at (0.5, 0.5) for the hybrid variant.
+    ``grid`` is the largest measurement grid the model accepts; the
+    certificate itself holds on every grid. Deterministic given the seed,
+    which draws the kernel values and nothing else; alpha starts at 0.5,
+    branch combination at (0.5, 0.5) for the hybrid variant.
     """
     if variant not in VARIANTS:
         raise ShapeError(f"unknown variant {variant!r}; expected one of {VARIANTS}")
@@ -204,22 +206,23 @@ def init_params(
     params = ConsistencyNetParams(
         variant=variant, blocks=out_blocks, features=features, nc=nc, cert_grid=grid
     )
-    _certify(params, FULL_POWER_ITERS, rescale=True)
+    _certify(params, rescale=True)
     return params
 
 
 def normalize_params(params: ConsistencyNetParams) -> ConsistencyNetParams:
-    """Project parameters back onto the certified-contractive set.
+    """Map raw parameters onto the certified-contractive set.
 
-    Each kernel is divided by ``sigma * (1 + 1e-3)`` when its warm-started
-    power-iteration estimate ``sigma`` exceeds 1 (a dead zone of 1e-6 keeps
-    the projection a bitwise no-op on already-normalized kernels); alpha is
-    clamped to [0, 0.99] and ``(c_k, c_i)`` is projected onto the simplex
-    (a k-space block's (1, 0) is a fixed point). The result always certifies
-    at L <= 0.99.
+    Each kernel ``V`` becomes ``W = V / s`` with ``s = b(V) * (1 + 1e-3)``
+    when its bound ``b(V)`` exceeds 1 (a dead zone of 1e-6 keeps the map a
+    bitwise no-op on already-normalized kernels, whose bound is
+    ``1 / (1 + 1e-3)``); :func:`normalize_vjp` is its reverse product.
+    alpha is clamped to [0, 0.99] and ``(c_k, c_i)`` is projected onto the
+    simplex (a k-space block's (1, 0) is a fixed point). The result always
+    certifies at L <= 0.99.
     """
     params = clone_params(params)
-    _certify(params, WARM_POWER_ITERS, rescale=True)
+    _certify(params, rescale=True)
     for blk in params.blocks:
         blk.alpha = float(min(max(blk.alpha, 0.0), ALPHA_CEIL))
         ck, ci = max(blk.c_k, 0.0), max(blk.c_i, 0.0)
@@ -232,10 +235,32 @@ def normalize_params(params: ConsistencyNetParams) -> ConsistencyNetParams:
     return params
 
 
+def normalize_vjp(params: ConsistencyNetParams, grad: np.ndarray) -> np.ndarray:
+    """Pull a gradient with respect to the parameters that
+    :func:`normalize_params` returned back to the raw ones it was given.
+
+    ``grad`` and the result are flat real vectors aligned with
+    :func:`pack_params`. For a kernel divided by ``s``, with ``grad_b`` the
+    gradient of its bound,
+    ``g_V = (g_W - (1 + NORM_SLACK) * <g_W, W> * grad_b) / s``
+    (``<., .>`` the real inner product); every other entry, alpha and
+    ``(c_k, c_i)`` included, passes through unchanged.
+    """
+    out = unpack_params(params, grad)
+    for blk, gblk in zip(params.blocks, out.blocks):
+        for br, gbr in zip(blk.branches, gblk.branches):
+            for i, (w, rescale) in enumerate(zip(br.kernels, br.rescales)):
+                if rescale is not None:
+                    s, grad_b = rescale
+                    g = gbr.kernels[i]
+                    gbr.kernels[i] = (g - (1.0 + NORM_SLACK) * inner_real(g, w) * grad_b) / s
+    return pack_params(out)
+
+
 def _map_params(params: ConsistencyNetParams, array, scalar) -> ConsistencyNetParams:
     """Same structure, every kernel and bias passed through ``array`` and
-    every block scalar through ``scalar``. Power-iteration vectors are
-    shared: they are replaced, never written in place."""
+    every block scalar through ``scalar``; normalization state is shared
+    (its lists are copied, their entries are never written in place)."""
 
     def branch(br: BranchParams | None) -> BranchParams | None:
         if br is None:
@@ -244,7 +269,7 @@ def _map_params(params: ConsistencyNetParams, array, scalar) -> ConsistencyNetPa
             kernels=[array(k) for k in br.kernels],
             biases=[array(b) for b in br.biases],
             sigmas=list(br.sigmas),
-            power_vecs=list(br.power_vecs),
+            rescales=list(br.rescales),
         )
 
     blocks = [
@@ -265,19 +290,27 @@ def clone_params(params: ConsistencyNetParams) -> ConsistencyNetParams:
 
 
 def certified_lipschitz(params: ConsistencyNetParams) -> LipschitzCertificate:
-    """Contraction bound from the stored per-kernel norm estimates.
+    """Contraction bound from the stored per-kernel norm bounds.
 
-    Per block: ``sum |w| * (|0.99 - alpha| + |alpha| * prod(layer norms))``
+    Per block: ``sum |w| * (|0.99 - alpha| + |alpha| * prod(layer bounds))``
     over its branches and their weights ``(c_k, c_i)`` (activation Lipschitz
-    constant 1); bounds multiply across blocks. The
-    absolute values keep the formula valid for any stored alpha or mixing
-    weight; normalized parameters certify at <= 0.99. The layer norms are
-    power-iteration estimates, that is lower bounds on the true norms, so
-    the result is an estimate of the bound rather than a guaranteed one.
+    constant 1); bounds multiply across blocks. The absolute values keep the
+    formula valid for any stored alpha or mixing weight; normalized
+    parameters certify at <= 0.99. Each layer bound is a Fourier-symbol
+    upper bound on the kernel's spectral norm for every grid size, so the
+    result bounds the operator's Lipschitz constant on every input. A branch
+    without exactly one stored bound per kernel raises
+    :class:`CertificateError`.
     """
     block_bounds = []
     kernel_bounds: list[float] = []
     for blk in params.blocks:
+        for br in blk.branches:
+            if len(br.sigmas) != len(br.kernels):
+                raise CertificateError(
+                    f"branch has {len(br.sigmas)} kernel bounds for {len(br.kernels)} "
+                    "kernels; certify the parameters first"
+                )
         keep, mix = abs(ALPHA_CEIL - blk.alpha), abs(blk.alpha)
         bounds = [keep + mix * float(np.prod(br.sigmas)) for br in blk.branches]
         block_bounds.append(sum(abs(w) * b for w, b in zip((blk.c_k, blk.c_i), bounds)))
@@ -587,9 +620,8 @@ def read_ck01_bytes(data: bytes):
     grid at least 1 (each grid side at most ``MAX_CERT_SIDE``), the length
     exactly what the header implies, every value finite, and a k-space
     block's weights exactly (1, 0), since the one block formula reads them.
-    Spectral-norm estimates are recomputed with the full power iteration on
-    the stored certification grid, so the returned parameters carry a fresh,
-    verifiable certificate.
+    The kernel bounds are recomputed from the stored kernels, so the
+    returned parameters carry a fresh, verifiable certificate.
     """
     if data[:4] != CK01_MAGIC:
         raise InvalidInputError("bad CK01 magic")
@@ -638,7 +670,7 @@ def read_ck01_bytes(data: bytes):
     params = ConsistencyNetParams(
         variant=variant, blocks=blocks, features=F, nc=nc, cert_grid=(gh, gw)
     )
-    _certify(params, FULL_POWER_ITERS, rescale=False)  # only once the input is valid
+    _certify(params, rescale=False)  # only once the input is valid
     return params, float(scalars[-1])
 
 

@@ -1,8 +1,7 @@
 """Fully specified pseudo-random stream used by every stochastic component.
 
-All randomness in the package (mask selection, noise, weight init, power
-iteration start vectors, epoch shuffling, harness trials) flows through the
-generator defined here so that datasets, checkpoints and reports are
+All randomness in the package (mask selection, noise, weight init, epoch
+shuffling, harness trials) flows through the generator defined here so that datasets, checkpoints and reports are
 reproducible from integer seeds alone, independent of numpy's RNG choices.
 
 The stream is xoshiro256++ seeded through splitmix64:

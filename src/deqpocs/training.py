@@ -9,9 +9,10 @@ contractive, certificate-backed) linear map ``v <- g + J^T v``, solved by
 Anderson acceleration on the forward solve's loop (:func:`anderson_solve`;
 on a linear map, Anderson within its memory is GMRES), after which one
 parameter-side reverse product of the composed operator yields the
-gradient. Parameters are updated with bias-corrected Adam on their real
-parameterization and re-projected onto the certified-contractive set after
-every step.
+gradient. Adam holds the raw kernels ``V``; the operator uses
+``W = V / s`` from :func:`normalize_params`, once per step, and the gradient
+goes through that division (:func:`normalize_vjp`), as in spectral
+normalization. alpha and the branch weights are projected after every step.
 
 Every equilibrium solve of the package (training, inference, the harness)
 goes through :func:`reconstruct`, the one place that gates on the
@@ -31,11 +32,13 @@ from .metrics import csv_text
 from .network import (
     ConsistencyNetParams,
     certified_lipschitz,
+    clone_params,
     forward,
     forward_with_trace,
     init_params,
     jacobian_vjp,
     normalize_params,
+    normalize_vjp,
     pack_params,
     param_vjp,
     require_contractive,
@@ -244,8 +247,10 @@ def train(
 
     Per epoch the sample order is reshuffled from the seeded stream; per
     sample the forward equilibrium is solved, the squared-Frobenius k-space
-    loss and its implicit gradient are computed, and one Adam step plus the
-    contractive projection is applied. The report logs per-epoch means and
+    loss and its implicit gradient are computed, and one Adam step on the
+    raw parameters is taken, followed by :func:`normalize_params`. Adam's
+    first raw kernels are the given ones, so the first gradient goes through
+    no division. The report logs per-epoch means and
     the certificate after every step; the final entry is the mean
     equilibrium residual of the trained operator over the training set.
     """
@@ -264,6 +269,10 @@ def train(
             seed=config.init_seed,
             grid=(H, W),
         )
+    params = clone_params(params)
+    for blk in params.blocks:
+        for br in blk.branches:
+            br.rescales = [None] * len(br.kernels)
     state = AdamState.init(pack_params(params))
     order_stream = RandomStream(config.shuffle_seed)
     report = TrainReport()
@@ -288,9 +297,13 @@ def train(
                 )
             except Exception as exc:
                 raise TrainingError(f"solve failed at epoch {epoch}, sample {m}: {exc}") from exc
-            state = adam_step(state, grad, lr=config.learning_rate)
-            params = normalize_params(unpack_params(params, state.values))
-            state.values = pack_params(params)  # keep moments aligned post-projection
+            state = adam_step(state, normalize_vjp(params, grad), lr=config.learning_rate)
+            raw = unpack_params(params, state.values)
+            params = normalize_params(raw)
+            # Adam keeps the raw kernels and the projected block weights
+            for blk, projected in zip(raw.blocks, params.blocks):
+                blk.alpha, blk.c_k, blk.c_i = projected.alpha, projected.c_k, projected.c_i
+            state.values = pack_params(raw)
             cert = certified_lipschitz(params)
             report.step_certificates.append(cert.contraction_bound)
             losses.append(loss)

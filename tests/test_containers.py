@@ -16,7 +16,7 @@ from deqpocs.tensors import gaussian_tensor, read_ct01_bytes, write_ct01_bytes
 CONTAINERS = {
     "ct01": (write_ct01_bytes(gaussian_tensor((3, 2, 2), RandomStream(1))), read_ct01_bytes),
     "mk01": (write_mk01_bytes(make_mask("2d-calibrated", 6, 5, 2, seed=1)), read_mk01_bytes),
-    # a tiny hybrid model keeps the power iteration run by every parse cheap
+    # a tiny hybrid model keeps the certification run by every parse cheap
     "ck01": (
         write_ck01_bytes(init_params("hybrid", 1, 1, 1, seed=0, grid=(3, 3))),
         read_ck01_bytes,
@@ -77,8 +77,8 @@ def test_out_of_range_enum_byte_rejected(name, offset, value):
 
 @pytest.mark.parametrize("offset", [17, 21], ids=["height", "width"])
 def test_ck01_certification_grid_beyond_limit_rejected(offset):
-    """Loading re-runs power iteration on the declared grid, so a header
-    alone must not be able to demand a larger one."""
+    """A header may not declare a grid that init_params would refuse, so
+    training never writes a checkpoint that loading refuses."""
     data = bytearray(CONTAINERS["ck01"][0])
     struct.pack_into("<I", data, offset, 257)
     with pytest.raises(InvalidInputError, match="certification grid"):

@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 from deqpocs.errors import CertificateError, InvalidInputError, ShapeError
+import deqpocs.network as network
+import deqpocs.tensors as tensors
 from deqpocs.network import (
-    FULL_POWER_ITERS,
     _lrelu_with_mult,
     _scale_parts,
     certified_lipschitz,
@@ -26,7 +27,7 @@ from deqpocs.network import (
     write_ck01_bytes,
 )
 from deqpocs.rng import RandomStream
-from deqpocs.tensors import frob, gaussian_tensor, inner_real, spectral_norm_power_iter
+from deqpocs.tensors import frob, gaussian_tensor, inner_real
 
 
 def small_net(variant="kspace", blocks=2, features=4, nc=2, seed=0, grid=(8, 8)):
@@ -369,31 +370,42 @@ class TestPacking:
             unpack_params(p, np.zeros(3))
 
 
-class TestColdStarts:
-    def test_one_start_per_input_shape(self, monkeypatch):
-        drawn = []
-        gaussians = RandomStream.gaussians
+class TestCertificationCost:
+    """Certification reads the kernels only: it runs no convolution and draws
+    no random numbers, whatever grid a checkpoint declares."""
 
-        def counting(stream, n):
-            drawn.append(n)
+    @pytest.fixture
+    def spies(self, monkeypatch):
+        counts = {"convs": 0, "gaussians": 0}
+        conv, gaussians = tensors.conv2d_complex, RandomStream.gaussians
+
+        def counting_conv(*args, **kwargs):
+            counts["convs"] += 1
+            return conv(*args, **kwargs)
+
+        def counting_gaussians(stream, n):
+            counts["gaussians"] += n
             return gaussians(stream, n)
 
-        monkeypatch.setattr(RandomStream, "gaussians", counting)
-        grid, nc, features = (8, 8), 2, 4
-        starts = 2 * grid[0] * grid[1] * (nc + features)  # one per distinct C_in
-        p = init_params("hybrid", 2, features, nc, seed=0, grid=grid)
-        branches = [br for blk in p.blocks for br in (blk.kspace_branch, blk.image_branch)]
-        kernel_values = sum(2 * k.size for br in branches for k in br.kernels)
-        assert sum(drawn) == kernel_values + starts
-        raw = write_ck01_bytes(p)
-        drawn.clear()
+        monkeypatch.setattr(tensors, "conv2d_complex", counting_conv)
+        monkeypatch.setattr(network, "conv2d_complex", counting_conv)
+        monkeypatch.setattr(RandomStream, "gaussians", counting_gaussians)
+        return counts
+
+    def test_init_draws_exactly_the_kernel_values(self, spies):
+        p = init_params("hybrid", 2, 4, 2, seed=0, grid=(8, 8))
+        branches = [br for blk in p.blocks for br in blk.branches]
+        assert spies == {"convs": 0, "gaussians": sum(2 * k.size for br in branches
+                                                      for k in br.kernels)}
+
+    @pytest.mark.parametrize("grid", [(8, 8), (256, 256)], ids=["8x8", "256x256"])
+    def test_load_runs_no_conv_and_draws_nothing(self, spies, grid):
+        raw = write_ck01_bytes(init_params("hybrid", 2, 4, 2, seed=0, grid=grid))
+        spies.update(convs=0, gaussians=0)
         q, _ = read_ck01_bytes(raw)
-        assert sum(drawn) == starts
-        for blk in q.blocks:
-            for br in (blk.kspace_branch, blk.image_branch):
-                for k, sigma in zip(br.kernels, br.sigmas):
-                    start = gaussian_tensor((*grid, k.shape[2]), RandomStream(0))
-                    assert sigma == spectral_norm_power_iter(k, start, FULL_POWER_ITERS)[0]
+        assert spies == {"convs": 0, "gaussians": 0}
+        assert q.cert_grid == grid
+        assert certified_lipschitz(q).contraction_bound <= 0.99 + 1e-6
 
 
 class TestCheckpoint:
