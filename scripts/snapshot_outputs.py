@@ -31,6 +31,9 @@ and stderr, in order:
   picard --ref`` with that checkpoint;
 * ``recon`` with ``trained.ck01``, so the README's desk model is loaded,
   re-certified and applied too;
+* ``recon`` with ``init.ck01``, which records a 32x32 grid, on sample 0 of
+  ``gen-data --n 1 --size 48 --coils 4 --seed 6``: the certificate holds on
+  every grid, so a model runs on a larger one;
 * four usage errors, each exit 2: ``gen-data --bogus 1``, ``gen-data`` with
   a ``--config`` line ``n=abc``, ``verify --tol inf`` and ``gen-data``
   without ``--out``.
@@ -118,6 +121,9 @@ def main():
         run(log, "recon", "--ckpt", "kspace.ck01", *sample("kdata"), "--method", "picard",
             "--out", "recon_kspace")
         run(log, "recon", "--ckpt", "trained.ck01", *sample("data"), "--out", "recon_trained")
+        run(log, "gen-data", "--out", "data48", "--n", "1", "--size", "48", "--coils", "4",
+            "--seed", "6")
+        run(log, "recon", "--ckpt", "init.ck01", *sample("data48"), "--out", "recon_48")
         run(log, "gen-data", "--bogus", "1")
         Path("bad.cfg").write_text("n=abc\n")
         run(log, "gen-data", "--out", "bad_config", "--config", "bad.cfg")

@@ -65,10 +65,6 @@ NORM_DEADZONE = 1e-6  # rescale only when bound * (1 + slack) exceeds 1 + deadzo
 # cos(pi / M) per axis; that bounds the zero-padded norm on every grid size.
 SYMBOL_GRID = 17
 SYMBOL_FACTOR = math.sqrt(1.0 + SYMBOL_MARGIN) / math.cos(math.pi / SYMBOL_GRID) ** 2
-# Largest certification-grid side that a checkpoint header may declare, and
-# that init_params accepts. The certificate no longer depends on this grid;
-# the grid still limits the measurements a model may be applied to.
-MAX_CERT_SIDE = 256
 # How far a loaded checkpoint's recomputed certificate may exceed its stored one.
 CERT_TOL = 1e-3
 
@@ -113,7 +109,7 @@ class ConsistencyNetParams:
     blocks: list[BlockParams]
     features: int
     nc: int
-    cert_grid: tuple[int, int]
+    cert_grid: tuple[int, int]  # stored in CK01 only; no computation uses it
 
 
 @dataclass(frozen=True)
@@ -173,8 +169,9 @@ def init_params(
 ) -> ConsistencyNetParams:
     """Gaussian-initialized (std 0.05), spectrally normalized parameters.
 
-    ``grid`` is the largest measurement grid the model accepts; the
-    certificate itself holds on every grid. Deterministic given the seed,
+    ``grid`` is only recorded (CK01 stores it as two uint32 sides, so each
+    must lie in 1 ... 2**32 - 1): the certificate holds on every grid, and
+    the model runs on any. Deterministic given the seed,
     which draws the kernel values and nothing else; alpha starts at 0.5,
     branch combination at (0.5, 0.5) for the hybrid variant.
     """
@@ -182,8 +179,8 @@ def init_params(
         raise ShapeError(f"unknown variant {variant!r}; expected one of {VARIANTS}")
     if blocks < 1 or features < 1 or nc < 1:
         raise ShapeError("blocks, features and coil count must be >= 1")
-    if max(grid) > MAX_CERT_SIDE:
-        raise ShapeError(f"certification grid {grid} has a side above {MAX_CERT_SIDE}")
+    if not all(1 <= side < 2**32 for side in grid):
+        raise ShapeError(f"certification grid {grid} has a side outside 1 ... 2**32 - 1")
     stream = RandomStream(seed)
     widths = layer_widths(nc, features)
 
@@ -617,7 +614,7 @@ def read_ck01_bytes(data: bytes):
 
     Any malformed input raises InvalidInputError: the header must be
     complete, the variant byte known, every count and the certification
-    grid at least 1 (each grid side at most ``MAX_CERT_SIDE``), the length
+    grid side at least 1 (the grid is recorded, not used), the length
     exactly what the header implies, every value finite, and a k-space
     block's weights exactly (1, 0), since the one block formula reads them.
     The kernel bounds are recomputed from the stored kernels, so the
@@ -631,7 +628,7 @@ def read_ck01_bytes(data: bytes):
         raise InvalidInputError(f"CK01 variant byte {data[4]} out of range")
     variant = VARIANTS[data[4]]
     B, F, nc, gh, gw = struct.unpack("<IIIII", data[5:25])
-    if min(B, F, nc, gh, gw) < 1 or max(gh, gw) > MAX_CERT_SIDE:
+    if min(B, F, nc, gh, gw) < 1:
         raise InvalidInputError(
             f"CK01 header out of range: {B} blocks, {F} features, {nc} coils, "
             f"certification grid {gh}x{gw}"

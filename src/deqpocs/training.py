@@ -27,12 +27,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import CertificateError, TrainingError
+from .errors import InvalidInputError, TrainingError
 from .metrics import csv_text
 from .network import (
     ConsistencyNetParams,
     certified_lipschitz,
-    clone_params,
     forward,
     forward_with_trace,
     init_params,
@@ -58,17 +57,7 @@ ADAM_EPS = 1e-8
 
 
 def make_pocs_operator(params: ConsistencyNetParams, meas: Measurement):
-    """The iteration map: consistency operator followed by the projection.
-
-    Raises :class:`CertificateError` when the measurement grid exceeds the
-    certified grid in either dimension: zero-padded convolution norms grow
-    with the grid, so the certificate does not cover larger inputs.
-    """
-    (gh, gw), (h, w) = params.cert_grid, meas.y.shape[:2]
-    if h > gh or w > gw:
-        raise CertificateError(
-            f"measurement grid {h}x{w} exceeds the certified grid {gh}x{gw}"
-        )
+    """The iteration map: consistency operator followed by the projection."""
 
     def T(x: np.ndarray) -> np.ndarray:
         return project_data_consistency(forward(params, x), meas)
@@ -249,8 +238,9 @@ def train(
     sample the forward equilibrium is solved, the squared-Frobenius k-space
     loss and its implicit gradient are computed, and one Adam step on the
     raw parameters is taken, followed by :func:`normalize_params`. Adam's
-    first raw kernels are the given ones, so the first gradient goes through
-    no division. The report logs per-epoch means and
+    first raw kernels are the given ones, normalized (so re-certified, not
+    trusted) before the first solve; a non-finite one raises
+    :class:`TrainingError`. The report logs per-epoch means and
     the certificate after every step; the final entry is the mean
     equilibrium residual of the trained operator over the training set.
     """
@@ -269,11 +259,11 @@ def train(
             seed=config.init_seed,
             grid=(H, W),
         )
-    params = clone_params(params)
-    for blk in params.blocks:
-        for br in blk.branches:
-            br.rescales = [None] * len(br.kernels)
     state = AdamState.init(pack_params(params))
+    try:
+        params = normalize_params(params)
+    except InvalidInputError as exc:
+        raise TrainingError(f"given parameters: {exc}") from exc
     order_stream = RandomStream(config.shuffle_seed)
     report = TrainReport()
     for epoch in range(config.epochs):

@@ -35,11 +35,11 @@ def checkpoint(dataset_dir, tmp_path_factory):
     return ck
 
 
-@pytest.fixture(scope="module")
-def small_grid_checkpoint(tmp_path_factory):
-    """An untrained model certified on 8x8, smaller than the 16x16 dataset."""
-    ck = tmp_path_factory.mktemp("ck8") / "net8.ck01"
-    save_checkpoint(ck, init_params("kspace", 1, 4, 2, seed=0, grid=(8, 8)))
+@pytest.fixture(scope="module", params=[(8, 8), (4_000_000_000, 16)], ids=["8x8", "4e9x16"])
+def other_grid_checkpoint(request, tmp_path_factory):
+    """An untrained model that records a grid other than the 16x16 dataset's."""
+    ck = tmp_path_factory.mktemp("ck") / "net.ck01"
+    save_checkpoint(ck, init_params("kspace", 1, 4, 2, seed=0, grid=request.param))
     return ck
 
 
@@ -183,17 +183,16 @@ class TestRecon:
             "--out", str(tmp_path / "o3"),
         ) == 2
 
-    def test_grid_beyond_certified_grid_exits_1(
-        self, dataset_dir, small_grid_checkpoint, tmp_path, capsys
-    ):
+    def test_any_recorded_grid_exits_0(self, dataset_dir, other_grid_checkpoint, tmp_path):
+        """The certificate holds on every grid, so the recorded one limits nothing."""
         code = run(
-            "recon", "--ckpt", str(small_grid_checkpoint),
+            "recon", "--ckpt", str(other_grid_checkpoint),
             "--meas", str(dataset_dir / "sample_0000_meas.ct01"),
             "--mask", str(dataset_dir / "sample_0000_mask.mk01"),
             "--out", str(tmp_path / "o4"),
         )
-        assert code == 1
-        assert "exceeds the certified grid 8x8" in capsys.readouterr().err
+        assert code == 0
+        assert (tmp_path / "o4" / "recon.ct01").exists()
 
     def test_fully_sampled_recon_matches_input(self, checkpoint, tmp_path):
         from deqpocs.phantom import DatasetSpec, make_dataset, save_dataset
@@ -352,24 +351,11 @@ def test_kspace_weights_other_than_one_zero_exit_2(
 
 
 class TestVerify:
-    def test_grid_beyond_certified_grid_exits_1(
-        self, dataset_dir, small_grid_checkpoint, tmp_path
-    ):
+    def test_any_recorded_grid_exits_0(self, dataset_dir, other_grid_checkpoint, tmp_path):
         assert run(
-            "verify", "--ckpt", str(small_grid_checkpoint), "--data", str(dataset_dir),
+            "verify", "--ckpt", str(other_grid_checkpoint), "--data", str(dataset_dir),
             "--out", str(tmp_path / "verify"), "--samples", "1",
-        ) == 1
-
-    def test_certification_grid_beyond_limit_exits_2(self, dataset_dir, tmp_path, capsys):
-        raw = bytearray(write_ck01_bytes(init_params("kspace", 1, 4, 2, seed=0, grid=(16, 16))))
-        struct.pack_into("<I", raw, 17, 257)  # certification-grid height
-        ck = tmp_path / "big.ck01"
-        ck.write_bytes(bytes(raw))
-        assert run(
-            "verify", "--ckpt", str(ck), "--data", str(dataset_dir),
-            "--out", str(tmp_path / "verify"), "--samples", "1",
-        ) == 2
-        assert "certification grid 257x16" in capsys.readouterr().err
+        ) == 0
 
     def test_bad_thread_cap_exits_2(self, dataset_dir, checkpoint, tmp_path, monkeypatch):
         monkeypatch.setenv("DEQPOCS_THREADS", "abc")

@@ -3,12 +3,19 @@ InvalidInputError, never another exception."""
 
 import struct
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from deqpocs.errors import InvalidInputError
-from deqpocs.network import init_params, read_ck01_bytes, write_ck01_bytes
+from deqpocs.network import (
+    certified_lipschitz,
+    init_params,
+    pack_params,
+    read_ck01_bytes,
+    write_ck01_bytes,
+)
 from deqpocs.rng import RandomStream
 from deqpocs.sampling import make_mask, read_mk01_bytes, write_mk01_bytes
 from deqpocs.tensors import gaussian_tensor, read_ct01_bytes, write_ct01_bytes
@@ -76,10 +83,14 @@ def test_out_of_range_enum_byte_rejected(name, offset, value):
 
 
 @pytest.mark.parametrize("offset", [17, 21], ids=["height", "width"])
-def test_ck01_certification_grid_beyond_limit_rejected(offset):
-    """A header may not declare a grid that init_params would refuse, so
-    training never writes a checkpoint that loading refuses."""
-    data = bytearray(CONTAINERS["ck01"][0])
-    struct.pack_into("<I", data, offset, 257)
-    with pytest.raises(InvalidInputError, match="certification grid"):
-        read_ck01_bytes(bytes(data))
+def test_ck01_certification_grid_is_ignored(offset):
+    """The grid field is recorded, not used: a header declaring 4e9 on a
+    side loads with the same certificate and kernels as the original."""
+    raw = CONTAINERS["ck01"][0]
+    data = bytearray(raw)
+    struct.pack_into("<I", data, offset, 4_000_000_000)
+    (want, want_l), (got, got_l) = read_ck01_bytes(raw), read_ck01_bytes(bytes(data))
+    assert got.cert_grid == tuple(4_000_000_000 if o == offset else 3 for o in (17, 21))
+    assert got_l == want_l
+    assert certified_lipschitz(got) == certified_lipschitz(want)
+    assert np.array_equal(pack_params(got), pack_params(want))

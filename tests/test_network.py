@@ -69,10 +69,14 @@ class TestInit:
             assert cert.contraction_bound <= 0.99 + 1e-12
             assert all(s <= 1 + 1e-6 for s in cert.kernel_bounds)
 
-    def test_certification_grid_limit(self):
-        """Training must not write a checkpoint that the reader refuses."""
-        assert init_params("kspace", 1, 1, 1, grid=(256, 1)).cert_grid == (256, 1)
-        for grid in [(257, 1), (1, 257)]:
+    def test_certification_grid_fits_ck01(self):
+        """Any grid CK01 can record is accepted, and the reader takes it back;
+        the rest is refused, so training never writes a checkpoint that
+        loading refuses."""
+        for grid in [(1, 1), (257, 1), (2**32 - 1, 2**32 - 1)]:
+            p = init_params("kspace", 1, 1, 1, grid=grid)
+            assert read_ck01_bytes(write_ck01_bytes(p))[0].cert_grid == grid
+        for grid in [(0, 8), (-1, 8), (2**32, 1), (1, 2**32)]:
             with pytest.raises(ShapeError):
                 init_params("kspace", 1, 1, 1, grid=grid)
 

@@ -3,8 +3,11 @@ import pytest
 
 from deqpocs.errors import CertificateError, TrainingError
 from deqpocs.harness import verify_convergence, verify_init_independence, verify_robustness
+from deqpocs import training
 from deqpocs.network import (
+    _certify,
     certified_lipschitz,
+    clone_params,
     forward,
     forward_with_trace,
     init_params,
@@ -192,14 +195,20 @@ class TestEquilibrium:
         assert zero_fill(meas) is meas.y
 
     @pytest.mark.parametrize("shape", [(16, 16), (16, 8), (8, 16)])
-    def test_grid_beyond_certified_grid_refused(self, shape):
-        _, _, params = tiny_setup()  # certified on 8x8
+    def test_grid_larger_than_recorded_grid_contracts(self, shape):
+        """The certificate bounds the operator on every grid: a model
+        recorded at 8x8 converges on a larger one, and no random pair there
+        is stretched by more than L."""
+        _, _, params = tiny_setup()
         x_full = gaussian_tensor((*shape, 2), RandomStream(12))
         meas = apply_sampling(x_full, make_mask("1d-calibrated", *shape, 2, acs=2, seed=5))
-        with pytest.raises(CertificateError, match="exceeds the certified grid 8x8"):
-            make_pocs_operator(params, meas)
-        with pytest.raises(CertificateError):
-            reconstruct(params, meas)
+        assert reconstruct(params, meas).converged
+        T, stream = make_pocs_operator(params, meas), RandomStream(15)
+        ratios = []
+        for _ in range(8):
+            x, x2 = (10.0 * gaussian_tensor(x_full.shape, stream) for _ in range(2))
+            ratios.append(frob(T(x) - T(x2)) / frob(x - x2))
+        assert max(ratios) <= certified_lipschitz(params).contraction_bound
 
     def test_grid_within_certified_grid_accepted(self):
         x_full = gaussian_tensor((6, 8, 2), RandomStream(13))
@@ -237,10 +246,9 @@ class TestCertifiedSolve:
             (lambda p, x, m: verify_convergence(p, [m], inits_per_sample=2), CertificateError),
             (lambda p, x, m: verify_robustness(p, m, trials_per_level=1), CertificateError),
             (lambda p, x, m: verify_init_independence(p, m, trials_per_level=1), CertificateError),
-            (lambda p, x, m: train([(x, m)], TrainConfig(epochs=1), params=p), TrainingError),
         ],
         ids=["reconstruct", "verify_convergence", "verify_robustness",
-             "verify_init_independence", "train"],
+             "verify_init_independence"],
     )
     def test_uncertified_parameters_refused(self, call, error):
         x_full, meas, params = tiny_setup()
@@ -248,6 +256,34 @@ class TestCertifiedSolve:
         params.blocks[0].alpha = 0.99
         with pytest.raises(error, match="is not < 1"):
             call(params, x_full, meas)
+
+    def test_train_certifies_the_given_kernels(self, monkeypatch):
+        """``train`` normalizes what it is given instead of trusting its
+        stored bounds: every L it solves with or reports is the certificate
+        of the kernels it holds at that moment."""
+        x_full, meas, params = tiny_setup()
+        branch = params.blocks[0].kspace_branch
+        branch.kernels = [3.0 * k for k in branch.kernels]  # stored bounds now stale
+        pairs = []
+
+        def spy(p):
+            fresh = clone_params(p)
+            _certify(fresh, rescale=False)
+            pairs.append((certified_lipschitz(p).contraction_bound,
+                          certified_lipschitz(fresh).contraction_bound))
+            return certified_lipschitz(p)
+
+        monkeypatch.setattr(training, "certified_lipschitz", spy)
+        train([(x_full, meas)], TrainConfig(epochs=2), params=params)
+        assert len(pairs) == 2 + 2 + 1  # a solve and a report per step, a final solve
+        for used, fresh in pairs:
+            assert used == pytest.approx(fresh, rel=1e-12) and used < 1.0
+
+    def test_train_refuses_nonfinite_given_kernel(self):
+        x_full, meas, params = tiny_setup()
+        params.blocks[0].kspace_branch.kernels[0][0, 0, 0, 0] = np.nan
+        with pytest.raises(TrainingError, match="non-finite"):
+            train([(x_full, meas)], TrainConfig(epochs=1), params=params)
 
 
 class TestTrainLoop:
