@@ -6,6 +6,14 @@ grid), and the CT01 binary container.
 Tensors are plain ``numpy`` arrays of shape (H, W, C) and dtype complex128;
 convolution kernels are (kh, kw, C_in, C_out) with odd spatial extents.
 All functions are pure and safe for concurrent use.
+
+The convolution gathers one row band per call: the kw-wide window of every
+position of every zero-padded row, ((H+kh-1)*W, kw*C_in), a kh-th of a full
+patch matrix (0.8 MB for a 32x32, 16-channel input with a 3x3 kernel). The
+output is then kh GEMMs on contiguous slices of the band, one per kernel
+row, and the kernel gradient the kh transposed GEMMs. Importing this module
+raises glibc's malloc mmap and trim thresholds for the whole process (see
+the comment above :func:`_row_band`).
 """
 
 from __future__ import annotations
@@ -111,13 +119,26 @@ def window_rows(x: np.ndarray, kh: int, kw: int) -> np.ndarray:
     return view.reshape((H - kh + 1) * (W - kw + 1), kh * kw * c)
 
 
-def _padded_rows(x: np.ndarray, kh: int, kw: int) -> np.ndarray:
-    """(H*W, kh*kw*C) window rows of ``x`` under zero same-padding."""
+# glibc's malloc serves a block above its mmap threshold (128 KiB at start)
+# with a fresh mmap and unmaps it on free, so every conv's band, output and
+# temporaries (0.26-0.8 MB at 32x32 with 16 channels) would be faulted in
+# anew on each call. Freeing one mmapped block raises the *dynamic*
+# threshold to its size, and the trim threshold to twice that, for the whole
+# process: with this 4.8 MB block the hot path's arrays are reused from the
+# heap instead. Its pages are never touched; other allocators ignore it.
+np.empty(300_000, dtype=np.complex128)
+
+
+def _row_band(x: np.ndarray, kh: int, kw: int) -> np.ndarray:
+    """((H+kh-1)*W, kw*C) rows: the kw-wide window of every position of every
+    row of ``x`` zero-padded for a kh x kw kernel. Rows ``dy*W`` to
+    ``dy*W + H*W - 1`` are the windows of kernel row ``dy`` for all H*W
+    outputs, in the (dx, channel) column order of ``k[dy]``."""
     H, W, c = x.shape
     # zeros plus a slice assignment: np.pad costs about 50 us a call
     xp = np.zeros((H + kh - 1, W + kw - 1, c), dtype=np.complex128)
     xp[kh // 2 : kh // 2 + H, kw // 2 : kw // 2 + W] = x
-    return window_rows(xp, kh, kw)
+    return window_rows(xp, 1, kw)
 
 
 def conv2d_complex(x: np.ndarray, k: np.ndarray) -> np.ndarray:
@@ -125,7 +146,8 @@ def conv2d_complex(x: np.ndarray, k: np.ndarray) -> np.ndarray:
 
     ``out[p, co] = sum_{d, ci} x[p + d, ci] * k[d, ci, co]`` where ``d``
     ranges over kernel offsets centered on zero and out-of-grid samples of
-    ``x`` are zero. Linear in ``x``; output shape (H, W, C_out).
+    ``x`` are zero. Linear in ``x``; output shape (H, W, C_out). Computed as
+    one GEMM per kernel row on contiguous slices of :func:`_row_band`.
     """
     x = as_tensor(x, "conv input")
     k = validate_kernel(k)
@@ -135,7 +157,10 @@ def conv2d_complex(x: np.ndarray, k: np.ndarray) -> np.ndarray:
             f"channel mismatch: input has {x.shape[2]} channels, kernel expects {cin}"
         )
     H, W, _ = x.shape
-    out = _padded_rows(x, kh, kw) @ k.reshape(kh * kw * cin, cout)
+    rows, taps, n = _row_band(x, kh, kw), k.reshape(kh, kw * cin, cout), H * W
+    out = rows[:n] @ taps[0]
+    for dy in range(1, kh):
+        out += rows[dy * W : dy * W + n] @ taps[dy]
     return out.reshape(H, W, cout)
 
 
@@ -157,8 +182,11 @@ def conv2d_kernel_grad(x: np.ndarray, cot: np.ndarray, kh: int, kw: int) -> np.n
     """
     H, W, cin = x.shape
     cout = cot.shape[2]
-    grad = (_padded_rows(x, kh, kw).T @ cot.reshape(H * W, cout).conj()).conj()
-    return grad.reshape(kh, kw, cin, cout)
+    rows, cot_c, n = _row_band(x, kh, kw), cot.reshape(H * W, cout).conj(), H * W
+    grad = np.empty((kh, kw * cin, cout), dtype=np.complex128)
+    for dy in range(kh):
+        np.matmul(rows[dy * W : dy * W + n].T, cot_c, out=grad[dy])
+    return grad.conj().reshape(kh, kw, cin, cout)
 
 
 # ---------------------------------------------------------------------------
@@ -206,10 +234,13 @@ def spectral_norm_power_iter(k: np.ndarray, start: np.ndarray, iters: int):
 # Relative margin on the squared norm under which the Cholesky check proves
 # that no grid frequency beats the candidate: far above its rounding error.
 SYMBOL_MARGIN = 1e-9
-# Batched power steps per frequency that pick the candidate. On trained
-# kernels, 8 steps pick the grid maximum in 88-100% of certifications; a miss
-# costs one eigvalsh over the grid, not a wrong bound.
+# Batched power steps per frequency that rank the frequencies. On trained
+# kernels, 8 steps put the grid maximum first in 88-100% of certifications.
 SYMBOL_POWER_STEPS = 8
+# The best-ranked frequencies whose exact top eigenvalue picks the candidate;
+# a candidate that is not the grid maximum costs one eigvalsh over the grid,
+# not a wrong bound.
+SYMBOL_CANDIDATES = 8
 
 
 def _phases(m: int, kh: int, kw: int) -> np.ndarray:
@@ -242,9 +273,11 @@ def symbol_norm(k: np.ndarray, m: int):
 
     Every frequency's Gram matrix ``G(w)`` is formed on the smaller channel
     side. ``SYMBOL_POWER_STEPS`` batched power steps pick a candidate
-    frequency; one batched Cholesky of ``sigma^2 (1 + SYMBOL_MARGIN) I - G``
-    proves that no frequency exceeds it, else one batched ``eigvalsh`` finds
-    the maximum. ``sigma`` comes from the SVD at the chosen frequency
+    frequency: the ``SYMBOL_CANDIDATES`` best Rayleigh quotients are re-ranked
+    by one batched ``eigvalsh`` of their Gram matrices. One batched Cholesky
+    of ``sigma^2 (1 + SYMBOL_MARGIN) I - G`` proves that no frequency exceeds
+    the candidate, else one batched ``eigvalsh`` over the grid finds the
+    maximum. ``sigma`` comes from the SVD at the chosen frequency
     ``w*``, so it is within a factor ``1 + SYMBOL_MARGIN / 2`` of the grid
     maximum. With ``(u, v)`` the top singular pair there,
     ``grad[d, ci, co] = exp(-i w*.d) u[ci] conj(v[co])``.
@@ -258,7 +291,9 @@ def symbol_norm(k: np.ndarray, m: int):
     for _ in range(SYMBOL_POWER_STEPS):
         v = gram @ v
         v /= np.maximum(np.linalg.norm(v, axis=1, keepdims=True), 1e-300)
-    j = int(np.argmax((v.conj().transpose(0, 2, 1) @ gram @ v).real))
+    rayleigh = (v.conj().transpose(0, 2, 1) @ gram @ v).real.ravel()
+    best = np.argsort(rayleigh, kind="stable")[-SYMBOL_CANDIDATES:]
+    j = int(best[np.argmax(np.linalg.eigvalsh(gram[best])[:, -1])])
     u, s, vh = np.linalg.svd(sym[j])
     try:
         np.linalg.cholesky(s[0] ** 2 * (1.0 + SYMBOL_MARGIN) * np.eye(gram.shape[1]) - gram)

@@ -240,7 +240,8 @@ def train(
     raw parameters is taken, followed by :func:`normalize_params`. Adam's
     first raw kernels are the given ones, normalized (so re-certified, not
     trusted) before the first solve; a non-finite one raises
-    :class:`TrainingError`. The report logs per-epoch means and
+    :class:`TrainingError`. Without given parameters they are those of
+    :func:`init_params`, certified once. The report logs per-epoch means and
     the certificate after every step; the final entry is the mean
     equilibrium residual of the trained operator over the training set.
     """
@@ -251,7 +252,7 @@ def train(
         raise TrainingError(f"all samples must share one shape, got {shapes}")
     H, W, nc = next(iter(shapes))
     if params is None:
-        params = init_params(
+        params = raw = init_params(
             config.variant,
             config.blocks,
             config.features,
@@ -259,11 +260,18 @@ def train(
             seed=config.init_seed,
             grid=(H, W),
         )
-    state = AdamState.init(pack_params(params))
-    try:
-        params = normalize_params(params)
-    except InvalidInputError as exc:
-        raise TrainingError(f"given parameters: {exc}") from exc
+        # Adam starts from these normalized kernels, on which normalize_params
+        # is the identity, so normalize_vjp passes their gradients through
+        for blk in params.blocks:
+            for br in blk.branches:
+                br.rescales = [None] * len(br.kernels)
+    else:
+        raw = params
+        try:
+            params = normalize_params(raw)
+        except InvalidInputError as exc:
+            raise TrainingError(f"given parameters: {exc}") from exc
+    state = AdamState.init(pack_params(raw))
     order_stream = RandomStream(config.shuffle_seed)
     report = TrainReport()
     for epoch in range(config.epochs):

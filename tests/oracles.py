@@ -38,6 +38,39 @@ def materialize_linear_operator(op, in_shape):
     return np.stack(cols, axis=1)
 
 
+def conv2d_reference(x, k):
+    """Zero same-padded convolution, one in-grid sample at a time:
+    ``out[p] += x[p + d] @ k[d]`` for every output ``p`` and centered offset
+    ``d`` with ``p + d`` inside the grid."""
+    H, W, _ = x.shape
+    kh, kw, _, cout = k.shape
+    out = np.zeros((H, W, cout), dtype=np.complex128)
+    for dy in range(kh):
+        for dx in range(kw):
+            for py in range(H):
+                for px in range(W):
+                    qy, qx = py + dy - kh // 2, px + dx - kw // 2
+                    if 0 <= qy < H and 0 <= qx < W:
+                        out[py, px] += x[qy, qx] @ k[dy, dx]
+    return out
+
+
+def conv_kernel_grad_reference(x, cot, kh, kw):
+    """``grad[d, ci, co] = sum_p cot[p, co] * conj(x[p + d, ci])`` as a double
+    sum over offsets and outputs, skipping samples outside the grid."""
+    H, W, cin = x.shape
+    cout = cot.shape[2]
+    grad = np.zeros((kh, kw, cin, cout), dtype=np.complex128)
+    for dy in range(kh):
+        for dx in range(kw):
+            for py in range(H):
+                for px in range(W):
+                    qy, qx = py + dy - kh // 2, px + dx - kw // 2
+                    if 0 <= qy < H and 0 <= qx < W:
+                        grad[dy, dx] += np.outer(np.conj(x[qy, qx]), cot[py, px])
+    return grad
+
+
 def ssim_reference(test, ref, win=11, sigma=1.5):
     """Naive per-window SSIM with explicit loops."""
     H, W = ref.shape

@@ -1,3 +1,9 @@
+import os
+import platform
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,7 +11,7 @@ from hypothesis import strategies as st
 
 from deqpocs.errors import InvalidInputError, ShapeError
 from deqpocs.rng import RandomStream
-from oracles import dft2_reference
+from oracles import conv2d_reference, conv_kernel_grad_reference, dft2_reference
 from deqpocs.tensors import (
     adjoint_kernel,
     as_tensor,
@@ -142,6 +148,79 @@ class TestConv:
             - inner_real(conv2d_complex(x, k - h * dk), g)
         ) / (2 * h)
         assert fd == pytest.approx(inner_real(grad, dk), rel=1e-6)
+
+
+# grids with a side of 1, sides below the kernel's extent, and non-square
+CONV_GRIDS = [(1, 1), (1, 7), (6, 1), (2, 9), (4, 3), (5, 8)]
+CONV_KERNELS = [(1, 1), (3, 3), (3, 5), (5, 3), (5, 5)]
+CONV_WIDTHS = [(1, 3), (4, 16), (16, 4)]
+
+
+@pytest.mark.parametrize("cin,cout", CONV_WIDTHS)
+@pytest.mark.parametrize("kh,kw", CONV_KERNELS)
+@pytest.mark.parametrize("H,W", CONV_GRIDS)
+class TestConvOracles:
+    """The row-band convolution and its kernel gradient against explicit
+    per-sample sums, on every grid, kernel and channel-width combination."""
+
+    @staticmethod
+    def _operands(H, W, kh, kw, cin, cout):
+        s = RandomStream(H * 1000 + W * 100 + kh * 10 + kw)
+        x = gaussian_tensor((H, W, cin), s)
+        k = gaussian_tensor((kh * kw, cin, cout), s).reshape(kh, kw, cin, cout)
+        cot = gaussian_tensor((H, W, cout), s)
+        return x, k, cot
+
+    def test_conv_matches_shifted_sum(self, H, W, kh, kw, cin, cout):
+        x, k, _ = self._operands(H, W, kh, kw, cin, cout)
+        got = conv2d_complex(x, k)
+        want = conv2d_reference(x, k)
+        assert got.shape == (H, W, cout)
+        assert frob(got - want) <= 1e-13 * frob(want)
+
+    def test_kernel_grad_matches_double_sum(self, H, W, kh, kw, cin, cout):
+        x, _, cot = self._operands(H, W, kh, kw, cin, cout)
+        got = conv2d_kernel_grad(x, cot, kh, kw)
+        want = conv_kernel_grad_reference(x, cot, kh, kw)
+        assert got.shape == (kh, kw, cin, cout)
+        assert frob(got - want) <= 1e-13 * frob(want)
+
+
+FAULT_PROBE = """
+import resource
+from deqpocs import forward, init_params, vjp
+from deqpocs.rng import RandomStream
+from deqpocs.tensors import gaussian_tensor
+
+def faults():
+    return resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+
+params = init_params("hybrid", 1, 16, 4, seed=0, grid=(32, 32))
+x = gaussian_tensor((32, 32, 4), RandomStream(1))
+for _ in range(3):
+    forward(params, x)
+f0 = faults()
+for _ in range(20):
+    forward(params, x)
+f1 = faults()
+for _ in range(5):
+    vjp(params, x, x)
+print(f1 - f0, faults() - f1)
+"""
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="glibc malloc thresholds")
+def test_hot_path_reuses_freed_pages():
+    """After warm-up, desk forwards and VJPs take their arrays from the heap
+    instead of faulting in fresh pages: importing the package raised glibc's
+    dynamic mmap threshold above every desk-sized array."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": src}
+    out = subprocess.run([sys.executable, "-c", FAULT_PROBE], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    forward_faults, vjp_faults = map(int, out.split())
+    assert forward_faults < 100, f"{forward_faults} minor faults over 20 forwards"
+    assert vjp_faults < 1000, f"{vjp_faults} minor faults over 5 VJPs"
 
 
 class TestWindowRows:

@@ -3,7 +3,7 @@ import pytest
 
 from deqpocs.errors import CertificateError, TrainingError
 from deqpocs.harness import verify_convergence, verify_init_independence, verify_robustness
-from deqpocs import training
+from deqpocs import network, training
 from deqpocs.network import (
     _certify,
     certified_lipschitz,
@@ -12,6 +12,7 @@ from deqpocs.network import (
     forward_with_trace,
     init_params,
     jacobian_vjp,
+    layer_widths,
     pack_params,
     unpack_params,
 )
@@ -278,6 +279,29 @@ class TestCertifiedSolve:
         assert len(pairs) == 2 + 2 + 1  # a solve and a report per step, a final solve
         for used, fresh in pairs:
             assert used == pytest.approx(fresh, rel=1e-12) and used < 1.0
+
+    def test_train_certifies_fresh_kernels_once(self, monkeypatch):
+        """Without given parameters, each fresh kernel is certified once,
+        by ``init_params``, before the first solve."""
+        x_full, meas, _ = tiny_setup()
+        calls, at_first_solve = [], []
+        symbol_norm = network.symbol_norm
+
+        def counting_symbol_norm(k, m):
+            calls.append(k.shape)
+            return symbol_norm(k, m)
+
+        def first_solve(*args, **kwargs):
+            at_first_solve.append(len(calls))
+            raise RuntimeError("stop at the first solve")
+
+        monkeypatch.setattr(network, "symbol_norm", counting_symbol_norm)
+        monkeypatch.setattr(training, "reconstruct", first_solve)
+        config = TrainConfig(epochs=1, blocks=2, features=4, variant="hybrid")
+        with pytest.raises(TrainingError, match="stop at the first solve"):
+            train([(x_full, meas)], config)
+        kernels = 2 * 2 * len(layer_widths(2, 4))  # blocks x branches x layers
+        assert at_first_solve == [kernels]
 
     def test_train_refuses_nonfinite_given_kernel(self):
         x_full, meas, params = tiny_setup()
