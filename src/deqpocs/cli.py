@@ -118,9 +118,6 @@ def cmd_train(ns) -> int:
         features=ns.features,
         init_seed=ns.seed,
         shuffle_seed=ns.shuffle_seed,
-        forward_method=ns.fwd_method,
-        forward_tol=ns.fwd_tol,
-        backward_tol=ns.bwd_tol,
     )
 
     def progress(epoch, report):
@@ -211,7 +208,6 @@ def cmd_verify(ns) -> int:
         params,
         measurements,
         inits_per_sample=ns.inits,
-        slack=ns.slack,
         tol=ns.tol,
         seed=ns.seed,
     )
@@ -367,9 +363,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--variant", type=str, default="kspace", choices=["kspace", "hybrid"])
     p.add_argument("--seed", type=int, default=0, help="weight init seed")
     p.add_argument("--shuffle-seed", type=int, default=0)
-    p.add_argument("--fwd-method", type=str, default="anderson", choices=["anderson", "picard"])
-    p.add_argument("--fwd-tol", type=_domain(low=0, above=True), default=1e-4)
-    p.add_argument("--bwd-tol", type=_domain(low=0, above=True), default=1e-4)
     add_common(p)
     p.set_defaults(handler=cmd_train)
 
@@ -391,7 +384,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", type=str, default=None, help="report directory")
     p.add_argument("--samples", type=_domain(int, 1), default=4, help="samples for the convergence check")
     p.add_argument("--inits", type=_domain(int, 1), default=3, help="initializations per sample")
-    p.add_argument("--slack", type=_domain(low=1), default=1.05, help="geometric-rate slack")
     p.add_argument("--noise-levels", type=_domain(low=0, many=True), default="0.005,0.01,0.05,0.1")
     # --trials 0 still checks the recursion, which draws its own noise
     p.add_argument("--trials", type=_domain(int, 0), default=20, help="trials per noise level")

@@ -3,7 +3,7 @@ guarantees, plus the interference experiments (noisy measurements, noisy
 initial iterates, transferred sampling patterns).
 
 All checks run against the certificate L of ``certified_lipschitz``:
-convergence must follow the geometric envelope ``r_k <= slack * L^k * r_0``;
+convergence must follow the geometric envelope ``r_k <= 1.05 * L^k * r_0``;
 noisy-vs-clean equilibria must stay within ``delta / (1 - L)``; equilibria
 from different starting points must coincide. Slack terms of ``10 * tol`` / ``20 * tol``
 (times ``max(1, ||x||)``, matching the solvers' relative stop rule) absorb
@@ -38,7 +38,7 @@ from .metrics import MetricsReport, csv_text, evaluate_kspace_set
 from .network import ConsistencyNetParams, certified_lipschitz, require_contractive
 from .rng import RandomStream, derive_seed
 from .sampling import Measurement, add_noise, apply_sampling, make_mask
-from .solvers import FixedPointResult, geometric_rate_check, numerical_floor
+from .solvers import RATE_SLACK, FixedPointResult, geometric_rate_check, numerical_floor
 from .solvers import picard_solve  # noqa: F401  (perfbench traces it under this name)
 from .tensors import frob, gaussian_tensor
 from .training import reconstruct, zero_fill
@@ -125,7 +125,6 @@ class ConvergenceReport:
     pairwise_max_distance: list[float]  # per sample
     agreement_threshold: list[float]  # per sample
     contraction: float
-    slack: float
     clean: FixedPointResult  # sample 0's solve from the measurement, with iterates
 
     @property
@@ -149,7 +148,7 @@ class ConvergenceReport:
         verdict = "PASS" if self.all_pass else "FAIL"
         return (
             f"convergence: {verdict} ({len(self.runs)} runs, L={self.contraction:.6f}, "
-            f"slack={self.slack})"
+            f"slack={RATE_SLACK})"
         )
 
 
@@ -157,13 +156,13 @@ def verify_convergence(
     params: ConsistencyNetParams,
     measurements: list[Measurement],
     inits_per_sample: int = 3,
-    slack: float = 1.05,
     tol: float = 1e-5,
     seed: int = 0,
 ) -> ConvergenceReport:
     """Plain iteration from ``max(inits_per_sample, 2)`` starts per sample
     (the measurement, zero, then seeded random iterates): every run must
-    converge, follow the geometric envelope of the certificate, and all
+    converge, follow the certificate's geometric envelope
+    ``r_k <= RATE_SLACK * L^k * r_0`` (``RATE_SLACK = 1.05``), and all
     equilibria of one sample must agree within ``10 * tol``.
 
     The report's ``clean`` is sample 0's run from the measurement with its
@@ -188,9 +187,7 @@ def verify_convergence(
         s, meas, label, x0 = job
         res = reconstruct(params, meas, x0, method="picard", tol=tol,
                           record_iterates=s == 0 and label == "measurement")
-        rate_ok = geometric_rate_check(
-            res.residuals, L, slack, floor=numerical_floor(res.solution)
-        )
+        rate_ok = geometric_rate_check(res.residuals, L, floor=numerical_floor(res.solution))
         return res, ConvergenceRun(
             sample=s,
             init_label=label,
@@ -212,7 +209,6 @@ def verify_convergence(
         pairwise_max_distance=pairwise,
         agreement_threshold=thresholds,
         contraction=L,
-        slack=slack,
         clean=clean,
     )
 

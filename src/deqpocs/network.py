@@ -121,7 +121,6 @@ class LipschitzCertificate:
     contraction_bound: float
     block_bounds: tuple[float, ...]
     kernel_bounds: tuple[float, ...]
-    method: str = "fourier-symbol"
 
     @property
     def is_contractive(self) -> bool:
@@ -254,10 +253,14 @@ def normalize_vjp(params: ConsistencyNetParams, grad: np.ndarray) -> np.ndarray:
     return pack_params(out)
 
 
-def _map_params(params: ConsistencyNetParams, array, scalar) -> ConsistencyNetParams:
+def _map_params(
+    params: ConsistencyNetParams, array, scalar, keep_state: bool = False
+) -> ConsistencyNetParams:
     """Same structure, every kernel and bias passed through ``array`` and
-    every block scalar through ``scalar``; normalization state is shared
-    (its lists are copied, their entries are never written in place)."""
+    every block scalar through ``scalar``. Normalization state describes its
+    kernels, so only ``keep_state`` (same kernels) copies its lists, whose
+    entries are never written in place; otherwise it is left empty, and
+    :func:`certified_lipschitz` refuses the result until it is certified."""
 
     def branch(br: BranchParams | None) -> BranchParams | None:
         if br is None:
@@ -265,8 +268,8 @@ def _map_params(params: ConsistencyNetParams, array, scalar) -> ConsistencyNetPa
         return BranchParams(
             kernels=[array(k) for k in br.kernels],
             biases=[array(b) for b in br.biases],
-            sigmas=list(br.sigmas),
-            rescales=list(br.rescales),
+            sigmas=list(br.sigmas) if keep_state else [],
+            rescales=list(br.rescales) if keep_state else [],
         )
 
     blocks = [
@@ -283,7 +286,8 @@ def _map_params(params: ConsistencyNetParams, array, scalar) -> ConsistencyNetPa
 
 
 def clone_params(params: ConsistencyNetParams) -> ConsistencyNetParams:
-    return _map_params(params, np.copy, float)
+    """A copy of ``params``, normalization state included."""
+    return _map_params(params, np.copy, float, keep_state=True)
 
 
 def certified_lipschitz(params: ConsistencyNetParams) -> LipschitzCertificate:
@@ -534,11 +538,13 @@ def pack_params(params: ConsistencyNetParams) -> np.ndarray:
 
 
 def unpack_params(params: ConsistencyNetParams, vec: np.ndarray) -> ConsistencyNetParams:
-    """Inverse of :func:`pack_params` (normalization state is carried over)."""
+    """Inverse of :func:`pack_params`: the structure of ``params`` with the
+    values of ``vec``. The kernels are new, so the result carries no
+    normalization state; certify it (:func:`normalize_params`) before use."""
     expected = num_params(params)
     if vec.size != expected:
         raise ShapeError(f"parameter vector length {vec.size}, expected {expected}")
-    out = clone_params(params)
+    out = _map_params(params, np.copy, float)
     pos = 0
 
     def take(like: np.ndarray) -> np.ndarray:

@@ -20,6 +20,8 @@ from .errors import DivergenceError
 from .metrics import csv_text
 from .tensors import frob
 
+RATE_SLACK = 1.05  # the geometric envelope r_k <= 1.05 * L^k * r_0 that verify checks
+
 
 @dataclass
 class FixedPointResult:
@@ -154,7 +156,7 @@ def anderson_solve(
 def geometric_rate_check(
     residuals: list[float],
     L: float,
-    slack: float = 1.05,
+    slack: float = RATE_SLACK,
     floor: float = 0.0,
 ) -> bool:
     """True iff ``residual_k <= slack * L**k * residual_0`` for all k.

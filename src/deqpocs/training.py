@@ -49,7 +49,9 @@ from .solvers import FixedPointResult, anderson_solve, picard_solve
 from .tensors import frob
 
 
-TRAIN_BACKWARD_MAX_ITER = 300  # adjoint budget per training step
+TRAIN_FORWARD_TOL = 1e-4  # every forward equilibrium of train, Anderson
+TRAIN_BACKWARD_TOL = 1e-4  # the adjoint's tolerance per training step
+TRAIN_BACKWARD_MAX_ITER = 300  # the adjoint's budget per training step
 
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
@@ -114,8 +116,8 @@ def implicit_backward(
     x_fixed: np.ndarray,
     meas: Measurement,
     grad_loss: np.ndarray,
-    tol: float = 1e-4,
-    max_iter: int = 200,
+    tol: float = TRAIN_BACKWARD_TOL,
+    max_iter: int = TRAIN_BACKWARD_MAX_ITER,
 ) -> tuple[np.ndarray, int]:
     """Parameter gradient of a loss evaluated at the equilibrium point.
 
@@ -126,8 +128,9 @@ def implicit_backward(
     cotangent of one application. The adjoint is solved with
     :func:`anderson_solve` at its default memory from ``v = g``: the map
     is affine with a certificate L < 1, and within its memory Anderson on
-    it is GMRES. Hitting ``max_iter`` first only warns and returns the last
-    iterate.
+    it is GMRES. The defaults are the training step's tolerance and budget,
+    ``TRAIN_BACKWARD_TOL`` and ``TRAIN_BACKWARD_MAX_ITER``. Hitting
+    ``max_iter`` first only warns and returns the last iterate.
 
     Returns ``(grad, iterations)``: the flat real gradient aligned with
     :func:`pack_params` and the number of adjoint iterations run.
@@ -191,6 +194,10 @@ def adam_step(state: AdamState, grads: np.ndarray, lr: float = 1e-4) -> AdamStat
 
 @dataclass(frozen=True)
 class TrainConfig:
+    """What a training run learns and from which seeds. How it solves is
+    fixed: every forward equilibrium by :func:`reconstruct`'s Anderson at
+    ``TRAIN_FORWARD_TOL``, every adjoint at ``TRAIN_BACKWARD_TOL``."""
+
     epochs: int = 50
     learning_rate: float = 1e-4
     variant: str = "kspace"
@@ -198,9 +205,6 @@ class TrainConfig:
     features: int = 8
     init_seed: int = 0
     shuffle_seed: int = 0
-    forward_method: str = "anderson"
-    forward_tol: float = 1e-4
-    backward_tol: float = 1e-4
 
     def __post_init__(self):
         if self.epochs < 1:
@@ -235,15 +239,18 @@ def train(
     """Equilibrium training over ``(full k-space, measurement)`` pairs.
 
     Per epoch the sample order is reshuffled from the seeded stream; per
-    sample the forward equilibrium is solved, the squared-Frobenius k-space
-    loss and its implicit gradient are computed, and one Adam step on the
+    sample the forward equilibrium is solved by Anderson at
+    ``TRAIN_FORWARD_TOL``, the squared-Frobenius k-space loss and its
+    implicit gradient (adjoint at ``TRAIN_BACKWARD_TOL``, within
+    ``TRAIN_BACKWARD_MAX_ITER`` steps) are computed, and one Adam step on the
     raw parameters is taken, followed by :func:`normalize_params`. Adam's
     first raw kernels are the given ones, normalized (so re-certified, not
     trusted) before the first solve; a non-finite one raises
     :class:`TrainingError`. Without given parameters they are those of
     :func:`init_params`, certified once. The report logs per-epoch means and
     the certificate after every step; the final entry is the mean
-    equilibrium residual of the trained operator over the training set.
+    equilibrium residual of the trained operator over the training set,
+    solved the same way.
     """
     if not dataset:
         raise TrainingError("training dataset is empty")
@@ -281,18 +288,10 @@ def train(
         for m in order:
             x_full, meas = dataset[m]
             try:
-                result = reconstruct(params, meas, method=config.forward_method,
-                                     tol=config.forward_tol)
+                result = reconstruct(params, meas, tol=TRAIN_FORWARD_TOL)
                 diff = result.solution - x_full
                 loss = frob(diff) ** 2
-                grad, n_bwd = implicit_backward(
-                    params,
-                    result.solution,
-                    meas,
-                    2.0 * diff,
-                    tol=config.backward_tol,
-                    max_iter=TRAIN_BACKWARD_MAX_ITER,
-                )
+                grad, n_bwd = implicit_backward(params, result.solution, meas, 2.0 * diff)
             except Exception as exc:
                 raise TrainingError(f"solve failed at epoch {epoch}, sample {m}: {exc}") from exc
             state = adam_step(state, normalize_vjp(params, grad), lr=config.learning_rate)
@@ -315,7 +314,7 @@ def train(
             progress(epoch, report)
     residuals = []
     for x_full, meas in dataset:
-        result = reconstruct(params, meas, method=config.forward_method, tol=config.forward_tol)
+        result = reconstruct(params, meas, tol=TRAIN_FORWARD_TOL)
         residuals.append(frob(result.solution - x_full))
     report.final_train_residual = float(np.mean(residuals))
     return params, report

@@ -101,9 +101,7 @@ def shared_reports():
 
 
 def run_convergence(params, measurements):
-    return verify_convergence(
-        params, measurements, inits_per_sample=3, slack=1.05, tol=TOL, seed=3
-    )
+    return verify_convergence(params, measurements, inits_per_sample=3, tol=TOL, seed=3)
 
 
 def run_robustness(params, measurements):
@@ -424,7 +422,7 @@ def test_trained_operator_convergence_and_uniqueness(trained):
 
     params = trained["params"]
     measurements = [m for _, m in trained["test_set"]]
-    conv = verify_convergence(params, measurements, inits_per_sample=3, slack=1.05, tol=TOL)
+    conv = verify_convergence(params, measurements, inits_per_sample=3, tol=TOL)
     assert conv.all_pass
     init = verify_init_independence(
         params, measurements[0], levels=(0.5, 2.0), trials_per_level=2, tol=TOL

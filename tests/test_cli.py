@@ -1,10 +1,13 @@
 import os
+import re
+import shlex
 import struct
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from deqpocs.cli import build_parser, main, write_pgm16
+from deqpocs.cli import REQUIRED, build_parser, main, write_pgm16
 from deqpocs.network import init_params, load_checkpoint, save_checkpoint, write_ck01_bytes
 from deqpocs.tensors import load_ct01
 
@@ -183,6 +186,31 @@ class TestRecon:
             "--out", str(tmp_path / "o3"),
         ) == 2
 
+    @pytest.mark.parametrize(
+        "offset, fmt, value",
+        [(25 + 16, "<f", float("nan")), (5, "<I", 0), (-16, "<f", float("nan")),
+         (-12, "<f", float("inf")), (-4, "<f", float("nan"))],
+        ids=["kernel-nan", "zero-blocks", "alpha-nan", "weight-inf", "stored-L-nan"],
+    )
+    def test_non_finite_or_zero_count_checkpoint_exits_2(
+        self, dataset_dir, tmp_path, capsys, offset, fmt, value
+    ):
+        """The CK01 reader's refusals of a non-finite payload, a zero count and
+        a non-finite alpha, mixing weight or stored L reach the user as exit 2."""
+        data = bytearray(write_ck01_bytes(init_params("kspace", 1, 4, 2, seed=0, grid=(16, 16))))
+        struct.pack_into(fmt, data, offset % len(data), value)
+        bad = tmp_path / "bad.ck01"
+        bad.write_bytes(bytes(data))
+        assert run(
+            "recon", "--ckpt", str(bad),
+            "--meas", str(dataset_dir / "sample_0000_meas.ct01"),
+            "--mask", str(dataset_dir / "sample_0000_mask.mk01"),
+            "--out", str(tmp_path / "o5"),
+        ) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: CK01") or err.startswith("error: CT01")
+        assert not (tmp_path / "o5").exists()
+
     def test_any_recorded_grid_exits_0(self, dataset_dir, other_grid_checkpoint, tmp_path):
         """The certificate holds on every grid, so the recorded one limits nothing."""
         code = run(
@@ -273,20 +301,14 @@ class TestBaseline:
     "command, flag, value",
     [
         ("verify", "--samples", "0"),
-        ("verify", "--slack", "0.5"),
         ("verify", "--tol", "0"),
         ("recon", "--tol", "0"),
         ("recon", "--spirit-iters", "0"),
         ("baseline", "--tol", "0"),
         ("baseline", "--spirit-iters", "0"),
-        ("train", "--fwd-tol", "0"),
-        ("train", "--bwd-tol", "0"),
         ("train", "--lr", "nan"),
         ("train", "--lr", "inf"),
-        ("train", "--fwd-tol", "inf"),
-        ("train", "--bwd-tol", "inf"),
         ("verify", "--tol", "inf"),
-        ("verify", "--slack", "inf"),
         ("verify", "--noise-levels", "inf"),
         ("verify", "--noise-levels", "-0.1"),
         ("verify", "--init-levels", "inf"),
@@ -561,6 +583,39 @@ class TestConfigFile:
         cfg.write_text(f"size=8\n{key}=1\n")
         assert run("gen-data", "--out", str(tmp_path / "ds"), "--config", str(cfg)) == 2
         assert key in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "command, flag, value",
+    [("train", "--fwd-method", "picard"), ("train", "--fwd-tol", "1e-4"),
+     ("train", "--bwd-tol", "1e-4"), ("verify", "--slack", "1.05")],
+)
+def test_deleted_flag_exits_2(tmp_path, capsys, command, flag, value):
+    """Training solves one way and verify checks one envelope: the flags
+    that chose otherwise are gone, on the command line and in a config file."""
+    assert run(command, flag, value) == 2
+    assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text(f"{flag[2:]}={value}\n")
+    assert run(command, "--config", str(cfg)) == 2
+    assert flag[2:].replace("-", "_") in capsys.readouterr().err
+
+
+def _readme_commands():
+    """Every ``deqpocs`` command in the bash blocks of README.md's CLI
+    section, backslash-continued lines joined, as argv lists."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = text.split("\n## CLI\n", 1)[1].split("\n## ", 1)[0]
+    script = "".join(re.findall(r"```bash\n(.*?)```", section, re.S)).replace("\\\n", " ")
+    return [shlex.split(line)[1:] for line in script.splitlines() if line.startswith("deqpocs ")]
+
+
+def test_readme_commands_parse():
+    """The README names only flags the parser has, for every command."""
+    commands = _readme_commands()
+    assert {argv[0] for argv in commands} == set(REQUIRED)
+    for argv in commands:
+        build_parser().parse_args(argv)
 
 
 def _subparsers():

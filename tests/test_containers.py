@@ -94,3 +94,29 @@ def test_ck01_certification_grid_is_ignored(offset):
     assert got_l == want_l
     assert certified_lipschitz(got) == certified_lipschitz(want)
     assert np.array_equal(pack_params(got), pack_params(want))
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf")], ids=["nan", "inf"])
+def test_ct01_non_finite_payload_rejected(value):
+    data = bytearray(CONTAINERS["ct01"][0])
+    struct.pack_into("<f", data, 16 + 4 * 3, value)  # the imaginary part of entry 1
+    with pytest.raises(InvalidInputError, match="non-finite"):
+        read_ct01_bytes(bytes(data))
+
+
+@pytest.mark.parametrize("offset", [5, 9, 13], ids=["blocks", "features", "coils"])
+def test_ck01_zero_count_rejected(offset):
+    data = bytearray(CONTAINERS["ck01"][0])
+    struct.pack_into("<I", data, offset, 0)
+    with pytest.raises(InvalidInputError, match="header out of range"):
+        read_ck01_bytes(bytes(data))
+
+
+@pytest.mark.parametrize("offset", [-16, -12, -8, -4], ids=["alpha", "c_k", "c_i", "L"])
+@pytest.mark.parametrize("value", [float("nan"), float("-inf")], ids=["nan", "-inf"])
+def test_ck01_non_finite_scalar_rejected(offset, value):
+    """A one-block model ends with its float32 alpha, c_k, c_i and stored L."""
+    data = bytearray(CONTAINERS["ck01"][0])
+    struct.pack_into("<f", data, len(data) + offset, value)
+    with pytest.raises(InvalidInputError, match="not finite"):
+        read_ck01_bytes(bytes(data))

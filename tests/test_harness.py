@@ -50,7 +50,7 @@ class TestConvergence:
         for blk in p.blocks:
             blk.alpha = 0.0
         assert certified_lipschitz(p).contraction_bound == pytest.approx(0.99**2)
-        report = verify_convergence(p, [dataset[0][1]], inits_per_sample=2, slack=1.05)
+        report = verify_convergence(p, [dataset[0][1]], inits_per_sample=2)
         assert report.all_pass
 
     @pytest.mark.parametrize("inits, runs, draws", [(1, 2, 0), (2, 2, 0), (3, 3, 1)])
@@ -274,6 +274,31 @@ class TestRobustness:
             verify_robustness(params, meas, trials_per_level=1, tol=1e-5, clean=conv.clean)
         with pytest.raises(ValueError, match="clean solve"):
             verify_init_independence(params, meas, trials_per_level=1, tol=1e-5, clean=conv.clean)
+
+    def test_clean_solve_without_iterates_refused(self, small_problem):
+        params, dataset = small_problem
+        meas = dataset[0][1]
+        clean = reconstruct(params, meas, method="picard")  # verify's tol, no iterates
+        assert clean.iterates is None
+        with pytest.raises(ValueError, match="no recorded iterates"):
+            verify_robustness(params, meas, trials_per_level=1, clean=clean)
+        with pytest.raises(ValueError, match="no recorded iterates"):
+            verify_init_independence(params, meas, trials_per_level=1, clean=clean)
+
+    def test_recursion_fails_under_a_false_certificate(self):
+        """Stored bounds scaled by 1e-2 claim an L below 1e-10 for a model
+        that contracts far more weakly: the noisy and clean iterates then
+        break ``d_k <= L * d_{k-1} + delta`` and the report fails."""
+        params = init_params("kspace", 1, 4, 2, seed=0, grid=(16, 16))
+        blk = params.blocks[0]
+        blk.alpha = 0.99
+        blk.kspace_branch.sigmas = [1e-2 * s for s in blk.kspace_branch.sigmas]
+        assert 0.0 < certified_lipschitz(params).contraction_bound < 1e-10
+        spec = DatasetSpec(n=1, height=16, width=16, coils=2, accel=2.0, seed=1)
+        meas = make_dataset(spec)[0][1]
+        report = verify_robustness(params, meas, delta_rels=(0.1,), trials_per_level=1, seed=0)
+        assert report.recursion_checks == [(0.1, False)]
+        assert report.all_within_bound is False
 
     def test_csv(self, small_problem):
         params, dataset = small_problem

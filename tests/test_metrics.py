@@ -166,13 +166,14 @@ class TestReportCsvBytes:
             runs=[ConvergenceRun(0, "measurement", True, 7, False, self.X),
                   ConvergenceRun(1, "random0", False, 12, np.True_, 1e-300)],
             pairwise_max_distance=[self.X, 2], agreement_threshold=[1e-05, 3.5],
-            contraction=0.9, slack=1.05, clean=self.RESULT,
+            contraction=0.9, clean=self.RESULT,
         )
         assert report.to_csv() == (
             "sample,init,converged,iterations,rate_ok,final_residual\n"
             "0,measurement,1,7,0,0.30000000000000004\n1,random0,0,12,1,1e-300\n"
             "agreement,0,0.30000000000000004,1.0000000000000001e-05,,\nagreement,1,2,3.5,,\n"
         )
+        assert report.summary() == "convergence: FAIL (2 runs, L=0.900000, slack=1.05)"
 
     def test_robustness(self):
         report = RobustnessReport(

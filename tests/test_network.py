@@ -27,7 +27,9 @@ from deqpocs.network import (
     write_ck01_bytes,
 )
 from deqpocs.rng import RandomStream
+from deqpocs.sampling import apply_sampling, make_mask
 from deqpocs.tensors import frob, gaussian_tensor, inner_real
+from deqpocs.training import reconstruct
 
 
 def small_net(variant="kspace", blocks=2, features=4, nc=2, seed=0, grid=(8, 8)):
@@ -372,6 +374,27 @@ class TestPacking:
         p = small_net(seed=43)
         with pytest.raises(ShapeError):
             unpack_params(p, np.zeros(3))
+
+    def test_derived_containers_carry_no_stale_certificate(self):
+        """Stored kernel bounds describe the kernels they were computed from.
+        Unpacking other values, or a gradient container, gives kernels that
+        no bound describes: both are refused until certified, while a clone,
+        with the same kernels, keeps its bounds."""
+        p = small_net(blocks=1, seed=0)
+        vec = pack_params(p)
+        vec[: p.blocks[0].kspace_branch.kernels[0].size * 2] *= 4.0  # the first kernel only
+        q = unpack_params(p, vec)
+        truth = clone_params(q)
+        network._certify(truth, rescale=False)
+        assert certified_lipschitz(truth).contraction_bound > 1.0 > certified_lipschitz(p).contraction_bound
+        meas = apply_sampling(gaussian_tensor((16, 16, 2), RandomStream(1)),
+                              make_mask("1d-calibrated", 16, 16, 2, acs=2, seed=0))
+        for derived in (q, network._zero_grads(p)):
+            with pytest.raises(CertificateError, match="certify the parameters first"):
+                certified_lipschitz(derived)
+        with pytest.raises(CertificateError):
+            reconstruct(q, meas)
+        assert certified_lipschitz(clone_params(p)) == certified_lipschitz(p)
 
 
 class TestCertificationCost:
