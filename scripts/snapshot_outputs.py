@@ -34,6 +34,8 @@ and stderr, in order:
 * ``recon`` with ``init.ck01``, which records a 32x32 grid, on sample 0 of
   ``gen-data --n 1 --size 48 --coils 4 --seed 6``: the certificate holds on
   every grid, so a model runs on a larger one;
+* ``gen-data --n 1 --size 64 --coils 8 --noise 0.05 --seed 7``, whose seeded
+  measurement noise is one draw of 65,536 Gaussians;
 * four usage errors, each exit 2: ``gen-data --bogus 1``, ``gen-data`` with
   a ``--config`` line ``n=abc``, ``verify --tol inf`` and ``gen-data``
   without ``--out``.
@@ -124,6 +126,8 @@ def main():
         run(log, "gen-data", "--out", "data48", "--n", "1", "--size", "48", "--coils", "4",
             "--seed", "6")
         run(log, "recon", "--ckpt", "init.ck01", *sample("data48"), "--out", "recon_48")
+        run(log, "gen-data", "--out", "noisy64", "--n", "1", "--size", "64", "--coils", "8",
+            "--noise", "0.05", "--seed", "7")
         run(log, "gen-data", "--bogus", "1")
         Path("bad.cfg").write_text("n=abc\n")
         run(log, "gen-data", "--out", "bad_config", "--config", "bad.cfg")

@@ -57,11 +57,7 @@ def gaussian_tensor(shape: tuple[int, int, int], stream: RandomStream) -> np.nda
     Draw order is row-major with channel innermost, real part before
     imaginary part, so the layout is reproducible across platforms.
     """
-    n = int(np.prod(shape))
-    vals = stream.gaussians(2 * n)
-    re = np.array(vals[0::2], dtype=np.float64).reshape(shape)
-    im = np.array(vals[1::2], dtype=np.float64).reshape(shape)
-    return re + 1j * im
+    return stream.gaussians(2 * int(np.prod(shape))).view(np.complex128).reshape(shape)
 
 
 # ---------------------------------------------------------------------------

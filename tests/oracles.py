@@ -5,7 +5,33 @@ loops, dense matrices) and stays independent of the library code paths it
 is used to check.
 """
 
+import math
+
 import numpy as np
+
+
+class ScalarGaussians:
+    """Box-Muller one variate at a time over ``stream.next_u64``, with its
+    own pending second variate: the draw loop the stream spec describes."""
+
+    def __init__(self, stream):
+        self.stream = stream
+        self.spare = None
+
+    def gaussians(self, n):
+        out = []
+        for _ in range(n):
+            if self.spare is not None:
+                out.append(self.spare)
+                self.spare = None
+                continue
+            u1 = ((self.stream.next_u64() >> 11) + 1) * (2.0 ** -53)  # in (0, 1]
+            u2 = (self.stream.next_u64() >> 11) * (2.0 ** -53)
+            r = math.sqrt(-2.0 * math.log(u1))
+            theta = 2.0 * math.pi * u2
+            self.spare = r * math.sin(theta)
+            out.append(r * math.cos(theta))
+        return out
 
 
 def dft2_reference(x):

@@ -113,3 +113,10 @@ def test_attributes_read_by_run():
     assert report.epoch_certificate == [] and report.epoch_mean_loss == []
     config = dq.TrainConfig(epochs=12, variant="hybrid", blocks=1, features=16)
     assert replace(config, epochs=1).epochs == 1
+
+
+def test_gaussian_count_read_by_spans():
+    # spans._gaussian_counts counts the draws of RandomStream.gaussians by len(result)
+    from deqpocs import RandomStream
+
+    assert len(RandomStream(0).gaussians(7)) == 7

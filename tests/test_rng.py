@@ -1,10 +1,17 @@
 import math
+import sys
+import threading
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from deqpocs import rng
 from deqpocs.rng import RandomStream, derive_seed
+from deqpocs.tensors import gaussian_tensor
+from oracles import ScalarGaussians
 
 
 def test_reference_values_are_stable():
@@ -15,6 +22,60 @@ def test_reference_values_are_stable():
         7051070477665621255,
         6633766593972829180,
     ]
+
+
+def test_reference_gaussians_are_stable():
+    # frozen from the scalar draw loop; the lane path must keep them
+    assert RandomStream(0).gaussians(4).tolist() == [
+        -1.1079085986338313,
+        1.0114416320093496,
+        1.4264823081293443,
+        0.10285171497849974,
+    ]
+
+
+# Counts around 128 (and 8192, 65537) end draws both inside a lane and at a
+# lane's end; odd counts leave a second variate pending for the next call.
+GAUSSIAN_COUNTS = [0, 1, 2, 127, 128, 129, 2 * 128 + 1, 8192, 65537]
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_gaussians_match_scalar_reference(seed):
+    lanes, ref = RandomStream(seed), ScalarGaussians(RandomStream(seed))
+    for i, n in enumerate(GAUSSIAN_COUNTS):
+        if i % 3 == 0:
+            assert lanes.uniform() == ref.stream.uniform()
+        elif i % 3 == 1:
+            assert lanes.randint(1000 + i) == ref.stream.randint(1000 + i)
+        else:
+            assert lanes.gaussian() == ref.gaussians(1)[0]
+        got = lanes.gaussians(n)
+        assert got.dtype == np.float64
+        assert got.tolist() == ref.gaussians(n)
+        assert lanes.next_u64() == ref.stream.next_u64()
+
+
+def test_gaussian_tensor_on_threads_with_cold_tables():
+    # the harness pool draws concurrently, possibly while jump tables are built
+    shape = (32, 32, 8)
+    rng._jump_table.cache_clear()
+    start = threading.Barrier(4, timeout=30)
+
+    def draw(seed):
+        start.wait()
+        return gaussian_tensor(shape, RandomStream(seed))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(4) as pool:
+            drawn = list(pool.map(draw, range(4), timeout=60))
+    finally:
+        sys.setswitchinterval(interval)
+    for seed, x in enumerate(drawn):
+        ref = ScalarGaussians(RandomStream(seed)).gaussians(2 * x.size)
+        assert x.shape == shape
+        assert x.ravel().tolist() == [complex(a, b) for a, b in zip(ref[0::2], ref[1::2])]
 
 
 def test_uniform_range_and_determinism():
@@ -45,6 +106,15 @@ def test_randint_in_range(n):
     s = RandomStream(123)
     for _ in range(50):
         assert 0 <= s.randint(n) < n
+
+
+def test_randint_refuses_counts_it_cannot_draw():
+    s = RandomStream(4)
+    assert 0 <= s.randint(2**53) < 2**53
+    # above 2**53 no 53-bit draw would be accepted
+    for n in (0, -1, 2**53 + 1, 2**64):
+        with pytest.raises(ValueError):
+            s.randint(n)
 
 
 def test_shuffle_is_permutation():
