@@ -9,7 +9,9 @@ inverse FFT and returns through a forward FFT. A ``kspace`` block has no
 image branch and weights ``(1, 0)``; a ``hybrid`` block has both branches.
 Activations are leaky ReLU (slope 0.2) applied separately to real and
 imaginary parts, a 1-Lipschitz choice, on all but the final layer of each
-branch.
+branch. A plain :func:`forward` computes them directly and keeps nothing
+for a reverse pass; only :func:`forward_with_trace` builds each layer's
+reverse-pass multiplier and keeps the layer inputs.
 
 Certification bounds each kernel's zero-padded convolution on every grid
 size by the maximum of its Fourier symbol over a fixed ``SYMBOL_GRID`` x
@@ -328,14 +330,11 @@ def certified_lipschitz(params: ConsistencyNetParams) -> LipschitzCertificate:
 # Forward pass
 # ---------------------------------------------------------------------------
 
-def _scale_parts(v: np.ndarray, mult: np.ndarray) -> np.ndarray:
-    """``v.real * m_re + 1j * (v.imag * m_im)`` in one product over the
-    ``float64`` view of a contiguous complex ``v``; ``mult`` interleaves
-    ``m_re`` and ``m_im`` like that view. For finite ``v`` the bits match
-    the expression, whose complex promotion adds ``0 * imag`` to the real
-    part and ``+0.0`` to the imaginary part. That only changes the sign of
-    a zero, so the fix-up runs only when the product has a zero part."""
-    out = v.view(np.float64) * mult
+def _promoted(out: np.ndarray) -> np.ndarray:
+    """Interleaved ``float64`` parts ``out`` as complex, bit for bit what
+    complex promotion of ``re + 1j * im`` gives: it adds ``0 * im`` to the
+    real part and ``+0.0`` to the imaginary part. That only changes the sign
+    of a zero, so the fix-up runs only when ``out`` has a zero part."""
     if not out.all():
         c = out.view(np.complex128)
         c.real += 0.0 * c.imag
@@ -343,28 +342,47 @@ def _scale_parts(v: np.ndarray, mult: np.ndarray) -> np.ndarray:
     return out.view(np.complex128)
 
 
-def _lrelu_with_mult(z: np.ndarray):
-    """Leaky ReLU (slope 0.2) of the real and imaginary parts, and the
-    per-part multiplier that its reverse pass applies."""
+def _scale_parts(v: np.ndarray, mult: np.ndarray) -> np.ndarray:
+    """``v.real * m_re + 1j * (v.imag * m_im)`` in one product over the
+    ``float64`` view of a contiguous complex ``v``; ``mult`` interleaves
+    ``m_re`` and ``m_im`` like that view. For finite ``v`` the bits match
+    the expression."""
+    return _promoted(v.view(np.float64) * mult)
+
+
+def _lrelu(z: np.ndarray) -> np.ndarray:
+    """Leaky ReLU (slope 0.2) of the real and imaginary parts of a
+    contiguous complex ``z``: ``max(f, 0.2 * f)`` over its ``float64`` view
+    ``f``. Bit for bit ``_scale_parts(z, _lrelu_mult(z))``: a negative part
+    is multiplied by 0.2 either way and a zero keeps its sign. Three passes
+    and one allocation, against five and three through the multiplier."""
+    f = z.view(np.float64)
+    out = np.multiply(f, 0.2)
+    return _promoted(np.maximum(f, out, out=out))
+
+
+def _lrelu_mult(z: np.ndarray) -> np.ndarray:
+    """The per-part multiplier that the reverse pass of :func:`_lrelu`
+    applies at pre-activation ``z``, interleaved like its ``float64`` view."""
     mult = (z.view(np.float64) >= 0) * 0.8
     mult += 0.2  # exactly 1.0 or 0.2; a quarter of np.where's time on mixed signs
-    return _scale_parts(z, mult), mult
+    return mult
 
 
 def _branch_forward(branch: BranchParams, alpha: float, a: np.ndarray, trace: dict | None):
-    """The residual mix ``(0.99 - alpha) * a + alpha * cnn(a)``."""
+    """The residual mix ``(0.99 - alpha) * a + alpha * cnn(a)``. Only a
+    traced pass keeps each layer's input and activation multiplier."""
     h = a
     inputs, mults = [], []
     n = len(branch.kernels)
     for i, (k, b) in enumerate(zip(branch.kernels, branch.biases)):
-        inputs.append(h)
         z = conv2d_complex(h, k)
         z += b
-        if i < n - 1:
-            h, mult = _lrelu_with_mult(z)
-            mults.append(mult)
-        else:
-            h = z
+        if trace is not None:
+            inputs.append(h)
+            if i < n - 1:
+                mults.append(_lrelu_mult(z))
+        h = _lrelu(z) if i < n - 1 else z
     if trace is not None:
         trace["a"] = a
         trace["inputs"] = inputs

@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import DivergenceError
 from .metrics import csv_text
-from .tensors import frob
+from .tensors import all_finite, frob
 
 RATE_SLACK = 1.05  # the geometric envelope r_k <= 1.05 * L^k * r_0 that verify checks
 
@@ -41,7 +41,7 @@ class FixedPointResult:
 def _norms(g: np.ndarray, x: np.ndarray, iteration: int) -> tuple[float, float]:
     """``(||g - x||_F, ||g||_F)``. A non-finite iterate, or a norm that is
     not finite or overflows, is divergence."""
-    if np.all(np.isfinite(g)):
+    if all_finite(np.asarray(g)):
         try:
             with np.errstate(over="raise", invalid="raise"):
                 res, size = frob(g - x), frob(g)

@@ -5,7 +5,10 @@ grid), and the CT01 binary container.
 
 Tensors are plain ``numpy`` arrays of shape (H, W, C) and dtype complex128;
 convolution kernels are (kh, kw, C_in, C_out) with odd spatial extents.
-All functions are pure and safe for concurrent use.
+All functions are pure and safe for concurrent use. Every tensor and kernel
+that enters a transform or a convolution is checked to be finite, on each
+call; the scan runs over the float64 view of a complex128 array, where the
+complex scan would cost twice as much (:func:`all_finite`).
 
 The convolution gathers one row band per call: the kw-wide window of every
 position of every zero-padded row, ((H+kh-1)*W, kw*C_in), a kh-th of a full
@@ -28,6 +31,16 @@ from .rng import RandomStream
 CT01_MAGIC = b"CT01"
 
 
+def all_finite(arr: np.ndarray) -> bool:
+    """``np.all(np.isfinite(arr))``. A complex128 array is scanned as its
+    float64 view (real and imaginary parts interleaved), which is the same
+    predicate at under half the cost; an array without such a view (its
+    last axis not contiguous) is scanned as it is."""
+    if arr.dtype == np.complex128 and arr.ndim and arr.strides[-1] == 16:
+        arr = arr.view(np.float64)
+    return bool(np.isfinite(arr).all())
+
+
 def as_tensor(x, name: str = "tensor") -> np.ndarray:
     """Validate and return ``x`` as a finite (H, W, C) complex128 array."""
     arr = np.asarray(x)
@@ -36,7 +49,7 @@ def as_tensor(x, name: str = "tensor") -> np.ndarray:
     if any(d < 1 for d in arr.shape):
         raise ShapeError(f"{name} dimensions must be >= 1, got {arr.shape}")
     arr = arr.astype(np.complex128, copy=False)
-    if not np.all(np.isfinite(arr)):
+    if not all_finite(arr):
         raise InvalidInputError(f"{name} contains non-finite entries")
     return arr
 
@@ -95,7 +108,7 @@ def validate_kernel(k, name: str = "kernel") -> np.ndarray:
     kh, kw = k.shape[:2]
     if kh % 2 == 0 or kw % 2 == 0:
         raise ShapeError(f"{name} spatial extents must be odd, got {kh}x{kw}")
-    if not np.all(np.isfinite(k)):
+    if not all_finite(k):
         raise InvalidInputError(f"{name} contains non-finite entries")
     return k
 

@@ -120,3 +120,33 @@ def test_gaussian_count_read_by_spans():
     from deqpocs import RandomStream
 
     assert len(RandomStream(0).gaussians(7)) == 7
+
+
+def test_hot_path_calls_the_traced_names(monkeypatch):
+    # spans.py times tensors.conv and tensors.fft by wrapping these names in
+    # deqpocs.network; a forward that routes around them reads zero there.
+    import deqpocs as dq
+    import deqpocs.network as network
+
+    counts = {}
+
+    def counted(name):
+        original = getattr(network, name)
+
+        def wrapper(*args, **kwargs):
+            counts[name] = counts.get(name, 0) + 1
+            return original(*args, **kwargs)
+
+        return wrapper
+
+    names = ("conv2d_complex", "fft2_centered", "ifft2_centered")
+    for name in names:
+        monkeypatch.setattr(network, name, counted(name))
+    p = dq.init_params("hybrid", 1, 4, 2, grid=(8, 8))
+    x = dq.RandomStream(0).gaussians(2 * 8 * 8 * 2).view(complex).reshape(8, 8, 2)
+    counts.clear()
+    dq.forward(p, x)
+    assert counts == {"conv2d_complex": 10, "fft2_centered": 1, "ifft2_centered": 1}
+    counts.clear()
+    network.vjp(p, x, x)
+    assert counts == {"conv2d_complex": 20, "fft2_centered": 2, "ifft2_centered": 2}

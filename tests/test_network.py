@@ -7,7 +7,8 @@ from deqpocs.errors import CertificateError, InvalidInputError, ShapeError
 import deqpocs.network as network
 import deqpocs.tensors as tensors
 from deqpocs.network import (
-    _lrelu_with_mult,
+    _lrelu,
+    _lrelu_mult,
     _scale_parts,
     certified_lipschitz,
     clone_params,
@@ -175,7 +176,9 @@ def _two_mask_lrelu(z):
 def _special_parts():
     """Every pairing of signed zeros, exact negatives and subnormals as
     (real, imag), in an (n, n, 1) tensor."""
-    vals = np.array([0.0, -0.0, 1.5, -1.5, -2.0, -0.25, 3.0, 5e-324, -5e-324])
+    vals = np.array(
+        [0.0, -0.0, 1.5, -1.5, -2.0, -0.25, 3.0, 5e-324, -5e-324, 1e-310, -1e-310, -2.3e-308]
+    )
     re, im = np.meshgrid(vals, vals)
     z = np.empty(re.shape + (1,), dtype=np.complex128)
     z.real, z.imag = re[..., None], im[..., None]
@@ -187,9 +190,25 @@ class TestLeakyRelu:
     def test_matches_two_mask_formula_bit_for_bit(self, rand_tensor, case):
         z = rand_tensor((8, 8, 6), 21) if case == "random" else _special_parts()
         want, m_re, m_im = _two_mask_lrelu(z)
-        got, mult = _lrelu_with_mult(z)
-        assert got.tobytes() == want.tobytes()
-        assert mult.tobytes() == np.stack([m_re, m_im], axis=-1).tobytes()
+        assert _lrelu(z).tobytes() == want.tobytes()
+        assert _lrelu_mult(z).tobytes() == np.stack([m_re, m_im], axis=-1).tobytes()
+
+    @pytest.mark.parametrize("case", ["random", "special"])
+    def test_activation_matches_multiplier_path_bit_for_bit(self, rand_tensor, case):
+        # the plain forward applies _lrelu, the reverse pass the multiplier
+        z = rand_tensor((8, 8, 6), 24) if case == "random" else _special_parts()
+        assert _lrelu(z).tobytes() == _scale_parts(z, _lrelu_mult(z)).tobytes()
+
+    @pytest.mark.parametrize("biases", ["zero", "random"])
+    @pytest.mark.parametrize("variant", ["kspace", "hybrid"])
+    def test_plain_and_traced_forward_agree_bit_for_bit(self, rand_tensor, variant, biases):
+        p = small_net(variant=variant, seed=25)
+        if biases == "random":
+            randomize_biases(p, seed=26)
+        x = rand_tensor((8, 8, 2), 27)
+        x[:4, :4] = -0.0  # with zero biases, signed-zero pre-activations
+        x[7, :, 0] = _special_parts()[0, :8, 0]  # subnormals and mixed signs
+        assert forward(p, x).tobytes() == forward_with_trace(p, x)[0].tobytes()
 
     @pytest.mark.parametrize("case", ["random", "special"])
     def test_reverse_multiplier_matches_two_mask_formula(self, rand_tensor, case):
@@ -200,8 +219,7 @@ class TestLeakyRelu:
             cot = np.ascontiguousarray(z.transpose(1, 0, 2))  # every part under every mask
         _, m_re, m_im = _two_mask_lrelu(z)
         want = cot.real * m_re + 1j * (cot.imag * m_im)
-        _, mult = _lrelu_with_mult(z)
-        assert _scale_parts(cot, mult).tobytes() == want.tobytes()
+        assert _scale_parts(cot, _lrelu_mult(z)).tobytes() == want.tobytes()
 
 
 class TestCertificate:
