@@ -13,6 +13,9 @@ and stderr, in order:
 
 * ``gen-data --n 4 --size 32 --coils 4 --seed 1``, then the README's desk
   ``train`` (12 epochs, hybrid, 1 block, F=16) to ``trained.ck01``;
+* ``init_params("hybrid", 3, 8, 4, seed=7, grid=(16, 16))`` saved as
+  ``init_hybrid3.ck01``, so that the order in which one draw fills the
+  kernels of several blocks and both branches is in the snapshot;
 * ``verify`` at the flags of the benchmark's verify-desk workload on
   ``init_params("hybrid", 1, 16, 4, seed=0, grid=(32, 32))`` saved as
   ``init.ck01``, at ``--seed 1`` and ``--seed 2``, each with
@@ -96,6 +99,7 @@ def main():
             "--seed", "1")
         run(log, "train", "--data", "data", "--out", "trained.ck01", "--blocks", "1",
             "--features", "16", "--variant", "hybrid", "--epochs", "12")
+        save_checkpoint("init_hybrid3.ck01", init_params("hybrid", 3, 8, 4, seed=7, grid=(16, 16)))
         save_checkpoint("init.ck01", init_params("hybrid", 1, 16, 4, seed=0, grid=(32, 32)))
         for seed in ("1", "2"):
             for threads in ("1", None):

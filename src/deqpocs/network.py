@@ -20,7 +20,13 @@ those bounds within a branch, mixes branches and multiplies across blocks.
 :func:`normalize_params` divides each kernel whose bound breaches 1, and
 training differentiates through that division (:func:`normalize_vjp`).
 Exact reverse-mode products (:func:`vjp`) treat complex tensors as stacked
-real pairs.
+real pairs. :func:`init_params` draws all its kernels in one Gaussian draw,
+and the symbol maximum is found in ranking stages (see ``tensors``).
+
+:func:`forward`, :func:`forward_with_trace`, :func:`vjp` and
+:func:`certified_lipschitz` refuse a non-finite bias or block scalar with
+:class:`InvalidInputError` naming its block, branch and layer; kernels are
+scanned by the convolutions that read them.
 
 ``forward`` and ``vjp`` never mutate parameters, so one parameter state can
 serve many concurrent evaluations; ``normalize_params`` and optimizer
@@ -40,11 +46,11 @@ from .rng import RandomStream
 from .tensors import (
     SYMBOL_MARGIN,
     adjoint_kernel,
+    all_finite,
     as_tensor,
     conv2d_complex,
     conv2d_kernel_grad,
     fft2_centered,
-    gaussian_tensor,
     ifft2_centered,
     inner_real,
     read_ct01_bytes,
@@ -172,9 +178,11 @@ def init_params(
 
     ``grid`` is only recorded (CK01 stores it as two uint32 sides, so each
     must lie in 1 ... 2**32 - 1): the certificate holds on every grid, and
-    the model runs on any. Deterministic given the seed,
-    which draws the kernel values and nothing else; alpha starts at 0.5,
-    branch combination at (0.5, 0.5) for the hybrid variant.
+    the model runs on any. Deterministic given the seed: one
+    ``RandomStream(seed).gaussians`` call draws every kernel value and
+    nothing else, sliced in block, branch (k-space first) and layer order.
+    alpha starts at 0.5, branch combination at (0.5, 0.5) for the hybrid
+    variant.
     """
     if variant not in VARIANTS:
         raise ShapeError(f"unknown variant {variant!r}; expected one of {VARIANTS}")
@@ -182,20 +190,21 @@ def init_params(
         raise ShapeError("blocks, features and coil count must be >= 1")
     if not all(1 <= side < 2**32 for side in grid):
         raise ShapeError(f"certification grid {grid} has a side outside 1 ... 2**32 - 1")
-    stream = RandomStream(seed)
     widths = layer_widths(nc, features)
+    shapes = [(KERNEL_SIZE, KERNEL_SIZE, cin, cout) for cin, cout in widths]
+    shapes *= blocks * (2 if variant == "hybrid" else 1)
+    sizes = [math.prod(shape) for shape in shapes]
+    values = RandomStream(seed).gaussians(2 * sum(sizes)).view(np.complex128)
+    chunks = np.split(values, np.cumsum(sizes)[:-1])
+    kernels = iter(INIT_STD * c.reshape(shape) for c, shape in zip(chunks, shapes))
 
     def branch() -> BranchParams:
         return BranchParams(
-            kernels=[
-                INIT_STD * gaussian_tensor((KERNEL_SIZE**2, cin, cout), stream).reshape(
-                    KERNEL_SIZE, KERNEL_SIZE, cin, cout)
-                for cin, cout in widths
-            ],
+            kernels=[next(kernels) for _ in widths],
             biases=[np.zeros(cout, dtype=np.complex128) for _, cout in widths],
         )
 
-    # arguments are evaluated in order: a block's k-space kernels are drawn first
+    # arguments are evaluated in order: a block's k-space kernels come first
     out_blocks = [
         BlockParams(kspace_branch=branch(), alpha=0.5, image_branch=branch(), c_k=0.5, c_i=0.5)
         if variant == "hybrid" else BlockParams(kspace_branch=branch(), alpha=0.5)
@@ -292,6 +301,23 @@ def clone_params(params: ConsistencyNetParams) -> ConsistencyNetParams:
     return _map_params(params, np.copy, float, keep_state=True)
 
 
+def _check_params(params: ConsistencyNetParams) -> None:
+    """Refuse a non-finite block scalar or bias, naming its block, branch
+    and layer. A kernel is scanned by every conv that reads it; a bias or a
+    scalar reaches no scan of its own and would pass a NaN on silently."""
+    for b, blk in enumerate(params.blocks):
+        for name in ("alpha", "c_k", "c_i"):
+            if not math.isfinite(getattr(blk, name)):
+                raise InvalidInputError(f"block {b} {name} is not finite")
+        for branch, br in zip(("k-space", "image"), blk.branches):
+            if all_finite(np.concatenate(br.biases)):  # a third of the cost of a scan per bias
+                continue
+            i = next(i for i, bias in enumerate(br.biases) if not all_finite(bias))
+            raise InvalidInputError(
+                f"block {b} {branch} branch layer {i} bias contains non-finite entries"
+            )
+
+
 def certified_lipschitz(params: ConsistencyNetParams) -> LipschitzCertificate:
     """Contraction bound from the stored per-kernel norm bounds.
 
@@ -303,8 +329,10 @@ def certified_lipschitz(params: ConsistencyNetParams) -> LipschitzCertificate:
     upper bound on the kernel's spectral norm for every grid size, so the
     result bounds the operator's Lipschitz constant on every input. A branch
     without exactly one stored bound per kernel raises
-    :class:`CertificateError`.
+    :class:`CertificateError`, a non-finite bias or block scalar
+    :class:`InvalidInputError`.
     """
+    _check_params(params)
     block_bounds = []
     kernel_bounds: list[float] = []
     for blk in params.blocks:
@@ -413,6 +441,7 @@ def _check_input(params: ConsistencyNetParams, x: np.ndarray) -> np.ndarray:
     x = as_tensor(x, "operator input")
     if x.shape[2] != params.nc:
         raise ShapeError(f"input has {x.shape[2]} channels, operator expects {params.nc}")
+    _check_params(params)
     return x
 
 

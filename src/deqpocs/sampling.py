@@ -196,8 +196,10 @@ def add_noise(meas: Measurement, delta_rel: float, seed: int = 0) -> Measurement
     The noise is rescaled so its Frobenius norm is exactly
     ``delta_rel * frob(y)``; the returned measurement records that norm as
     ``delta``. Deterministic given the seed; ``delta_rel = 0`` returns the
-    input unchanged.
+    input unchanged; a non-finite ``delta_rel`` is refused before any draw.
     """
+    if not math.isfinite(delta_rel):
+        raise InvalidInputError(f"delta_rel must be finite, got {delta_rel}")
     if delta_rel < 0:
         raise InvalidInputError("delta_rel must be nonnegative")
     if delta_rel == 0.0:

@@ -34,6 +34,76 @@ class ScalarGaussians:
         return out
 
 
+def _phases_reference(m, kh, kw):
+    w = 2.0 * np.pi * np.arange(m) / m
+    ey = np.exp(1j * np.outer(w, np.arange(kh) - kh // 2))
+    ex = np.exp(1j * np.outer(w, np.arange(kw) - kw // 2))
+    return (ey[:, None, :, None] * ex[None, :, None, :]).reshape(m * m, kh * kw)
+
+
+def symbol_norm_reference(k, m, steps=8, candidates=8, margin=1e-9):
+    """``symbol_norm`` as it was with one ranking stage: ``steps`` batched
+    power steps, the ``candidates`` best Rayleigh quotients re-ranked
+    exactly, the Cholesky proof at ``margin``, else the full-grid maximum.
+    Its phase table is built on every call."""
+    k = np.asarray(k, dtype=np.complex128)
+    kh, kw, cin, cout = k.shape
+    sym = (_phases_reference(m, kh, kw) @ k.reshape(kh * kw, cin * cout)).reshape(
+        m * m, cin, cout)
+    sym_h = sym.conj().transpose(0, 2, 1)
+    gram = sym @ sym_h if cin <= cout else sym_h @ sym
+    v = np.ones((m * m, gram.shape[1], 1), dtype=np.complex128)
+    for _ in range(steps):
+        v = gram @ v
+        v /= np.maximum(np.linalg.norm(v, axis=1, keepdims=True), 1e-300)
+    rayleigh = (v.conj().transpose(0, 2, 1) @ gram @ v).real.ravel()
+    best = np.argsort(rayleigh, kind="stable")[-candidates:]
+    j = int(best[np.argmax(np.linalg.eigvalsh(gram[best])[:, -1])])
+    u, s, vh = np.linalg.svd(sym[j])
+    try:
+        np.linalg.cholesky(s[0] ** 2 * (1.0 + margin) * np.eye(gram.shape[1]) - gram)
+    except np.linalg.LinAlgError:
+        j = int(np.argmax(np.linalg.eigvalsh(gram)[:, -1]))
+        u, s, vh = np.linalg.svd(sym[j])
+    phase = np.conj(_phases_reference(m, kh, kw)[j]).reshape(kh, kw, 1, 1)
+    return float(s[0]), phase * np.multiply.outer(u[:, 0], vh[0])
+
+
+def init_params_reference(variant, blocks, features, nc, seed=0, grid=(32, 32)):
+    """``init_params`` with one ``gaussian_tensor`` draw per kernel, k-space
+    branch before image branch within each block."""
+    from deqpocs import network
+    from deqpocs.rng import RandomStream
+    from deqpocs.tensors import gaussian_tensor
+
+    stream = RandomStream(seed)
+    widths = network.layer_widths(nc, features)
+    size = network.KERNEL_SIZE
+
+    def branch():
+        return network.BranchParams(
+            kernels=[
+                network.INIT_STD * gaussian_tensor((size**2, cin, cout), stream).reshape(
+                    size, size, cin, cout)
+                for cin, cout in widths
+            ],
+            biases=[np.zeros(cout, dtype=np.complex128) for _, cout in widths],
+        )
+
+    out = []
+    for _ in range(blocks):
+        if variant == "hybrid":
+            kspace = branch()
+            out.append(network.BlockParams(kspace, alpha=0.5, image_branch=branch(),
+                                           c_k=0.5, c_i=0.5))
+        else:
+            out.append(network.BlockParams(branch(), alpha=0.5))
+    params = network.ConsistencyNetParams(
+        variant=variant, blocks=out, features=features, nc=nc, cert_grid=grid)
+    network._certify(params, rescale=True)
+    return params
+
+
 def dft2_reference(x):
     """Direct DFT double sum, orthonormal and centered."""
     H, W, C = x.shape

@@ -2,13 +2,16 @@
 its input: a NaN or an infinity in the real part only or in the imaginary
 part only, in contiguous, transposed and strided arrays, and in complex64
 and float64 inputs. Each check raises the error type and message it always
-has."""
+has. A non-finite bias or block scalar is refused by name before the
+forward runs (``TestParameterChecks``)."""
+
+import warnings
 
 import numpy as np
 import pytest
 
 from deqpocs.errors import DivergenceError, InvalidInputError
-from deqpocs.network import forward, init_params, vjp
+from deqpocs.network import certified_lipschitz, forward, forward_with_trace, init_params, vjp
 from deqpocs.solvers import anderson_solve, picard_solve
 from deqpocs.tensors import (
     as_tensor,
@@ -172,27 +175,84 @@ class TestNetworkChecks:
     @pytest.mark.parametrize("variant", VARIANTS)
     @pytest.mark.parametrize("part,value", BAD)
     def test_inner_conv_input(self, variant, part, value):
-        # biases are not validated; a non-finite one reaches the next conv's input scan
+        # a non-finite bias is refused by name before it reaches the next conv
         p = _net(variant)
         b = p.blocks[0].kspace_branch.biases[1]
         (b.real if part == "real" else b.imag)[-1] = value
         x = _array((6, 5, 2), np.complex128, "contiguous", seed=2)
-        with pytest.raises(InvalidInputError, match=r"^conv input contains non-finite entries$"):
+        msg = r"^block 0 k-space branch layer 1 bias contains non-finite entries$"
+        with pytest.raises(InvalidInputError, match=msg):
             forward(p, x)
-        with pytest.raises(InvalidInputError, match=r"^conv input contains non-finite entries$"):
+        with pytest.raises(InvalidInputError, match=msg):
             vjp(p, x, x)
 
     @pytest.mark.parametrize("part,value", BAD)
     def test_image_branch_output_reaches_fft_scan(self, part, value):
+        # refused before the forward runs: no "invalid value" warning from alpha * inf
         p = _net("hybrid")
         b = p.blocks[0].image_branch.biases[-1]
         (b.real if part == "real" else b.imag)[-1] = value
         x = _array((6, 5, 2), np.complex128, "contiguous", seed=2)
-        # alpha * inf in complex arithmetic makes 0 * inf: numpy warns, then the scan raises
-        with np.errstate(invalid="ignore"), pytest.raises(
-            InvalidInputError, match=r"^fft input contains non-finite entries$"
-        ):
-            forward(p, x)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(
+                InvalidInputError,
+                match=r"^block 0 image branch layer 4 bias contains non-finite entries$",
+            ):
+                forward(p, x)
+
+
+# (variant, branch attribute, name in the message): every branch a model has
+BRANCHES = [("kspace", "kspace_branch", "k-space"), ("hybrid", "kspace_branch", "k-space"),
+            ("hybrid", "image_branch", "image")]
+VALUES = [pytest.param(v, id=str(v)) for v in (np.nan, np.inf, -np.inf)]
+CHECKED = {
+    "forward": lambda p, x: forward(p, x),
+    "forward_with_trace": lambda p, x: forward_with_trace(p, x),
+    "vjp": lambda p, x: vjp(p, x, x),
+    "certified_lipschitz": lambda p, x: certified_lipschitz(p),
+}
+
+
+class TestParameterChecks:
+    """A non-finite bias, ``alpha``, ``c_k`` or ``c_i`` is refused by every
+    entry point that reads the parameters, naming its block, branch and
+    layer, before any arithmetic warns."""
+
+    @staticmethod
+    def _run(fn, p, msg):
+        x = _array((6, 5, 2), np.complex128, "contiguous", seed=2)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InvalidInputError, match=msg):
+                CHECKED[fn](p, x)
+
+    @pytest.mark.parametrize("fn", list(CHECKED))
+    @pytest.mark.parametrize("value", VALUES)
+    @pytest.mark.parametrize("part", ["real", "imag"])
+    @pytest.mark.parametrize("layer", [0, 4])
+    @pytest.mark.parametrize("variant,branch,name", BRANCHES)
+    def test_bias(self, variant, branch, name, layer, part, value, fn):
+        p = init_params(variant, 2, 4, 2, seed=0, grid=(8, 8))
+        b = getattr(p.blocks[1], branch).biases[layer]
+        (b.real if part == "real" else b.imag)[0] = value
+        self._run(fn, p, rf"^block 1 {name} branch layer {layer} bias contains non-finite")
+
+    @pytest.mark.parametrize("fn", list(CHECKED))
+    @pytest.mark.parametrize("value", VALUES)
+    @pytest.mark.parametrize("field", ["alpha", "c_k", "c_i"])
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_block_scalar(self, variant, field, value, fn):
+        p = init_params(variant, 2, 4, 2, seed=0, grid=(8, 8))
+        setattr(p.blocks[1], field, value)
+        self._run(fn, p, rf"^block 1 {field} is not finite$")
+
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_finite_parameters_pass(self, variant):
+        p = _net(variant)
+        x = _array((6, 5, 2), np.complex128, "contiguous", seed=2)
+        assert np.array_equal(forward(p, x), forward_with_trace(p, x)[0])
+        assert certified_lipschitz(p).is_contractive
 
 
 def _poison_after(k_bad, dtype, layout, part, value):

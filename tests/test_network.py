@@ -31,6 +31,7 @@ from deqpocs.rng import RandomStream
 from deqpocs.sampling import apply_sampling, make_mask
 from deqpocs.tensors import frob, gaussian_tensor, inner_real
 from deqpocs.training import reconstruct
+from oracles import init_params_reference
 
 
 def small_net(variant="kspace", blocks=2, features=4, nc=2, seed=0, grid=(8, 8)):
@@ -86,6 +87,44 @@ class TestInit:
     def test_alpha_init(self):
         p = small_net(seed=2)
         assert all(b.alpha == 0.5 for b in p.blocks)
+
+
+class TestOneDraw:
+    """``init_params`` draws every kernel in one ``RandomStream.gaussians``
+    call: the checkpoint bytes of one draw per kernel, in block, branch and
+    layer order (``oracles.init_params_reference``)."""
+
+    @pytest.mark.parametrize("nc", [2, 4, 8])
+    @pytest.mark.parametrize("features", [4, 16])
+    @pytest.mark.parametrize("blocks", [1, 3, 10])
+    @pytest.mark.parametrize("variant", ["kspace", "hybrid"])
+    def test_checkpoint_bytes_match_per_kernel_draws(self, variant, blocks, features, nc):
+        for seed in (0, 7):
+            got = init_params(variant, blocks, features, nc, seed=seed, grid=(16, 16))
+            want = init_params_reference(variant, blocks, features, nc, seed=seed, grid=(16, 16))
+            assert write_ck01_bytes(got) == write_ck01_bytes(want)
+
+    @pytest.mark.parametrize("variant", ["kspace", "hybrid"])
+    def test_one_gaussian_call(self, monkeypatch, variant):
+        calls = []
+        gaussians = RandomStream.gaussians
+
+        def counting(stream, n):
+            calls.append(n)
+            return gaussians(stream, n)
+
+        monkeypatch.setattr(RandomStream, "gaussians", counting)
+        p = init_params(variant, 3, 4, 2, seed=0, grid=(8, 8))
+        assert calls == [sum(2 * k.size for blk in p.blocks for br in blk.branches
+                             for k in br.kernels)]
+
+    def test_kernels_own_their_memory(self):
+        p = init_params("hybrid", 2, 4, 2, seed=0, grid=(8, 8))
+        kernels = [k for blk in p.blocks for br in blk.branches for k in br.kernels]
+        assert all(k.flags.c_contiguous and k.flags.writeable for k in kernels)
+        for a in kernels:
+            for b in kernels:
+                assert a is b or not np.shares_memory(a, b)
 
 
 class TestForward:

@@ -1,5 +1,6 @@
 import hashlib
 import struct
+import warnings
 
 import numpy as np
 import pytest
@@ -203,6 +204,21 @@ class TestAddNoise:
         for level in (0.01, 0.5, 2.0):
             out = add_noise(y, level, seed=8)
             assert np.all(out.y[~y.mask.grid] == 0)
+
+    @pytest.mark.parametrize("level", [float("nan"), float("inf"), -float("inf")])
+    def test_non_finite_level_refused_before_any_draw(self, monkeypatch, level):
+        y = self._meas()
+        calls = []
+        monkeypatch.setattr(RandomStream, "gaussians", lambda *args: calls.append(args))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InvalidInputError, match=r"^delta_rel must be finite, got"):
+                add_noise(y, level, seed=3)
+        assert calls == []
+
+    def test_negative_level_refused(self):
+        with pytest.raises(InvalidInputError, match=r"^delta_rel must be nonnegative$"):
+            add_noise(self._meas(), -0.01, seed=3)
 
     def test_deterministic(self):
         y = self._meas()

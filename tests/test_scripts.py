@@ -51,5 +51,6 @@ def test_snapshot_outputs(tmp_path):
     for report in ("trained.ck01.report.csv", "verify_seed2_threads1/robustness.csv",
                    "recon_init/recon_residuals.csv", "recon_48/recon.ct01",
                    "baseline_spirit/baseline_spirit.ct01", "mask_2d-cal/sample_0001_mask.mk01",
-                   "mask_2d-free/sample_0001_mask.mk01", "noisy64/sample_0000_meas.ct01"):
+                   "mask_2d-free/sample_0001_mask.mk01", "noisy64/sample_0000_meas.ct01",
+                   "init_hybrid3.ck01"):
         assert (tmp_path / "snap" / report).exists()
