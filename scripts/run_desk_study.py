@@ -65,14 +65,14 @@ def run():
     recon_dir = os.path.join(out, "recon")
     for i in range(4):
         stem = f"sample_{i:04d}"
-        sh(
-            "recon", "--ckpt", ckpt,
+        sample = [
             "--meas", os.path.join(test_dir, stem + "_meas.ct01"),
             "--mask", os.path.join(test_dir, stem + "_mask.mk01"),
             "--ref", os.path.join(test_dir, stem + "_full.ct01"),
-            "--baseline", "zerofill",
             "--out", os.path.join(recon_dir, stem),
-        )
+        ]
+        sh("recon", "--ckpt", ckpt, *sample)
+        sh("baseline", "--method", "zerofill", *sample)
 
     # side-by-side metric tables for the equilibrium model and zero-fill
     flat = os.path.join(out, "flat")

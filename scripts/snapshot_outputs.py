@@ -22,7 +22,8 @@ and stderr, in order:
   ``DEQPOCS_THREADS=1`` and with the default thread count, then once more
   at ``--seed 1`` with ``--trials 0``, which solves only each noise level's
   trial 0 (the recursion run) and writes no trial rows;
-* ``recon --baseline zerofill --ref`` with ``init.ck01``;
+* ``recon --ref`` with ``init.ck01``, then ``baseline --method zerofill
+  --ref`` on the same sample into the same directory;
 * ``baseline --method spirit`` on ``gen-data --n 1 --size 32 --coils 4
   --acs 6 --seed 3``;
 * ``gen-data --n 2 --size 16 --coils 2 --accel 4`` with ``--mask 2d-cal``
@@ -64,7 +65,8 @@ VERIFY_FLAGS = [
 
 
 def sample(data):
-    """The flags that name sample 0 of dataset ``data`` for ``recon``."""
+    """The flags that name sample 0 of dataset ``data`` for ``recon`` and
+    ``baseline``."""
     return ["--meas", f"{data}/sample_0000_meas.ct01", "--mask", f"{data}/sample_0000_mask.mk01",
             "--ref", f"{data}/sample_0000_full.ct01"]
 
@@ -108,8 +110,8 @@ def main():
                     "--seed", seed, *VERIFY_FLAGS, threads=threads)
         run(log, "verify", "--ckpt", "init.ck01", "--data", "data", "--out", "verify_trials0",
             "--seed", "1", *VERIFY_FLAGS, "--trials", "0")
-        run(log, "recon", "--ckpt", "init.ck01", *sample("data"), "--baseline", "zerofill",
-            "--out", "recon_init")
+        run(log, "recon", "--ckpt", "init.ck01", *sample("data"), "--out", "recon_init")
+        run(log, "baseline", "--method", "zerofill", *sample("data"), "--out", "recon_init")
         run(log, "gen-data", "--out", "acs6", "--n", "1", "--size", "32", "--coils", "4",
             "--acs", "6", "--seed", "3")
         run(log, "baseline", "--method", "spirit", "--meas", "acs6/sample_0000_meas.ct01",

@@ -74,7 +74,6 @@ from .training import (
     implicit_backward,
     reconstruct,
     train,
-    zero_fill,
 )
 
 __version__ = "0.1.0"

@@ -1,5 +1,8 @@
 """Command-line surface: ``deqpocs <gen-data|train|recon|baseline|verify|eval>``.
 
+``recon`` applies a certified checkpoint and nothing else; the classical
+baselines, zero-fill and SPIRiT, run under ``baseline --method``.
+
 Every command is deterministic given its flags (all randomness is seeded
 via flags), writes only the artifacts it names, and uses the exit-code
 contract: 0 success, 1 check/quality failure, 2 usage or I/O error. Flags,
@@ -41,7 +44,7 @@ from .sampling import MASK_NAMES, Measurement, load_mk01
 from .solvers import diagnostics_csv
 from .spirit import calibrate_kernels, extract_acs, spirit_pocs_recon
 from .tensors import load_ct01, save_ct01
-from .training import TrainConfig, reconstruct, train, zero_fill
+from .training import TrainConfig, reconstruct, train
 
 USAGE_ERROR = 2
 CHECK_FAILURE = 1
@@ -153,15 +156,6 @@ def _write_recon_outputs(outdir, stem, kspace, residual_result=None):
             fh.write(diagnostics_csv(residual_result))
 
 
-def _run_baseline(method, meas, ns):
-    if method == "zerofill":
-        return zero_fill(meas), None
-    kernels = calibrate_kernels(extract_acs(meas), k=ns.spirit_kernel, lam_rel=ns.spirit_ridge)
-    print(f"spirit: calibrated {ns.spirit_kernel}x{ns.spirit_kernel} kernels")
-    result = spirit_pocs_recon(kernels, meas, max_iter=ns.spirit_iters, tol=ns.tol)
-    return result.solution, result
-
-
 def cmd_recon(ns) -> int:
     params, stored_l = load_checkpoint(ns.ckpt)
     meas = _load_measurement(ns.meas, ns.mask)
@@ -171,13 +165,10 @@ def cmd_recon(ns) -> int:
         f"recon: {result.iterations} iterations, converged={result.converged}, "
         f"L={stored_l:.4f}"
     )
-    if ns.baseline:
-        base_k, _ = _run_baseline(ns.baseline, meas, ns)
-        _write_recon_outputs(ns.out, f"baseline_{ns.baseline}", base_k)
     if ns.ref:
         ref = load_ct01(ns.ref)
         m = evaluate_kspace_pair(result.solution, ref)
-        zf = evaluate_kspace_pair(zero_fill(meas), ref)
+        zf = evaluate_kspace_pair(meas.y, ref)
         print(f"psnr: recon={m['psnr']:.4f} dB zero-fill={zf['psnr']:.4f} dB")
         print(f"nmse: recon={m['nmse']:.6g} zero-fill={zf['nmse']:.6g}")
         print(f"ssim: recon={m['ssim']:.6g} zero-fill={zf['ssim']:.6g}")
@@ -185,8 +176,17 @@ def cmd_recon(ns) -> int:
 
 
 def cmd_baseline(ns) -> int:
+    """Zero-fill (the measurement itself) or SPIRiT, whose iteration has no
+    certificate and writes its residuals next to the reconstruction."""
     meas = _load_measurement(ns.meas, ns.mask)
-    base_k, result = _run_baseline(ns.method, meas, ns)
+    if ns.method == "zerofill":
+        base_k, result = meas.y, None
+    else:
+        kernels = calibrate_kernels(extract_acs(meas), k=ns.spirit_kernel,
+                                    lam_rel=ns.spirit_ridge)
+        print(f"spirit: calibrated {ns.spirit_kernel}x{ns.spirit_kernel} kernels")
+        result = spirit_pocs_recon(kernels, meas, max_iter=ns.spirit_iters, tol=ns.tol)
+        base_k = result.solution
     _write_recon_outputs(ns.out, f"baseline_{ns.method}", base_k, result)
     if ns.ref:
         ref = load_ct01(ns.ref)
@@ -330,9 +330,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", type=str, default=None, help="output directory")
         p.add_argument("--ref", type=str, default=None, help="reference full k-space .ct01")
         p.add_argument("--tol", type=_domain(low=0, above=True), default=1e-5)
-        p.add_argument("--spirit-kernel", type=_domain(int, 1), default=5)
-        p.add_argument("--spirit-ridge", type=_domain(low=0), default=1e-2)
-        p.add_argument("--spirit-iters", type=_domain(int, 1), default=100)
         add_common(p)
 
     p = sub.add_parser("gen-data", help="generate a synthetic multi-coil dataset")
@@ -368,13 +365,15 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("recon", help="reconstruct one measurement with a checkpoint")
     p.add_argument("--ckpt", type=str, default=None)
-    p.add_argument("--baseline", type=str, default=None, choices=["zerofill", "spirit"])
     p.add_argument("--method", type=str, default="anderson", choices=["anderson", "picard"])
     add_solve_flags(p)
     p.set_defaults(handler=cmd_recon)
 
     p = sub.add_parser("baseline", help="run a classical baseline reconstruction")
     p.add_argument("--method", type=str, default=None, choices=["zerofill", "spirit"])
+    p.add_argument("--spirit-kernel", type=_domain(int, 1), default=5)
+    p.add_argument("--spirit-ridge", type=_domain(low=0), default=1e-2)
+    p.add_argument("--spirit-iters", type=_domain(int, 1), default=100)
     add_solve_flags(p)
     p.set_defaults(handler=cmd_baseline)
 

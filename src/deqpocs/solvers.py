@@ -6,8 +6,12 @@ fixed-point residual ``||T(x_k) - x_k||_F`` at every step (for Picard this
 equals the step norm ``||x_{k+1} - x_k||_F``). Convergence is relative: the
 run stops once the residual drops below ``tol * max(1, ||T(x_k)||_F)``. The
 forward equilibrium, the harness's plain iteration and the training
-adjoint all run on this loop. Anderson mixes the last ``m`` iterates by one
-plain least-squares solve on residual differences, with no ridge.
+adjoint all run on this loop, and all three iterate an operator with a
+certified contraction bound ``L < 1``, so the loop keeps no divergence
+watchdog: the uncertified SPIRiT baseline runs its own
+(:func:`deqpocs.spirit.spirit_pocs_recon`). Anderson mixes the last ``m``
+iterates by one plain least-squares solve on residual differences, with no
+ridge.
 """
 
 from __future__ import annotations
@@ -59,13 +63,12 @@ def picard_solve(
     x0: np.ndarray,
     tol: float = 1e-5,
     max_iter: int = 200,
-    divergence_window: int | None = None,
     record_iterates: bool = False,
 ) -> FixedPointResult:
     """Iterate ``x <- T(x)`` until the relative residual drops below ``tol``:
     :func:`anderson_solve` with memory 1."""
     return anderson_solve(T, x0, m=1, tol=tol, max_iter=max_iter,
-                          divergence_window=divergence_window, record_iterates=record_iterates)
+                          record_iterates=record_iterates)
 
 
 def anderson_solve(
@@ -74,7 +77,6 @@ def anderson_solve(
     m: int = 5,
     tol: float = 1e-5,
     max_iter: int = 60,
-    divergence_window: int | None = None,
     record_iterates: bool = False,
 ) -> FixedPointResult:
     """Anderson-accelerated fixed-point solve with memory ``m``.
@@ -90,11 +92,10 @@ def anderson_solve(
     ``gamma``, so ``dF = 0`` gives the plain step. With ``m = 1`` every step
     is the plain step ``x <- T(x)``, i.e. Picard iteration.
 
-    ``divergence_window`` enables a watchdog for operators without a
-    contraction guarantee: when the residual grows for that many consecutive
-    iterations, or the budget runs out, the solve returns the best-residual
-    iterate flagged not converged. ``record_iterates`` attaches ``x0``
-    followed by every ``T(x_k)`` as ``result.iterates``.
+    The result is the last ``T(x_k)``: converged once its residual meets
+    ``tol``, not converged when the budget runs out first.
+    ``record_iterates`` attaches ``x0`` followed by every ``T(x_k)`` as
+    ``result.iterates``.
     """
     if m < 1:
         raise ValueError("require m >= 1")
@@ -106,27 +107,15 @@ def anderson_solve(
     hist_g: list[np.ndarray] = []
     residuals: list[float] = []
     iterates = [x] if record_iterates else None
-    best_x, best_res = x, float("inf")
-    growth = 0
     converged = False
-    solution = x
     for k in range(max_iter):
         g = T(x)
         res, size = _norms(g, x, k)
         residuals.append(res)
         if iterates is not None:
             iterates.append(g)
-        solution = g
-        if res < best_res:
-            # the pre-step iterate is the one this residual certifies
-            best_x, best_res = x, res
-            growth = 0
-        else:
-            growth += 1
         if res <= tol * max(1.0, size):
             converged = True
-            break
-        if divergence_window is not None and growth >= divergence_window:
             break
         hist_f.append((g - x).ravel().view(np.float64))
         hist_g.append(g.ravel())
@@ -140,10 +129,8 @@ def anderson_solve(
         dG = np.diff(np.stack(hist_g, axis=1), axis=1)
         gamma = np.linalg.lstsq(dF, hist_f[-1], rcond=None)[0]
         x = (hist_g[-1] - dG @ gamma).reshape(shape)
-    if not converged and divergence_window is not None:
-        solution = best_x
     return FixedPointResult(
-        solution=solution,
+        solution=g,
         residuals=residuals,
         iterations=len(residuals),
         converged=converged,
@@ -153,13 +140,8 @@ def anderson_solve(
     )
 
 
-def geometric_rate_check(
-    residuals: list[float],
-    L: float,
-    slack: float = RATE_SLACK,
-    floor: float = 0.0,
-) -> bool:
-    """True iff ``residual_k <= slack * L**k * residual_0`` for all k.
+def geometric_rate_check(residuals: list[float], L: float, floor: float = 0.0) -> bool:
+    """True iff ``residual_k <= RATE_SLACK * L**k * residual_0`` for all k.
 
     Residuals at or below ``floor`` (e.g. ``100 * eps * norm(solution)``)
     are ignored: once the iteration reaches the numerical noise floor the
@@ -167,13 +149,13 @@ def geometric_rate_check(
     """
     if not residuals:
         raise ValueError("residuals must be nonempty")
-    if not (0 < L < 1) or slack < 1:
-        raise ValueError("require 0 < L < 1 and slack >= 1")
+    if not 0 < L < 1:
+        raise ValueError("require 0 < L < 1")
     r0 = residuals[0]
     for k, r in enumerate(residuals):
         if r <= floor:
             continue
-        if r > slack * (L**k) * r0:
+        if r > RATE_SLACK * (L**k) * r0:
             return False
     return True
 

@@ -6,8 +6,9 @@ Each k-space point of coil ``i`` is predicted from the kxk multi-coil
 neighborhood around it (the point itself excluded): calibration solves one
 ridge least-squares problem per target coil over the interior of the ACS
 region. The resulting linear operator carries no contraction guarantee, so
-reconstruction runs with a divergence watchdog and returns the
-best-residual iterate.
+reconstruction runs its own plain projected iteration with a divergence
+watchdog and returns the best-residual iterate; the package's certified
+solver loop (:mod:`deqpocs.solvers`) keeps none.
 """
 
 from __future__ import annotations
@@ -18,8 +19,10 @@ import numpy as np
 
 from .errors import ConfigurationError, InvalidInputError, ShapeError
 from .sampling import Measurement, project_data_consistency
-from .solvers import FixedPointResult, picard_solve
+from .solvers import FixedPointResult, _norms
 from .tensors import as_tensor, conv2d_complex, window_rows
+
+DIVERGENCE_WINDOW = 10  # iterations without a new smallest residual that stop the recon
 
 
 @dataclass(frozen=True)
@@ -103,17 +106,33 @@ def spirit_pocs_recon(
     max_iter: int = 100,
     tol: float = 1e-5,
 ) -> FixedPointResult:
-    """Alternate prediction and data consistency from the measurement.
+    """Alternate prediction and data consistency from the measurement: the
+    plain projected iteration ``x <- P(G x)``, with no Anderson history.
 
-    Stops on the relative residual, on ``max_iter``, or when the residual
-    has grown for 10 consecutive iterations (returning the best-residual
-    iterate flagged not converged).
+    Stops with ``P(G x)``, converged, once the residual ``||P(G x) - x||_F``
+    drops below ``tol * max(1, ||P(G x)||_F)``. When the residual has not
+    reached a new minimum for ``DIVERGENCE_WINDOW`` iterations, or
+    ``max_iter`` runs out, it returns the pre-step iterate of the smallest
+    residual, flagged not converged. A non-finite iterate raises
+    :class:`DivergenceError`.
     """
-
-    def T(x: np.ndarray) -> np.ndarray:
-        return project_data_consistency(spirit_apply(kernels, x), meas)
-
-    return picard_solve(T, meas.y, tol=tol, max_iter=max_iter, divergence_window=10)
+    if not 0 < tol < np.inf or max_iter < 1:
+        raise ValueError("tol must be finite and positive and max_iter >= 1")
+    x = np.asarray(meas.y, dtype=np.complex128)
+    residuals: list[float] = []
+    best_iterate, best_k = x, 0  # the pre-step iterate of the smallest residual
+    for k in range(max_iter):
+        g = project_data_consistency(spirit_apply(kernels, x), meas)
+        res, size = _norms(g, x, k)
+        residuals.append(res)
+        if res <= tol * max(1.0, size):
+            return FixedPointResult(g, residuals, k + 1, True, tol, "picard")
+        if res < residuals[best_k]:
+            best_iterate, best_k = x, k
+        elif k - best_k >= DIVERGENCE_WINDOW:
+            break
+        x = g
+    return FixedPointResult(best_iterate, residuals, len(residuals), False, tol, "picard")
 
 
 def extract_acs(meas: Measurement) -> np.ndarray:

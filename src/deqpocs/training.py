@@ -17,6 +17,8 @@ normalization. alpha and the branch weights are projected after every step.
 Every equilibrium solve of the package (training, inference, the harness)
 goes through :func:`reconstruct`, the one place that gates on the
 certificate, stops at ``tol * (1 - L)`` and sizes the budget from L.
+The classical baselines stay off that path: zero-fill is the measurement
+``meas.y`` itself, and SPIRiT runs its own loop in :mod:`deqpocs.spirit`.
 """
 
 from __future__ import annotations
@@ -100,11 +102,6 @@ def reconstruct(
     solve = picard_solve if method == "picard" else anderson_solve
     return solve(T, meas.y if x0 is None else x0, tol=tol_eff, max_iter=max_iter,
                  record_iterates=record_iterates)
-
-
-def zero_fill(meas: Measurement) -> np.ndarray:
-    """No-learning baseline: the measurement itself (zeros off the mask)."""
-    return meas.y
 
 
 # ---------------------------------------------------------------------------
@@ -219,7 +216,6 @@ class TrainReport:
     epoch_mean_fwd_iters: list[float] = field(default_factory=list)
     epoch_mean_bwd_iters: list[float] = field(default_factory=list)
     epoch_certificate: list[float] = field(default_factory=list)
-    step_certificates: list[float] = field(default_factory=list)
     final_train_residual: float = float("nan")
 
     def to_csv(self) -> str:
@@ -247,10 +243,10 @@ def train(
     first raw kernels are the given ones, normalized (so re-certified, not
     trusted) before the first solve; a non-finite one raises
     :class:`TrainingError`. Without given parameters they are those of
-    :func:`init_params`, certified once. The report logs per-epoch means and
-    the certificate after every step; the final entry is the mean
-    equilibrium residual of the trained operator over the training set,
-    solved the same way.
+    :func:`init_params`, certified once. Every step certifies its new
+    parameters; the report logs per-epoch means and each epoch's last
+    certificate, and its final entry is the mean equilibrium residual of
+    the trained operator over the training set, solved the same way.
     """
     if not dataset:
         raise TrainingError("training dataset is empty")
@@ -302,7 +298,6 @@ def train(
                 blk.alpha, blk.c_k, blk.c_i = projected.alpha, projected.c_k, projected.c_i
             state.values = pack_params(raw)
             cert = certified_lipschitz(params)
-            report.step_certificates.append(cert.contraction_bound)
             losses.append(loss)
             fwd_iters.append(result.iterations)
             bwd_iters.append(n_bwd)

@@ -135,21 +135,24 @@ class TestTrain:
 class TestRecon:
     def test_outputs_and_metrics(self, dataset_dir, checkpoint, tmp_path, capsys):
         out = tmp_path / "recon"
-        code = run(
-            "recon", "--ckpt", str(checkpoint),
+        sample = (
             "--meas", str(dataset_dir / "sample_0000_meas.ct01"),
             "--mask", str(dataset_dir / "sample_0000_mask.mk01"),
             "--ref", str(dataset_dir / "sample_0000_full.ct01"),
-            "--baseline", "zerofill",
             "--out", str(out),
         )
-        assert code == 0
+        assert run("recon", "--ckpt", str(checkpoint), *sample) == 0
         assert (out / "recon.ct01").exists()
         assert (out / "recon.pgm").exists()
         assert (out / "recon_residuals.csv").read_text().startswith("iteration,residual")
-        assert (out / "baseline_zerofill.ct01").exists()
-        printed = capsys.readouterr().out
-        assert "psnr:" in printed
+        assert "psnr:" in capsys.readouterr().out
+        # the zero-filled baseline is the measurement itself, with no residuals
+        assert run("baseline", "--method", "zerofill", *sample) == 0
+        assert (out / "baseline_zerofill.ct01").read_bytes() == (
+            dataset_dir / "sample_0000_meas.ct01").read_bytes()
+        assert (out / "baseline_zerofill.pgm").exists()
+        assert not (out / "baseline_zerofill_residuals.csv").exists()
+        assert "psnr:" in capsys.readouterr().out
 
     def test_missing_checkpoint_exits_2(self, dataset_dir, tmp_path):
         assert run(
@@ -303,7 +306,6 @@ class TestBaseline:
         ("verify", "--samples", "0"),
         ("verify", "--tol", "0"),
         ("recon", "--tol", "0"),
-        ("recon", "--spirit-iters", "0"),
         ("baseline", "--tol", "0"),
         ("baseline", "--spirit-iters", "0"),
         ("train", "--lr", "nan"),
@@ -588,13 +590,17 @@ class TestConfigFile:
 @pytest.mark.parametrize(
     "command, flag, value",
     [("train", "--fwd-method", "picard"), ("train", "--fwd-tol", "1e-4"),
-     ("train", "--bwd-tol", "1e-4"), ("verify", "--slack", "1.05")],
+     ("train", "--bwd-tol", "1e-4"), ("verify", "--slack", "1.05"),
+     ("recon", "--baseline", "zerofill"), ("recon", "--spirit-kernel", "3"),
+     ("recon", "--spirit-ridge", "1e-2"), ("recon", "--spirit-iters", "0")],
 )
 def test_deleted_flag_exits_2(tmp_path, capsys, command, flag, value):
-    """Training solves one way and verify checks one envelope: the flags
-    that chose otherwise are gone, on the command line and in a config file."""
+    """Training solves one way, verify checks one envelope and baselines run
+    only under ``baseline``: the flags that chose otherwise are gone, on the
+    command line and in a config file."""
     assert run(command, flag, value) == 2
-    assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: unrecognized arguments: " + flag)
     cfg = tmp_path / "c.cfg"
     cfg.write_text(f"{flag[2:]}={value}\n")
     assert run(command, "--config", str(cfg)) == 2

@@ -1,11 +1,12 @@
 import numpy as np
 import pytest
 
-from deqpocs.errors import ConfigurationError, InvalidInputError
+from deqpocs.errors import ConfigurationError, DivergenceError, InvalidInputError
 from deqpocs.phantom import make_sample
-from deqpocs.rng import RandomStream
-from deqpocs.sampling import apply_sampling, make_mask
+from deqpocs.rng import RandomStream, derive_seed
+from deqpocs.sampling import apply_sampling, make_mask, project_data_consistency
 from deqpocs.spirit import (
+    DIVERGENCE_WINDOW,
     SpiritKernels,
     calibrate_kernels,
     extract_acs,
@@ -24,6 +25,18 @@ def shifted_pair_kspace(H, W, seed=0):
     x[:, :, 0] = base
     x[:, 1:, 1] = base[:, :-1]
     return x
+
+
+def quadrature_phantom_problem():
+    """A 32x32 4-coil phantom at R=2 with a 6-line ACS block, and its
+    calibrated 3x3 kernels."""
+    s = make_sample(
+        32, 32, 4, derive_seed(0, 0, 0), derive_seed(0, 0, 1),
+        edge_sigma=0.7, coil_style="quadrature",
+    )
+    mask = make_mask("1d-calibrated", 32, 32, 2, acs=6, seed=derive_seed(0, 0, 2))
+    meas = apply_sampling(s.kspace, mask)
+    return s, meas, calibrate_kernels(extract_acs(meas), k=3, lam_rel=1e-2)
 
 
 class TestCalibration:
@@ -164,15 +177,7 @@ class TestPocsRecon:
     def test_phantom_beats_zero_fill(self):
         # quadrature maps carry the cross-coil k-space redundancy the
         # prediction kernels need; margin on this instance is ~+8 dB
-        from deqpocs.rng import derive_seed
-
-        s = make_sample(
-            32, 32, 4, derive_seed(0, 0, 0), derive_seed(0, 0, 1),
-            edge_sigma=0.7, coil_style="quadrature",
-        )
-        mask = make_mask("1d-calibrated", 32, 32, 2, acs=6, seed=derive_seed(0, 0, 2))
-        meas = apply_sampling(s.kspace, mask)
-        kern = calibrate_kernels(extract_acs(meas), k=3, lam_rel=1e-2)
+        s, meas, kern = quadrature_phantom_problem()
         res = spirit_pocs_recon(kern, meas, max_iter=30)
         p_sp = psnr(image_from_kspace(res.solution), s.reference)
         p_zf = psnr(image_from_kspace(meas.y), s.reference)
@@ -185,3 +190,35 @@ class TestPocsRecon:
         with pytest.raises(ConfigurationError):
             extract_acs(meas)
 
+
+class TestWatchdog:
+    """SPIRiT's operator has no certificate, so its loop keeps a watchdog."""
+
+    @pytest.mark.parametrize("max_iter", [500, 15])
+    def test_returns_best_iterate(self, max_iter):
+        # scaled up, the calibrated taps are expansive: the residual falls
+        # for 9 steps, then grows
+        _, meas, kern = quadrature_phantom_problem()
+        expansive = SpiritKernels(taps=1.3 * kern.taps)
+        res = spirit_pocs_recon(expansive, meas, max_iter=max_iter, tol=1e-9)
+        best = int(np.argmin(res.residuals))
+        assert not res.converged and best > 0
+        # the watchdog stops DIVERGENCE_WINDOW steps after the smallest
+        # residual, unless the budget runs out first
+        assert res.iterations == min(max_iter, best + 1 + DIVERGENCE_WINDOW)
+        step = project_data_consistency(spirit_apply(expansive, res.solution), meas)
+        assert frob(step - res.solution) == min(res.residuals)
+
+    def test_non_finite_iterate_raises_at_iteration_0(self):
+        _, meas, kern = quadrature_phantom_problem()
+        huge = SpiritKernels(taps=kern.taps * (1e300 / np.abs(kern.taps).max()))
+        with pytest.raises(DivergenceError) as err:
+            spirit_pocs_recon(huge, meas)
+        assert err.value.iteration == 0
+
+    @pytest.mark.parametrize("tol, max_iter",
+                             [(0.0, 10), (-1e-5, 10), (float("inf"), 10), (1e-5, 0)])
+    def test_bad_tol_or_budget_raises(self, tol, max_iter):
+        _, meas, kern = quadrature_phantom_problem()
+        with pytest.raises(ValueError):
+            spirit_pocs_recon(kern, meas, max_iter=max_iter, tol=tol)
