@@ -248,7 +248,6 @@ class RobustnessReport:
     trials: list[RobustnessTrial]
     recursion_checks: list[tuple[float, bool]]  # (delta_rel, holds at every iteration)
     contraction: float
-    tolerance: float
 
     @property
     def all_within_bound(self) -> bool:
@@ -337,9 +336,7 @@ def verify_robustness(
     results = _map_ordered(run_trial, jobs)
     trials = [trial for trial, _ in results] if trials_per_level else []
     recursion = [check for _, check in results if check is not None]
-    return RobustnessReport(
-        trials=trials, recursion_checks=recursion, contraction=L, tolerance=tol
-    )
+    return RobustnessReport(trials=trials, recursion_checks=recursion, contraction=L)
 
 
 # ---------------------------------------------------------------------------

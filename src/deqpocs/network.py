@@ -35,6 +35,7 @@ updates assume exclusive access (the training loop is the only writer).
 
 from __future__ import annotations
 
+import copy
 import math
 import struct
 from dataclasses import dataclass, field, replace
@@ -227,8 +228,12 @@ def normalize_params(params: ConsistencyNetParams) -> ConsistencyNetParams:
     alpha is clamped to [0, 0.99] and ``(c_k, c_i)`` is projected onto the
     simplex (a k-space block's (1, 0) is a fixed point). The result always
     certifies at L <= 0.99.
+
+    The map works on one ``copy.deepcopy`` of ``params``: the result shares
+    no array with the input, whose kernels, biases, scalars, ``sigmas`` and
+    ``rescales`` stay bitwise as they were.
     """
-    params = clone_params(params)
+    params = copy.deepcopy(params)
     _certify(params, rescale=True)
     for blk in params.blocks:
         blk.alpha = float(min(max(blk.alpha, 0.0), ALPHA_CEIL))
@@ -262,43 +267,6 @@ def normalize_vjp(params: ConsistencyNetParams, grad: np.ndarray) -> np.ndarray:
                     g = gbr.kernels[i]
                     gbr.kernels[i] = (g - (1.0 + NORM_SLACK) * inner_real(g, w) * grad_b) / s
     return pack_params(out)
-
-
-def _map_params(
-    params: ConsistencyNetParams, array, scalar, keep_state: bool = False
-) -> ConsistencyNetParams:
-    """Same structure, every kernel and bias passed through ``array`` and
-    every block scalar through ``scalar``. Normalization state describes its
-    kernels, so only ``keep_state`` (same kernels) copies its lists, whose
-    entries are never written in place; otherwise it is left empty, and
-    :func:`certified_lipschitz` refuses the result until it is certified."""
-
-    def branch(br: BranchParams | None) -> BranchParams | None:
-        if br is None:
-            return None
-        return BranchParams(
-            kernels=[array(k) for k in br.kernels],
-            biases=[array(b) for b in br.biases],
-            sigmas=list(br.sigmas) if keep_state else [],
-            rescales=list(br.rescales) if keep_state else [],
-        )
-
-    blocks = [
-        BlockParams(
-            branch(blk.kspace_branch),
-            scalar(blk.alpha),
-            branch(blk.image_branch),
-            scalar(blk.c_k),
-            scalar(blk.c_i),
-        )
-        for blk in params.blocks
-    ]
-    return replace(params, blocks=blocks)
-
-
-def clone_params(params: ConsistencyNetParams) -> ConsistencyNetParams:
-    """A copy of ``params``, normalization state included."""
-    return _map_params(params, np.copy, float, keep_state=True)
 
 
 def _check_params(params: ConsistencyNetParams) -> None:
@@ -412,7 +380,6 @@ def _branch_forward(branch: BranchParams, alpha: float, a: np.ndarray, trace: di
                 mults.append(_lrelu_mult(z))
         h = _lrelu(z) if i < n - 1 else z
     if trace is not None:
-        trace["a"] = a
         trace["inputs"] = inputs
         trace["mults"] = mults
         trace["out"] = h
@@ -494,7 +461,7 @@ def _block_backward(
     k = trace["k"]
     if grad is not None:
         # c_k after this inner product, c_i before its own: other orders round differently
-        grad.alpha = blk.c_k * inner_real(cot, k["out"] - k["a"])
+        grad.alpha = blk.c_k * inner_real(cot, k["out"] - k["inputs"][0])
         grad.c_k = inner_real(cot, trace["out_k"])
     kgrad = None if grad is None else grad.kspace_branch
     grad_a = _branch_backward(blk.kspace_branch, blk.alpha, k, blk.c_k * cot, kgrad)
@@ -502,7 +469,7 @@ def _block_backward(
         i = trace["i"]
         cot_img = ifft2_centered(blk.c_i * cot)  # adjoint of the closing FFT
         if grad is not None:
-            grad.alpha += inner_real(cot_img, i["out"] - i["a"])
+            grad.alpha += inner_real(cot_img, i["out"] - i["inputs"][0])
             grad.c_i = inner_real(cot, trace["out_img"])
         igrad = None if grad is None else grad.image_branch
         gb_i = _branch_backward(blk.image_branch, blk.alpha, i, cot_img, igrad)
@@ -512,7 +479,7 @@ def _block_backward(
 
 def _zero_grads(params: ConsistencyNetParams) -> ConsistencyNetParams:
     """A zero-filled parameter container that reverse passes accumulate into."""
-    return _map_params(params, np.zeros_like, lambda _: 0.0)
+    return unpack_params(params, np.zeros(num_params(params)))
 
 
 def _reverse(
@@ -586,12 +553,17 @@ def pack_params(params: ConsistencyNetParams) -> np.ndarray:
 
 def unpack_params(params: ConsistencyNetParams, vec: np.ndarray) -> ConsistencyNetParams:
     """Inverse of :func:`pack_params`: the structure of ``params`` with the
-    values of ``vec``. The kernels are new, so the result carries no
-    normalization state; certify it (:func:`normalize_params`) before use."""
+    values of ``vec``, the one constructor of a container of new values.
+
+    It walks ``params`` in :func:`pack_params` order and copies each kernel
+    and bias out of ``vec`` once, into an array of its own, so no write
+    through the result reaches ``vec`` or another array. A k-space block
+    keeps the template's ``(c_k, c_i)``, which the vector does not hold. The
+    kernels are new, so the result carries no normalization state; certify
+    it (:func:`normalize_params`) before use."""
     expected = num_params(params)
     if vec.size != expected:
         raise ShapeError(f"parameter vector length {vec.size}, expected {expected}")
-    out = _map_params(params, np.copy, float)
     pos = 0
 
     def take(like: np.ndarray) -> np.ndarray:
@@ -600,17 +572,26 @@ def unpack_params(params: ConsistencyNetParams, vec: np.ndarray) -> ConsistencyN
         pos += n
         return vec[pos - n : pos].copy().view(np.complex128).reshape(like.shape)
 
-    for blk in out.blocks:
-        for br in blk.branches:
-            for i in range(len(br.kernels)):
-                br.kernels[i] = take(br.kernels[i])
-                br.biases[i] = take(br.biases[i])
-        blk.alpha = float(vec[pos])
+    def branch(br: BranchParams | None) -> BranchParams | None:
+        if br is None:
+            return None
+        kernels, biases = [], []
+        for k, b in zip(br.kernels, br.biases):
+            kernels.append(take(k))
+            biases.append(take(b))
+        return BranchParams(kernels=kernels, biases=biases)
+
+    blocks = []
+    for blk in params.blocks:
+        # pack_params order: k-space, image, then the scalars
+        kspace, image = branch(blk.kspace_branch), branch(blk.image_branch)
+        alpha, c_k, c_i = float(vec[pos]), blk.c_k, blk.c_i
         pos += 1
-        if out.variant == "hybrid":
-            blk.c_k, blk.c_i = float(vec[pos]), float(vec[pos + 1])
+        if params.variant == "hybrid":
+            c_k, c_i = float(vec[pos]), float(vec[pos + 1])
             pos += 2
-    return out
+        blocks.append(BlockParams(kspace, alpha, image, c_k, c_i))
+    return replace(params, blocks=blocks)
 
 
 def num_params(params: ConsistencyNetParams) -> int:

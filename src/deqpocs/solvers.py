@@ -31,11 +31,14 @@ RATE_SLACK = 1.05  # the geometric envelope r_k <= 1.05 * L^k * r_0 that verify 
 class FixedPointResult:
     solution: np.ndarray
     residuals: list[float]
-    iterations: int
     converged: bool
     tolerance: float
     method: str
     iterates: list[np.ndarray] | None = None
+
+    @property
+    def iterations(self) -> int:
+        return len(self.residuals)
 
     @property
     def final_residual(self) -> float:
@@ -132,7 +135,6 @@ def anderson_solve(
     return FixedPointResult(
         solution=g,
         residuals=residuals,
-        iterations=len(residuals),
         converged=converged,
         tolerance=tol,
         method="picard" if m == 1 else "anderson",

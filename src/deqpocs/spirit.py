@@ -126,13 +126,13 @@ def spirit_pocs_recon(
         res, size = _norms(g, x, k)
         residuals.append(res)
         if res <= tol * max(1.0, size):
-            return FixedPointResult(g, residuals, k + 1, True, tol, "picard")
+            return FixedPointResult(g, residuals, True, tol, "picard")
         if res < residuals[best_k]:
             best_iterate, best_k = x, k
         elif k - best_k >= DIVERGENCE_WINDOW:
             break
         x = g
-    return FixedPointResult(best_iterate, residuals, len(residuals), False, tol, "picard")
+    return FixedPointResult(best_iterate, residuals, False, tol, "picard")
 
 
 def extract_acs(meas: Measurement) -> np.ndarray:

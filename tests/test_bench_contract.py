@@ -25,7 +25,8 @@ def _load_spans():
     return module
 
 
-PATCHES = _load_spans().PATCHES
+SPANS = _load_spans()
+PATCHES = SPANS.PATCHES
 
 
 @pytest.mark.parametrize(
@@ -120,6 +121,25 @@ def test_gaussian_count_read_by_spans():
     from deqpocs import RandomStream
 
     assert len(RandomStream(0).gaussians(7)) == 7
+
+
+def test_solver_and_adjoint_counts_read_by_spans():
+    # spans._solver_counts reads result.iterations of a solve and
+    # spans._adjoint_counts the iteration count that implicit_backward returns
+    import numpy as np
+
+    import deqpocs as dq
+    from deqpocs.solvers import anderson_solve
+    from deqpocs.training import implicit_backward
+
+    result = anderson_solve(lambda x: 0.5 * x + 1.0, np.zeros((4, 4, 1), dtype=complex))
+    assert SPANS._solver_counts((), {}, result) == {"iters": len(result.residuals)}
+    p = dq.init_params("hybrid", 1, 2, 2, grid=(8, 8))
+    x = dq.RandomStream(0).gaussians(2 * 8 * 8 * 2).view(complex).reshape(8, 8, 2)
+    meas = dq.apply_sampling(x, dq.make_mask("1d-calibrated", 8, 8, 2, acs=2, seed=0))
+    x_fixed = dq.reconstruct(p, meas).solution
+    counts = SPANS._adjoint_counts((), {}, implicit_backward(p, x_fixed, meas, x_fixed - x))
+    assert type(counts["adjoint_iters"]) is int and counts["adjoint_iters"] >= 1
 
 
 def test_hot_path_calls_the_traced_names(monkeypatch):

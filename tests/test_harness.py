@@ -1,3 +1,4 @@
+import copy
 import sys
 import threading
 import time
@@ -44,9 +45,7 @@ class TestConvergence:
 
     def test_alpha_zero_exact_rate(self, small_problem):
         params, dataset = small_problem
-        import deqpocs.network as net
-
-        p = net.clone_params(params)
+        p = copy.deepcopy(params)
         for blk in p.blocks:
             blk.alpha = 0.0
         assert certified_lipschitz(p).contraction_bound == pytest.approx(0.99**2)

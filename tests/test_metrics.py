@@ -151,7 +151,7 @@ class TestReportCsvBytes:
 
     X = 0.1 + 0.2
     RESULT = FixedPointResult(solution=np.zeros((1, 1, 1)), residuals=[X, 3, 1e-17],
-                              iterations=3, converged=True, tolerance=1e-5, method="picard")
+                              converged=True, tolerance=1e-5, method="picard")
     METRICS = MetricsReport(sample_ids=(0, "sample_0001"), nmse_values=(X, 1),
                             psnr_values=(20.5, 99.0), ssim_values=(0.75, 1 / 3))
     METRICS_CSV = (
@@ -178,7 +178,7 @@ class TestReportCsvBytes:
     def test_robustness(self):
         report = RobustnessReport(
             trials=[RobustnessTrial(0.01, self.X, 1.5, 2, -0.25)],
-            recursion_checks=[(0.01, True), (0.1, np.False_)], contraction=0.9, tolerance=1e-5,
+            recursion_checks=[(0.01, True), (0.1, np.False_)], contraction=0.9,
         )
         assert report.to_csv() == (
             "delta_rel,delta_abs,observed,bound,margin\n0.01,0.30000000000000004,1.5,2,-0.25\n"

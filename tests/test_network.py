@@ -1,3 +1,5 @@
+import copy
+import pickle
 import struct
 
 import numpy as np
@@ -11,7 +13,6 @@ from deqpocs.network import (
     _lrelu_mult,
     _scale_parts,
     certified_lipschitz,
-    clone_params,
     forward,
     forward_with_trace,
     init_params,
@@ -118,13 +119,41 @@ class TestOneDraw:
         assert calls == [sum(2 * k.size for blk in p.blocks for br in blk.branches
                              for k in br.kernels)]
 
-    def test_kernels_own_their_memory(self):
+    PRODUCERS = {
+        "init_params": lambda p, vec: p,
+        "unpack_params": unpack_params,
+        "zero_grads": lambda p, vec: network._zero_grads(p),
+        "normalize_params": lambda p, vec: normalize_params(p),
+        "deepcopy": lambda p, vec: copy.deepcopy(p),
+    }
+
+    @pytest.mark.parametrize("produce", PRODUCERS.values(), ids=PRODUCERS.keys())
+    def test_kernels_own_their_memory(self, produce):
+        """Every container producer gives each kernel and bias an array of
+        its own: no in-place write through one reaches another array, the
+        template's or the vector it was unpacked from."""
         p = init_params("hybrid", 2, 4, 2, seed=0, grid=(8, 8))
-        kernels = [k for blk in p.blocks for br in blk.branches for k in br.kernels]
-        assert all(k.flags.c_contiguous and k.flags.writeable for k in kernels)
-        for a in kernels:
-            for b in kernels:
-                assert a is b or not np.shares_memory(a, b)
+        vec = pack_params(p)
+        q = produce(p, vec)
+        values = pack_params(q)
+
+        def arrays(params):
+            return [a for blk in params.blocks for br in blk.branches
+                    for a in br.kernels + br.biases]
+
+        def owner(a):
+            while a.base is not None:
+                a = a.base
+            return a
+
+        ours = arrays(q)
+        assert all(a.flags.c_contiguous and a.flags.writeable for a in ours)
+        assert all(owner(a).nbytes == a.nbytes for a in ours)  # no slice of a larger buffer
+        others = [vec] + ([] if q is p else arrays(p))
+        for i, a in enumerate(ours):
+            assert not any(np.shares_memory(a, b) for b in ours[i + 1 :] + others)
+        vec[:] = 7.0
+        assert pack_params(q).tobytes() == values.tobytes()
 
 
 class TestForward:
@@ -160,7 +189,7 @@ class TestForward:
         for blk in p.blocks:
             blk.c_k, blk.c_i = 1.0, 0.0
         x = rand_tensor((8, 8, 2), 9)
-        kspace_only = clone_params(p)
+        kspace_only = copy.deepcopy(p)
         kspace_only.variant = "kspace"
         for blk in kspace_only.blocks:
             blk.image_branch = None
@@ -172,7 +201,7 @@ class TestForward:
         p = small_net(variant="hybrid", seed=seed)
         for blk in p.blocks:
             blk.c_k, blk.c_i = 1.0, 0.0
-        kspace_only = clone_params(p)
+        kspace_only = copy.deepcopy(p)
         kspace_only.variant = "kspace"
         for blk in kspace_only.blocks:
             blk.image_branch = None
@@ -323,6 +352,18 @@ class TestNormalize:
         assert all(s <= 1 + 1e-6 for s in q.blocks[0].kspace_branch.sigmas)
         assert certified_lipschitz(q).contraction_bound <= 0.99
 
+    def test_input_left_bitwise_unchanged(self):
+        """normalize_params divides a copy: the kernels, biases, scalars,
+        ``sigmas`` and ``rescales`` of what it is given keep their bits."""
+        raw = init_params("hybrid", 2, 4, 2, seed=0, grid=(8, 8))
+        raw.blocks[0].kspace_branch.kernels[0] *= 40.0
+        raw.blocks[1].alpha, raw.blocks[1].c_k = 1.7, 3.0
+        assert raw.blocks[1].image_branch.rescales[3] is not None  # a stored grad_bound too
+        before = pickle.dumps(raw)
+        q = normalize_params(raw)
+        assert q.blocks[0].kspace_branch.rescales[0] is not None  # it divided that kernel
+        assert pickle.dumps(raw) == before
+
     def test_alpha_clamped(self):
         p = small_net(seed=19)
         p.blocks[0].alpha = 1.7
@@ -435,13 +476,13 @@ class TestPacking:
     def test_derived_containers_carry_no_stale_certificate(self):
         """Stored kernel bounds describe the kernels they were computed from.
         Unpacking other values, or a gradient container, gives kernels that
-        no bound describes: both are refused until certified, while a clone,
-        with the same kernels, keeps its bounds."""
+        no bound describes: both are refused until certified, while a deep
+        copy, with the same kernels, keeps its bounds."""
         p = small_net(blocks=1, seed=0)
         vec = pack_params(p)
         vec[: p.blocks[0].kspace_branch.kernels[0].size * 2] *= 4.0  # the first kernel only
         q = unpack_params(p, vec)
-        truth = clone_params(q)
+        truth = copy.deepcopy(q)
         network._certify(truth, rescale=False)
         assert certified_lipschitz(truth).contraction_bound > 1.0 > certified_lipschitz(p).contraction_bound
         meas = apply_sampling(gaussian_tensor((16, 16, 2), RandomStream(1)),
@@ -451,7 +492,7 @@ class TestPacking:
                 certified_lipschitz(derived)
         with pytest.raises(CertificateError):
             reconstruct(q, meas)
-        assert certified_lipschitz(clone_params(p)) == certified_lipschitz(p)
+        assert certified_lipschitz(copy.deepcopy(p)) == certified_lipschitz(p)
 
 
 class TestCertificationCost:

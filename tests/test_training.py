@@ -1,3 +1,5 @@
+import copy
+
 import numpy as np
 import pytest
 
@@ -7,7 +9,6 @@ from deqpocs import network, training
 from deqpocs.network import (
     _certify,
     certified_lipschitz,
-    clone_params,
     forward,
     forward_with_trace,
     init_params,
@@ -263,7 +264,7 @@ class TestCertifiedSolve:
         pairs = []
 
         def spy(p):
-            fresh = clone_params(p)
+            fresh = copy.deepcopy(p)
             _certify(fresh, rescale=False)
             pairs.append((certified_lipschitz(p).contraction_bound,
                           certified_lipschitz(fresh).contraction_bound))
