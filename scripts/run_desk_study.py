@@ -1,9 +1,14 @@
 #!/usr/bin/env python3
 """Desk-scale end-to-end study driven through the CLI.
 
-Generates train/test datasets, trains the equilibrium operator, certifies
-its convergence and robustness guarantees, reconstructs every held-out
-sample next to the zero-filled baseline, and tabulates metrics. SPIRiT is
+Generates train/test datasets, trains the equilibrium operator on the
+calibrated 1-D mask, certifies its convergence, robustness and
+init-independence guarantees (``verify/``), then reconstructs every
+held-out sample next to the zero-filled baseline under three test masks:
+the training mask (1d-cal), and two the model never saw, 1d-free at the
+training acceleration and 2d-free at R=10. The test images are the same
+under every mask. Each mask's metric tables land in
+``metrics_<mask>_model.csv`` and ``metrics_<mask>_zerofill.csv``. SPIRiT is
 not run: the default 16x16 data at R=2 has a single ACS line, too few to
 calibrate the 5x5 SPIRiT kernel. Every artifact lands under --out;
 rerunning with the same flags reproduces it byte for byte.
@@ -13,6 +18,7 @@ rerunning with the same flags reproduces it byte for byte.
 
 import argparse
 import os
+import shutil
 import sys
 
 from deqpocs.cli import main as cli
@@ -43,55 +49,51 @@ def parse_args():
 def run():
     ns = parse_args()
     out = ns.out
-    train_dir = os.path.join(out, "train")
-    test_dir = os.path.join(out, "test")
     ckpt = os.path.join(out, "model.ck01")
+    common = ["--size", ns.size, "--coils", ns.coils, "--edge-sigma", ns.edge_sigma,
+              "--shared-mask", 1]
 
-    common = [
-        "--size", ns.size, "--coils", ns.coils, "--mask", "1d-cal",
-        "--accel", ns.accel, "--edge-sigma", ns.edge_sigma, "--shared-mask", 1,
-    ]
-    sh("gen-data", "--out", train_dir, "--n", 8, "--seed", ns.seed, *common)
-    sh("gen-data", "--out", test_dir, "--n", 4, "--seed", ns.seed + 1, *common)
-
+    train_dir = os.path.join(out, "train")
+    sh("gen-data", "--out", train_dir, "--n", 8, "--seed", ns.seed,
+       "--mask", "1d-cal", "--accel", ns.accel, *common)
     sh(
         "train", "--data", train_dir, "--out", ckpt,
         "--epochs", ns.epochs, "--blocks", ns.blocks, "--features", ns.features,
         "--variant", ns.variant,
     )
 
-    sh("verify", "--ckpt", ckpt, "--data", test_dir, "--out", os.path.join(out, "verify"))
+    for mask, accel in (("1d-cal", ns.accel), ("1d-free", ns.accel), ("2d-free", 10.0)):
+        test_dir = os.path.join(out, "test", mask)
+        sh("gen-data", "--out", test_dir, "--n", 4, "--seed", ns.seed + 1,
+           "--mask", mask, "--accel", accel, *common)
+        if mask == "1d-cal":
+            sh("verify", "--ckpt", ckpt, "--data", test_dir, "--out", os.path.join(out, "verify"))
 
-    recon_dir = os.path.join(out, "recon")
-    for i in range(4):
-        stem = f"sample_{i:04d}"
-        sample = [
-            "--meas", os.path.join(test_dir, stem + "_meas.ct01"),
-            "--mask", os.path.join(test_dir, stem + "_mask.mk01"),
-            "--ref", os.path.join(test_dir, stem + "_full.ct01"),
-            "--out", os.path.join(recon_dir, stem),
-        ]
-        sh("recon", "--ckpt", ckpt, *sample)
-        sh("baseline", "--method", "zerofill", *sample)
-
-    # side-by-side metric tables for the equilibrium model and zero-fill
-    flat = os.path.join(out, "flat")
-    os.makedirs(os.path.join(flat, "recon"), exist_ok=True)
-    os.makedirs(os.path.join(flat, "zf"), exist_ok=True)
-    os.makedirs(os.path.join(flat, "ref"), exist_ok=True)
-    for i in range(4):
-        stem = f"sample_{i:04d}"
-        for src, dst in (
-            (os.path.join(recon_dir, stem, "recon.ct01"), os.path.join(flat, "recon", stem + ".ct01")),
-            (os.path.join(recon_dir, stem, "baseline_zerofill.ct01"), os.path.join(flat, "zf", stem + ".ct01")),
-            (os.path.join(test_dir, stem + "_full.ct01"), os.path.join(flat, "ref", stem + ".ct01")),
-        ):
-            with open(src, "rb") as fin, open(dst, "wb") as fout:
-                fout.write(fin.read())
-    sh("eval", "--recon", os.path.join(flat, "recon"), "--ref", os.path.join(flat, "ref"),
-       "--out", os.path.join(out, "metrics_model.csv"))
-    sh("eval", "--recon", os.path.join(flat, "zf"), "--ref", os.path.join(flat, "ref"),
-       "--out", os.path.join(out, "metrics_zerofill.csv"))
+        # recon and baseline write one directory per sample; eval pairs flat
+        # directories of .ct01 files by name
+        recon_dir = os.path.join(out, "recon", mask)
+        flat = {name: os.path.join(out, "flat", mask, name) for name in ("model", "zerofill", "ref")}
+        for path in flat.values():
+            os.makedirs(path, exist_ok=True)
+        for i in range(4):
+            stem = f"sample_{i:04d}"
+            sample = [
+                "--meas", os.path.join(test_dir, stem + "_meas.ct01"),
+                "--mask", os.path.join(test_dir, stem + "_mask.mk01"),
+                "--ref", os.path.join(test_dir, stem + "_full.ct01"),
+                "--out", os.path.join(recon_dir, stem),
+            ]
+            sh("recon", "--ckpt", ckpt, *sample)
+            sh("baseline", "--method", "zerofill", *sample)
+            for name, src in (
+                ("model", os.path.join(recon_dir, stem, "recon.ct01")),
+                ("zerofill", os.path.join(recon_dir, stem, "baseline_zerofill.ct01")),
+                ("ref", os.path.join(test_dir, stem + "_full.ct01")),
+            ):
+                shutil.copyfile(src, os.path.join(flat[name], stem + ".ct01"))
+        for name in ("model", "zerofill"):
+            sh("eval", "--recon", flat[name], "--ref", flat["ref"],
+               "--out", os.path.join(out, f"metrics_{mask}_{name}.csv"))
     print(f"\nstudy complete; artifacts under {out}/")
 
 

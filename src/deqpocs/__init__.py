@@ -5,8 +5,8 @@ certificate, sound on every grid size, is driven to a fixed point under the
 data-consistency projection; training differentiates through the
 equilibrium and through the spectral normalization. The package
 also ships a classical SPIRiT baseline, synthetic phantom data, image
-metrics, and a harness that certifies the convergence-rate and
-noise-robustness guarantees numerically.
+metrics, and a harness that certifies the convergence-rate,
+noise-robustness and init-independence guarantees numerically.
 """
 
 from .errors import (
@@ -17,12 +17,7 @@ from .errors import (
     ShapeError,
     TrainingError,
 )
-from .harness import (
-    verify_convergence,
-    verify_init_independence,
-    verify_mask_transfer,
-    verify_robustness,
-)
+from .harness import verify_convergence, verify_init_independence, verify_robustness
 from .metrics import evaluate_kspace_pair, image_from_kspace, nmse, psnr, ssim, ssos
 from .network import (
     ConsistencyNetParams,

@@ -1,6 +1,6 @@
-"""Executable certification of the operator's convergence and robustness
-guarantees, plus the interference experiments (noisy measurements, noisy
-initial iterates, transferred sampling patterns).
+"""Executable certification of the operator's three guarantees: geometric
+convergence to a unique fixed point, robustness to measurement noise, and
+independence from the initial iterate.
 
 All checks run against the certificate L of ``certified_lipschitz``:
 convergence must follow the geometric envelope ``r_k <= 1.05 * L^k * r_0``;
@@ -34,10 +34,10 @@ from dataclasses import astuple, dataclass
 import numpy as np
 
 from .errors import ConfigurationError
-from .metrics import MetricsReport, csv_text, evaluate_kspace_set
+from .metrics import csv_text
 from .network import ConsistencyNetParams, certified_lipschitz, require_contractive
 from .rng import RandomStream, derive_seed
-from .sampling import Measurement, add_noise, apply_sampling, make_mask
+from .sampling import Measurement, add_noise
 from .solvers import RATE_SLACK, FixedPointResult, geometric_rate_check, numerical_floor
 from .solvers import picard_solve  # noqa: F401  (perfbench traces it under this name)
 from .tensors import frob, gaussian_tensor
@@ -403,56 +403,3 @@ def verify_init_independence(
         return (level, t, frob(res.solution - base.solution), threshold)
 
     return InitIndependenceReport(rows=_map_ordered(run_one, jobs), contraction=cert.contraction_bound)
-
-
-# ---------------------------------------------------------------------------
-# Sampling-pattern transfer
-# ---------------------------------------------------------------------------
-
-@dataclass
-class MaskTransferReport:
-    metrics: MetricsReport
-    zero_fill_metrics: MetricsReport
-    mask_kind: str
-    accel: float
-
-    def to_csv(self) -> str:
-        lines = [f"# reconstruction under {self.mask_kind} R={self.accel}"]
-        lines.append(self.metrics.to_csv().rstrip("\n"))
-        lines.append("# zero-filled baseline")
-        lines.append(self.zero_fill_metrics.to_csv().rstrip("\n"))
-        return "\n".join(lines) + "\n"
-
-    def summary(self) -> str:
-        mean_psnr = self.metrics.mean_std(self.metrics.psnr_values)[0]
-        zf_psnr = self.zero_fill_metrics.mean_std(self.zero_fill_metrics.psnr_values)[0]
-        return (
-            f"mask-transfer ({self.mask_kind}, R={self.accel}): "
-            f"PSNR {mean_psnr:.2f} dB vs zero-fill {zf_psnr:.2f} dB"
-        )
-
-
-def verify_mask_transfer(
-    params: ConsistencyNetParams,
-    full_kspaces: list[np.ndarray],
-    mask_kind: str = "1d-free",
-    accel: float = 4.0,
-    seed: int = 0,
-    tol: float = 1e-5,
-) -> MaskTransferReport:
-    """Evaluate reconstruction under masks unseen in training (report only:
-    the claim being exercised is comparative, not a hard threshold)."""
-    recon_pairs, zf_pairs = [], []
-    for i, x_full in enumerate(full_kspaces):
-        H, W, _ = x_full.shape
-        mask = make_mask(mask_kind, H, W, accel, seed=derive_seed(seed, i))
-        meas = apply_sampling(x_full, mask)
-        res = reconstruct(params, meas, tol=tol)
-        recon_pairs.append((res.solution, x_full))
-        zf_pairs.append((meas.y, x_full))
-    return MaskTransferReport(
-        metrics=evaluate_kspace_set(recon_pairs),
-        zero_fill_metrics=evaluate_kspace_set(zf_pairs),
-        mask_kind=mask_kind,
-        accel=accel,
-    )

@@ -128,13 +128,11 @@ class MetricsReport:
     psnr_values: tuple[float, ...]
     ssim_values: tuple[float, ...]
 
-    def mean_std(self, values: tuple[float, ...]) -> tuple[float, float]:
-        arr = np.asarray(values, dtype=np.float64)
-        return float(arr.mean()), float(arr.std())
-
     def to_csv(self) -> str:
         columns = (self.nmse_values, self.psnr_values, self.ssim_values)
-        means, stds = zip(*map(self.mean_std, columns))
+        arrays = [np.asarray(c, dtype=np.float64) for c in columns]
+        means = [float(a.mean()) for a in arrays]
+        stds = [float(a.std()) for a in arrays]
         rows = [*zip(self.sample_ids, *columns), ("mean", *means), ("std", *stds)]
         return csv_text("sample_id,nmse,psnr,ssim", rows)
 

@@ -595,7 +595,16 @@ def unpack_params(params: ConsistencyNetParams, vec: np.ndarray) -> ConsistencyN
 
 
 def num_params(params: ConsistencyNetParams) -> int:
-    return pack_params(params).size
+    """Length of :func:`pack_params`, counted without packing: two reals per
+    complex kernel and bias entry, plus alpha (and, hybrid, c_k and c_i) per
+    block."""
+    scalars = 3 if params.variant == "hybrid" else 1
+    return len(params.blocks) * scalars + 2 * sum(
+        k.size + b.size
+        for blk in params.blocks
+        for br in blk.branches
+        for k, b in zip(br.kernels, br.biases)
+    )
 
 
 # ---------------------------------------------------------------------------

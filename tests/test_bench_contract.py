@@ -8,6 +8,7 @@ failure to its traced runs, and when a changed signature would break a call
 import importlib
 import importlib.util
 import inspect
+import re
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -38,6 +39,21 @@ def test_traced_name_resolves(modname, attr):
     for part in attr.split("."):
         owner = getattr(owner, part)
     assert callable(owner)
+
+
+# An import the module itself does not use, kept so the tracer finds the name.
+KEEP_ALIVE = re.compile(r"(\w+),?\s*# noqa: F401\s+\(perfbench traces it under this name\)")
+
+
+def test_keep_alive_imports_are_traced():
+    # each such import must outlive no patch: drop it with its PATCHES row
+    package = PERFBENCH.parent / "src" / "deqpocs"
+    kept = [(f"deqpocs.{path.stem}", m.group(1))
+            for path in sorted(package.glob("*.py"))
+            for m in KEEP_ALIVE.finditer(path.read_text())]
+    assert kept, "no keep-alive import found: has its comment changed?"
+    traced = {(p[0], p[1]) for p in PATCHES}
+    assert [k for k in kept if k not in traced] == []
 
 
 # Every package name run.py calls outside spans.PATCHES.

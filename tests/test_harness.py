@@ -13,14 +13,13 @@ from deqpocs.harness import (
     _map_ordered,
     verify_convergence,
     verify_init_independence,
-    verify_mask_transfer,
     verify_robustness,
     worker_count,
 )
 from deqpocs.network import certified_lipschitz, init_params
 from deqpocs.phantom import DatasetSpec, make_dataset
 from deqpocs.rng import derive_seed
-from deqpocs.sampling import add_noise, apply_sampling, make_mask
+from deqpocs.sampling import add_noise
 from deqpocs.solvers import picard_solve
 from deqpocs.tensors import frob, gaussian_tensor
 from deqpocs.training import reconstruct
@@ -340,41 +339,6 @@ class TestInitIndependence:
         )
         assert report.all_pass
         assert report.rows[0][2] <= report.rows[0][3]
-
-
-@pytest.fixture(scope="module")
-def transfer_problem():
-    # SSIM needs images of at least 11x11
-    spec = DatasetSpec(n=2, height=16, width=16, coils=2, accel=2.0, seed=4, acs=2)
-    dataset = make_dataset(spec)
-    params = init_params("kspace", 2, 4, 2, seed=7, grid=(16, 16))
-    return params, dataset
-
-
-class TestMaskTransfer:
-    def test_report_fields_finite(self, transfer_problem):
-        params, dataset = transfer_problem
-        report = verify_mask_transfer(
-            params, [s.kspace for s, _ in dataset], mask_kind="1d-free", accel=2.0, seed=8
-        )
-        for vals in (report.metrics.psnr_values, report.metrics.nmse_values):
-            assert all(np.isfinite(v) for v in vals)
-        assert "mask-transfer" in report.summary()
-        assert "# zero-filled baseline" in report.to_csv()
-
-    def test_same_mask_matches_direct_evaluation(self, transfer_problem):
-        params, dataset = transfer_problem
-        from deqpocs.metrics import evaluate_kspace_pair
-        from deqpocs.rng import derive_seed
-        from deqpocs.training import reconstruct
-
-        x = dataset[0][0].kspace
-        report = verify_mask_transfer(params, [x], mask_kind="2d-free", accel=2.0, seed=9)
-        mask = make_mask("2d-free", 16, 16, 2.0, seed=derive_seed(9, 0))
-        meas = apply_sampling(x, mask)
-        res = reconstruct(params, meas)
-        direct = evaluate_kspace_pair(res.solution, x)
-        assert report.metrics.psnr_values[0] == pytest.approx(direct["psnr"], abs=1e-9)
 
 
 def test_worker_count_env(monkeypatch):

@@ -6,7 +6,6 @@ from deqpocs.harness import (
     ConvergenceReport,
     ConvergenceRun,
     InitIndependenceReport,
-    MaskTransferReport,
     RobustnessReport,
     RobustnessTrial,
 )
@@ -206,17 +205,6 @@ class TestReportCsvBytes:
 
     def test_metrics(self):
         assert self.METRICS.to_csv() == self.METRICS_CSV
-
-    def test_mask_transfer(self):
-        zero_fill = MetricsReport(sample_ids=(0,), nmse_values=(self.X,), psnr_values=(10,),
-                                  ssim_values=(0.5,))
-        report = MaskTransferReport(metrics=self.METRICS, zero_fill_metrics=zero_fill,
-                                    mask_kind="1d-free", accel=4.0)
-        assert report.to_csv() == (
-            "# reconstruction under 1d-free R=4.0\n" + self.METRICS_CSV
-            + "# zero-filled baseline\nsample_id,nmse,psnr,ssim\n0,0.30000000000000004,10,0.5\n"
-            "mean,0.30000000000000004,10,0.5\nstd,0,0,0\n"
-        )
 
     def test_solver_diagnostics(self):
         assert diagnostics_csv(self.RESULT) == (

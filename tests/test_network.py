@@ -62,6 +62,12 @@ class TestInit:
         expected = 10 * (kernel_reals + bias_reals + 1)  # + alpha per block
         assert num_params(p) == expected
 
+    @pytest.mark.parametrize("variant", ["kspace", "hybrid"])
+    @pytest.mark.parametrize("blocks", [1, 2, 3])
+    def test_parameter_count_matches_packed_length(self, variant, blocks):
+        p = init_params(variant, blocks, 4, 2, seed=0, grid=(8, 8))
+        assert num_params(p) == pack_params(p).size
+
     def test_determinism(self):
         a = small_net(seed=3)
         b = small_net(seed=3)
