@@ -204,7 +204,7 @@ def cmd_verify(ns) -> int:
         )
     measurements = [s.measurement for s in samples[: ns.samples]]
     os.makedirs(ns.out, exist_ok=True)
-    conv = verify_convergence(
+    conv, clean = verify_convergence(
         params,
         measurements,
         inits_per_sample=ns.inits,
@@ -219,7 +219,7 @@ def cmd_verify(ns) -> int:
         trials_per_level=ns.trials,
         seed=ns.seed,
         tol=ns.tol,
-        clean=conv.clean,
+        clean=clean,
     )
     init = verify_init_independence(
         params,
@@ -228,19 +228,19 @@ def cmd_verify(ns) -> int:
         trials_per_level=ns.init_trials,
         seed=ns.seed,
         tol=ns.tol,
-        clean=conv.clean,
+        clean=clean,
     )
-    for name, report in (("convergence", conv), ("robustness", rob), ("init_independence", init)):
-        with open(os.path.join(ns.out, name + ".csv"), "w") as fh:
+    summary = ""
+    for report in (conv, rob, init):
+        with open(os.path.join(ns.out, report.name.replace("-", "_") + ".csv"), "w") as fh:
             fh.write(report.to_csv())
-    lines = [conv.summary(), rob.summary(), init.summary()]
-    all_pass = conv.all_pass and rob.all_within_bound and init.all_pass
-    lines.append("overall: " + ("PASS" if all_pass else "FAIL"))
-    summary = "\n".join(lines) + "\n"
+        summary += report.summary() + "\n"
+    passed = conv.passed and rob.passed and init.passed
+    summary += "overall: " + ("PASS" if passed else "FAIL") + "\n"
     with open(os.path.join(ns.out, "summary.txt"), "w") as fh:
         fh.write(summary)
     print(summary, end="")
-    return 0 if all_pass else CHECK_FAILURE
+    return 0 if passed else CHECK_FAILURE
 
 
 def _collect_pairs(recon_path, ref_path):

@@ -13,14 +13,20 @@ deviate by at most twice that. Every equilibrium is solved by
 :func:`deqpocs.training.reconstruct`, which owns that stop rule, the
 certificate gate and the iteration budget.
 
+Every check returns one :class:`CheckReport`: its ``name``, the ``header``
+and ``rows`` of its CSV, the verdict ``passed`` and the ``detail`` that its
+summary line ``<name>: PASS|FAIL (<detail>)`` quotes. A row is a plain
+tuple of the CSV's fields, in its column order.
+
 Trials are independent and seeded individually. Each check builds all of
 its jobs first and runs them as one batch on ``worker_count()`` threads,
 the calling thread included; ``DEQPOCS_THREADS`` caps that count.
 ``deqpocs verify`` solves each equilibrium once. The convergence check's
-solve of sample 0 from the measurement, with its iterates, is handed to
-the robustness and init-independence checks, which would otherwise solve
-it again. The robustness check's trial 0 of each noise level is also its
-recursion run, so that noisy equilibrium is solved once too.
+solve of sample 0 from the measurement, with its iterates, is returned
+next to its report and handed to the robustness and init-independence
+checks, which would otherwise solve it again. The robustness check's
+trial 0 of each noise level is also its recursion run, so that noisy
+equilibrium is solved once too.
 """
 
 from __future__ import annotations
@@ -29,7 +35,7 @@ import itertools
 import os
 import threading
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import astuple, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -105,52 +111,40 @@ def _map_ordered(fn, items):
     return [value for _, value in outcomes]
 
 
+@dataclass(frozen=True)
+class CheckReport:
+    """One check's outcome: the ``rows`` of its CSV under ``header``, its
+    verdict ``passed`` and the ``detail`` its summary line quotes."""
+
+    name: str
+    header: str
+    rows: list[tuple]
+    passed: bool
+    detail: str
+
+    def to_csv(self) -> str:
+        return csv_text(self.header, self.rows)
+
+    def summary(self) -> str:
+        return f"{self.name}: {'PASS' if self.passed else 'FAIL'} ({self.detail})"
+
+
+def _certificate(params: ConsistencyNetParams) -> float:
+    """The certified contraction bound ``L``; ``CertificateError`` unless ``L < 1``."""
+    cert = certified_lipschitz(params)
+    require_contractive(cert)
+    return cert.contraction_bound
+
+
+def _scaled_noise(shape, seed: int, norm: float) -> np.ndarray:
+    """A seeded Gaussian tensor rescaled to Frobenius norm ``norm``."""
+    noise = gaussian_tensor(shape, RandomStream(seed))
+    return noise * (norm / frob(noise))
+
+
 # ---------------------------------------------------------------------------
 # Convergence (geometric rate + uniqueness across initializations)
 # ---------------------------------------------------------------------------
-
-@dataclass
-class ConvergenceRun:
-    sample: int
-    init_label: str
-    converged: bool
-    iterations: int
-    rate_ok: bool
-    final_residual: float
-
-
-@dataclass
-class ConvergenceReport:
-    runs: list[ConvergenceRun]
-    pairwise_max_distance: list[float]  # per sample
-    agreement_threshold: list[float]  # per sample
-    contraction: float
-    clean: FixedPointResult  # sample 0's solve from the measurement, with iterates
-
-    @property
-    def all_pass(self) -> bool:
-        return (
-            all(r.converged and r.rate_ok for r in self.runs)
-            and all(
-                d <= t
-                for d, t in zip(self.pairwise_max_distance, self.agreement_threshold)
-            )
-        )
-
-    def to_csv(self) -> str:
-        agreement = zip(self.pairwise_max_distance, self.agreement_threshold)
-        return csv_text("sample,init,converged,iterations,rate_ok,final_residual", [
-            *map(astuple, self.runs),
-            *(("agreement", s, d, t, None, None) for s, (d, t) in enumerate(agreement)),
-        ])
-
-    def summary(self) -> str:
-        verdict = "PASS" if self.all_pass else "FAIL"
-        return (
-            f"convergence: {verdict} ({len(self.runs)} runs, L={self.contraction:.6f}, "
-            f"slack={RATE_SLACK})"
-        )
-
 
 def verify_convergence(
     params: ConsistencyNetParams,
@@ -158,65 +152,60 @@ def verify_convergence(
     inits_per_sample: int = 3,
     tol: float = 1e-5,
     seed: int = 0,
-) -> ConvergenceReport:
+) -> tuple[CheckReport, FixedPointResult]:
     """Plain iteration from ``max(inits_per_sample, 2)`` starts per sample
     (the measurement, zero, then seeded random iterates): every run must
     converge, follow the certificate's geometric envelope
     ``r_k <= RATE_SLACK * L^k * r_0`` (``RATE_SLACK = 1.05``), and all
     equilibria of one sample must agree within ``10 * tol``.
 
-    The report's ``clean`` is sample 0's run from the measurement with its
-    iterates, the only run that records them: the clean solve that
+    Returns the report, with one row per run and then one ``agreement`` row
+    per sample, and the clean solve: sample 0's run from the measurement
+    with its iterates, the only run that records them, which
     :func:`verify_robustness` and :func:`verify_init_independence` take as
     ``clean`` for the same model, measurement and ``tol``. Raises
     ``ValueError`` without measurements, which would check nothing."""
     if not measurements:
         raise ValueError("verify_convergence needs at least one measurement")
-    cert = certified_lipschitz(params)
-    require_contractive(cert)
-    L = cert.contraction_bound
+    L = _certificate(params)
     jobs = []
     for s, meas in enumerate(measurements):
         jobs += [(s, meas, "measurement", meas.y), (s, meas, "zero", np.zeros_like(meas.y))]
         big = 10.0 * max(1.0, frob(meas.y))
-        for j in range(inits_per_sample - 2):
-            noise = gaussian_tensor(meas.y.shape, RandomStream(derive_seed(seed, s, j)))
-            jobs.append((s, meas, f"random{j}", noise * (big / frob(noise))))
+        jobs += [(s, meas, f"random{j}", _scaled_noise(meas.y.shape, derive_seed(seed, s, j), big))
+                 for j in range(inits_per_sample - 2)]
 
     def run_one(job):
         s, meas, label, x0 = job
         res = reconstruct(params, meas, x0, method="picard", tol=tol,
                           record_iterates=s == 0 and label == "measurement")
         rate_ok = geometric_rate_check(res.residuals, L, floor=numerical_floor(res.solution))
-        return res, ConvergenceRun(
-            sample=s,
-            init_label=label,
-            converged=res.converged,
-            iterations=res.iterations,
-            rate_ok=rate_ok,
-            final_residual=res.final_residual,
-        )
+        return res, (s, label, res.converged, res.iterations, rate_ok, res.final_residual)
 
     results = _map_ordered(run_one, jobs)  # item 0, the one that records iterates, runs here
-    clean = results[0][0]
-    pairwise, thresholds = [], []
+    runs = [row for _, row in results]
+    agreement = []
     for s in range(len(measurements)):
-        solutions = [res.solution for res, row in results if row.sample == s]
-        pairwise.append(max(frob(a - b) for a, b in itertools.combinations(solutions, 2)))
-        thresholds.append(10.0 * tol * max(1.0, frob(solutions[0])))
-    return ConvergenceReport(
-        runs=[row for _, row in results],
-        pairwise_max_distance=pairwise,
-        agreement_threshold=thresholds,
-        contraction=L,
-        clean=clean,
+        solutions = [res.solution for res, row in results if row[0] == s]
+        distance = max(frob(a - b) for a, b in itertools.combinations(solutions, 2))
+        threshold = 10.0 * tol * max(1.0, frob(solutions[0]))
+        agreement.append(("agreement", s, distance, threshold, None, None))
+    report = CheckReport(
+        name="convergence",
+        header="sample,init,converged,iterations,rate_ok,final_residual",
+        rows=runs + agreement,
+        passed=all(converged and rate_ok for _, _, converged, _, rate_ok, _ in runs)
+        and all(d <= t for _, _, d, t, _, _ in agreement),
+        detail=f"{len(runs)} runs, L={L:.6f}, slack={RATE_SLACK}",
     )
+    return report, results[0][0]
 
 
 def _clean_solve(params, meas, tol: float, L: float, clean) -> FixedPointResult:
     """The Picard solve from ``meas.y`` with its iterates. A given ``clean``
-    (``verify_convergence(...).clean``) is returned, or refused with
-    ``ValueError`` when made for another tolerance or without iterates."""
+    (the second value :func:`verify_convergence` returns) is returned, or
+    refused with ``ValueError`` when made for another tolerance or without
+    iterates."""
     if clean is None:
         return reconstruct(params, meas, method="picard", tol=tol, record_iterates=True)
     tol_eff = tol * (1.0 - L)
@@ -234,40 +223,6 @@ def _clean_solve(params, meas, tol: float, L: float, clean) -> FixedPointResult:
 # Robustness to measurement noise (perturbation bound + contraction recursion)
 # ---------------------------------------------------------------------------
 
-@dataclass
-class RobustnessTrial:
-    delta_rel: float
-    delta_abs: float
-    observed: float
-    bound: float
-    margin: float
-
-
-@dataclass
-class RobustnessReport:
-    trials: list[RobustnessTrial]
-    recursion_checks: list[tuple[float, bool]]  # (delta_rel, holds at every iteration)
-    contraction: float
-
-    @property
-    def all_within_bound(self) -> bool:
-        return all(t.margin >= -1e-6 * t.bound for t in self.trials) and all(
-            ok for _, ok in self.recursion_checks
-        )
-
-    def to_csv(self) -> str:
-        return csv_text("delta_rel,delta_abs,observed,bound,margin", [
-            *map(astuple, self.trials),
-            *(("recursion", level, ok, None, None) for level, ok in self.recursion_checks),
-        ])
-
-    def summary(self) -> str:
-        verdict = "PASS" if self.all_within_bound else "FAIL"
-        return (
-            f"robustness: {verdict} ({len(self.trials)} trials, L={self.contraction:.6f})"
-        )
-
-
 def verify_robustness(
     params: ConsistencyNetParams,
     meas: Measurement,
@@ -276,7 +231,7 @@ def verify_robustness(
     seed: int = 0,
     tol: float = 1e-5,
     clean: FixedPointResult | None = None,
-) -> RobustnessReport:
+) -> CheckReport:
     """Noisy-vs-clean equilibrium distance against the ``delta / (1 - L)``
     bound on every trial, plus the per-iteration contraction recursion
     ``d_k <= L * d_{k-1} + delta`` checked on one synchronized pair of plain
@@ -286,21 +241,22 @@ def verify_robustness(
     recursion verdict and trial 0's bound row. Trials 1 and on are solved by
     Anderson. All of them run as one batch of independent jobs.
 
-    The slack term ``20 * tol * max(1, ||x||)`` absorbs the inexactness of
-    the two equilibrium solves (each within ``tol * max(1, ||x||)`` of its
-    true fixed point under the tightened stop rule).
+    The report has one ``delta_rel,delta_abs,observed,bound,margin`` row per
+    trial, then one ``recursion`` row per level; it passes when every margin
+    is at least ``-1e-6 * bound`` and every recursion holds. The slack term
+    ``20 * tol * max(1, ||x||)`` in the bound absorbs the inexactness of the
+    two equilibrium solves (each within ``tol * max(1, ||x||)`` of its true
+    fixed point under the tightened stop rule).
 
     ``clean``, when given, is the Picard solve from ``meas.y`` with its
-    iterates (``verify_convergence(...).clean``) and is used instead of
-    solving it again. No levels or a negative trial count is a
-    ``ValueError``; zero trials still solve trial 0 of each level for the
+    iterates (the second value :func:`verify_convergence` returns) and is
+    used instead of solving it again. No levels or a negative trial count is
+    a ``ValueError``; zero trials still solve trial 0 of each level for the
     recursion, and report no trial rows.
     """
     if not delta_rels or trials_per_level < 0:
         raise ValueError("verify_robustness needs noise levels and trials_per_level >= 0")
-    cert = certified_lipschitz(params)
-    require_contractive(cert)
-    L = cert.contraction_bound
+    L = _certificate(params)
     clean = _clean_solve(params, meas, tol, L, clean)
     x_clean = clean.solution
     slack_term = 20.0 * tol * max(1.0, frob(x_clean))
@@ -316,49 +272,33 @@ def verify_robustness(
                             tol=tol, record_iterates=first)
         bound = noisy_meas.delta / (1.0 - L) + slack_term
         observed = frob(noisy.solution - x_clean)
-        trial = RobustnessTrial(
-            delta_rel=level,
-            delta_abs=noisy_meas.delta,
-            observed=observed,
-            bound=bound,
-            margin=bound - observed,
-        )
+        trial = (level, noisy_meas.delta, observed, bound, bound - observed)
         if not first:
             return trial, None
         d_prev = 0.0
         for k in range(1, min(len(clean.iterates), len(noisy.iterates))):
             d_k = frob(noisy.iterates[k] - clean.iterates[k])
             if d_k > L * d_prev + noisy_meas.delta + eps_num:
-                return trial, (level, False)
+                return trial, ("recursion", level, False, None, None)
             d_prev = d_k
-        return trial, (level, True)
+        return trial, ("recursion", level, True, None, None)
 
     results = _map_ordered(run_trial, jobs)
     trials = [trial for trial, _ in results] if trials_per_level else []
     recursion = [check for _, check in results if check is not None]
-    return RobustnessReport(trials=trials, recursion_checks=recursion, contraction=L)
+    return CheckReport(
+        name="robustness",
+        header="delta_rel,delta_abs,observed,bound,margin",
+        rows=trials + recursion,
+        passed=all(margin >= -1e-6 * bound for *_, bound, margin in trials)
+        and all(holds for _, _, holds, _, _ in recursion),
+        detail=f"{len(trials)} trials, L={L:.6f}",
+    )
 
 
 # ---------------------------------------------------------------------------
 # Independence from the initial iterate
 # ---------------------------------------------------------------------------
-
-@dataclass
-class InitIndependenceReport:
-    rows: list[tuple[float, int, float, float]]  # (level, trial, distance, threshold)
-    contraction: float
-
-    @property
-    def all_pass(self) -> bool:
-        return all(d <= t for _, _, d, t in self.rows)
-
-    def to_csv(self) -> str:
-        return csv_text("level,trial,distance,threshold", self.rows)
-
-    def summary(self) -> str:
-        verdict = "PASS" if self.all_pass else "FAIL"
-        return f"init-independence: {verdict} ({len(self.rows)} runs, L={self.contraction:.6f})"
-
 
 def verify_init_independence(
     params: ConsistencyNetParams,
@@ -368,38 +308,39 @@ def verify_init_independence(
     seed: int = 0,
     tol: float = 1e-5,
     clean: FixedPointResult | None = None,
-) -> InitIndependenceReport:
+) -> CheckReport:
     """Reconstructions from the measurement vs. Gaussian-perturbed starts
-    (perturbation norm = level * ||y||) must agree within ``10 * tol``.
+    (perturbation norm = level * ||y||) must agree within ``10 * tol``: one
+    ``level,trial,distance,threshold`` row per perturbed start.
 
     The reconstruction from the measurement is the Picard solve with its
     iterates; the perturbed starts are solved by Anderson. The check is on
     equilibria, not on a solver's path: the stop rule ``tol * (1 - L)``
     bounds the distance to the fixed point for any solver, as in
     :func:`verify_robustness`. ``clean``, when given, is that Picard solve
-    (``verify_convergence(...).clean``) and is used instead of solving it
-    again. No levels or fewer than one trial, which would compare nothing,
-    is a ``ValueError``."""
+    (the second value :func:`verify_convergence` returns) and is used
+    instead of solving it again. No levels or fewer than one trial, which
+    would compare nothing, is a ``ValueError``."""
     if not levels or trials_per_level < 1:
         raise ValueError("verify_init_independence needs levels and trials_per_level >= 1")
-    cert = certified_lipschitz(params)
-    require_contractive(cert)
-    base = _clean_solve(params, meas, tol, cert.contraction_bound, clean)
+    L = _certificate(params)
+    base = _clean_solve(params, meas, tol, L, clean)
     scale = frob(meas.y)
     threshold = 10.0 * tol * max(1.0, frob(base.solution))
-    jobs = []
-    for li, level in enumerate(levels):
-        for t in range(trials_per_level):
-            jobs.append((level, t, derive_seed(seed, li, t)))
+    jobs = [(level, t, derive_seed(seed, li, t))
+            for li, level in enumerate(levels) for t in range(trials_per_level)]
 
     def run_one(job):
         level, t, s = job
-        if level == 0.0:
-            x0 = meas.y
-        else:
-            noise = gaussian_tensor(meas.y.shape, RandomStream(s))
-            x0 = meas.y + noise * (level * scale / frob(noise))
+        x0 = meas.y if level == 0.0 else meas.y + _scaled_noise(meas.y.shape, s, level * scale)
         res = reconstruct(params, meas, x0, method="anderson", tol=tol)
         return (level, t, frob(res.solution - base.solution), threshold)
 
-    return InitIndependenceReport(rows=_map_ordered(run_one, jobs), contraction=cert.contraction_bound)
+    rows = _map_ordered(run_one, jobs)
+    return CheckReport(
+        name="init-independence",
+        header="level,trial,distance,threshold",
+        rows=rows,
+        passed=all(d <= t for _, _, d, t in rows),
+        detail=f"{len(rows)} runs, L={L:.6f}",
+    )

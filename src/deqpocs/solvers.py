@@ -151,8 +151,8 @@ def geometric_rate_check(residuals: list[float], L: float, floor: float = 0.0) -
     """
     if not residuals:
         raise ValueError("residuals must be nonempty")
-    if not 0 < L < 1:
-        raise ValueError("require 0 < L < 1")
+    if not 0 <= L < 1:
+        raise ValueError("require 0 <= L < 1")
     r0 = residuals[0]
     for k, r in enumerate(residuals):
         if r <= floor:

@@ -2,9 +2,12 @@
 tracer wraps the functions listed in ``spans.PATCHES`` where the calling
 module imported them, and ``run.py`` calls a few functions directly. These
 tests fail when a rename would break the benchmark, instead of leaving the
-failure to its traced runs, and when a changed signature would break a call
-``run.py`` makes. They only read ``perfbench/``."""
+failure to its traced runs, when a changed signature would break a call
+``run.py`` makes, and when a verify report stops parsing the way ``run.py``
+reads it. They only read ``perfbench/``."""
 
+import ast
+import csv
 import importlib
 import importlib.util
 import inspect
@@ -186,3 +189,53 @@ def test_hot_path_calls_the_traced_names(monkeypatch):
     counts.clear()
     network.vjp(p, x, x)
     assert counts == {"conv2d_complex": 20, "fft2_centered": 2, "ifft2_centered": 2}
+
+
+def _run_constants(*names):
+    """Module-level literals of ``run.py``, read from its source: importing
+    it would change this process's environment."""
+    values = {}
+    for node in ast.parse((PERFBENCH / "run.py").read_text()).body:
+        if isinstance(node, ast.Assign) and len(node.targets) == 1:
+            target = node.targets[0]
+            if isinstance(target, ast.Name) and target.id in names:
+                values[target.id] = ast.literal_eval(node.value)
+    return [values[name] for name in names]
+
+
+def test_verify_reports_parse_as_run_reads_them(tmp_path, capsys):
+    # what verify_desk and _check_verify_reports read of a verify command
+    import deqpocs as dq
+    from deqpocs.cli import main
+
+    levels, trials, init_levels, init_trials, tol = _run_constants(
+        "NOISE_LEVELS", "NOISE_TRIALS", "INIT_LEVELS", "INIT_TRIALS", "VERIFY_TOL"
+    )
+    spec = dq.DatasetSpec(n=2, height=16, width=16, coils=2, accel=2.0, seed=0)
+    dq.save_dataset(tmp_path / "data", spec, dq.make_dataset(spec))
+    dq.save_checkpoint(tmp_path / "model.ck01", dq.init_params("hybrid", 1, 4, 2, grid=(16, 16)))
+    out = tmp_path / "reports"
+    code = main([
+        "verify", "--ckpt", str(tmp_path / "model.ck01"), "--data", str(tmp_path / "data"),
+        "--out", str(out), "--samples", "2", "--inits", "2",
+        "--noise-levels", ",".join(map(str, levels)), "--trials", str(trials),
+        "--init-levels", ",".join(map(str, init_levels)), "--init-trials", str(init_trials),
+        "--tol", str(tol),
+    ])
+    assert code == 0
+    assert "overall: PASS" in capsys.readouterr().out.splitlines()
+
+    def rows(name):
+        with open(out / name, newline="") as fh:
+            return list(csv.reader(fh))[1:]
+
+    trial_rows = [r for r in rows("robustness.csv") if r[0] != "recursion"]
+    assert len(trial_rows) == len(levels) * trials
+    for n, row in enumerate(trial_rows):
+        delta_rel, delta_abs, observed = map(float, row[:3])
+        assert delta_rel == levels[n // trials] and delta_abs > 0.0 and observed >= 0.0
+    init_rows = rows("init_independence.csv")
+    assert len(init_rows) == len(init_levels) * init_trials
+    for n, row in enumerate(init_rows):
+        level, distance = float(row[0]), float(row[2])
+        assert level == init_levels[n // init_trials] and distance >= 0.0

@@ -398,6 +398,22 @@ class TestVerify:
         assert err.startswith("error: --samples 4 exceeds the 3 samples")
         assert not out.exists()
 
+    def test_zero_certificate_passes(self, dataset_dir, tmp_path, capsys):
+        """A hybrid block with weights (0, 0) certifies at L = 0: its every
+        check holds, and the rate envelope ``1.05 * 0**k * r_0`` is met."""
+        params = init_params("hybrid", 1, 4, 2)
+        params.blocks[0].c_k = params.blocks[0].c_i = 0.0
+        ck = tmp_path / "zero.ck01"
+        save_checkpoint(ck, params)
+        assert load_checkpoint(ck)[1] == 0.0
+        assert run(
+            "verify", "--ckpt", str(ck), "--data", str(dataset_dir),
+            "--out", str(tmp_path / "verify"), "--samples", "2", "--trials", "2",
+        ) == 0
+        out, err = capsys.readouterr()
+        assert "overall: PASS" in out.splitlines()
+        assert "Traceback" not in err
+
     def test_fresh_init_passes(self, dataset_dir, checkpoint, tmp_path):
         out = tmp_path / "verify"
         code = run(
@@ -481,7 +497,7 @@ class TestVerifySharedSolve:
         params, _ = load_checkpoint(checkpoint)
         measurements = [s.measurement for s in load_dataset(dataset_dir)[:2]]
         want = [
-            verify_convergence(params, measurements, inits_per_sample=2, seed=3).to_csv(),
+            verify_convergence(params, measurements, inits_per_sample=2, seed=3)[0].to_csv(),
             verify_robustness(
                 params, measurements[0], delta_rels=(0.01, 0.1), trials_per_level=2, seed=3
             ).to_csv(),

@@ -33,13 +33,27 @@ def small_problem():
     return params, dataset
 
 
+@pytest.fixture(scope="module")
+def false_certificate():
+    """Stored bounds scaled by 1e-2 claim an L below 1e-10 for a model that
+    contracts far more weakly, and one measurement to run it on."""
+    params = init_params("kspace", 1, 4, 2, seed=0, grid=(16, 16))
+    blk = params.blocks[0]
+    blk.alpha = 0.99
+    blk.kspace_branch.sigmas = [1e-2 * s for s in blk.kspace_branch.sigmas]
+    assert 0.0 < certified_lipschitz(params).contraction_bound < 1e-10
+    spec = DatasetSpec(n=1, height=16, width=16, coils=2, accel=2.0, seed=1)
+    return params, make_dataset(spec)[0][1]
+
+
 class TestConvergence:
     def test_untrained_net_passes(self, small_problem):
         params, dataset = small_problem
-        report = verify_convergence(params, [m for _, m in dataset], inits_per_sample=3)
-        assert report.all_pass
-        assert len(report.runs) == 9
-        labels = {r.init_label for r in report.runs}
+        report, _ = verify_convergence(params, [m for _, m in dataset], inits_per_sample=3)
+        assert report.passed
+        runs = [row for row in report.rows if row[0] != "agreement"]
+        assert len(runs) == 9 and len(report.rows) == 9 + 3
+        labels = {row[1] for row in runs}
         assert labels == {"measurement", "zero", "random0"}
 
     def test_alpha_zero_exact_rate(self, small_problem):
@@ -48,8 +62,8 @@ class TestConvergence:
         for blk in p.blocks:
             blk.alpha = 0.0
         assert certified_lipschitz(p).contraction_bound == pytest.approx(0.99**2)
-        report = verify_convergence(p, [dataset[0][1]], inits_per_sample=2)
-        assert report.all_pass
+        report, _ = verify_convergence(p, [dataset[0][1]], inits_per_sample=2)
+        assert report.passed
 
     @pytest.mark.parametrize("inits, runs, draws", [(1, 2, 0), (2, 2, 0), (3, 3, 1)])
     def test_draws_only_the_random_starts_it_runs(
@@ -65,8 +79,8 @@ class TestConvergence:
             return gaussian_tensor(shape, stream)
 
         monkeypatch.setattr(harness, "gaussian_tensor", counting)
-        report = verify_convergence(params, [dataset[0][1]], inits_per_sample=inits)
-        assert len(report.runs) == runs
+        report, _ = verify_convergence(params, [dataset[0][1]], inits_per_sample=inits)
+        assert len(report.rows) == runs + 1  # and one agreement row
         assert len(calls) == draws
 
     def test_records_only_the_clean_run(self, small_problem, monkeypatch):
@@ -78,17 +92,30 @@ class TestConvergence:
             return picard_solve(*args, record_iterates=record_iterates, **kwargs)
 
         monkeypatch.setattr(training, "picard_solve", spy)
-        report = verify_convergence(params, [m for _, m in dataset[:2]], inits_per_sample=3)
+        report, clean = verify_convergence(params, [m for _, m in dataset[:2]], inits_per_sample=3)
         assert recorded.count(True) == 1 and len(recorded) == 6
-        assert report.clean.iterates is not None
-        assert report.clean.iterations == report.runs[0].iterations
-        assert report.clean.final_residual == report.runs[0].final_residual
+        assert clean.iterates is not None
+        assert report.rows[0][:2] == (0, "measurement")
+        assert clean.iterations == report.rows[0][3]
+        assert clean.final_residual == report.rows[0][5]
         with pytest.raises(ValueError):
             verify_convergence(params, [])
 
+    def test_rate_fails_under_a_false_certificate(self, false_certificate):
+        """No run of a falsely certified model follows the envelope
+        ``r_k <= 1.05 * L^k * r_0``, so every run's rate_ok is 0 and the
+        report fails."""
+        params, meas = false_certificate
+        report, _ = verify_convergence(params, [meas])
+        runs = [row for row in report.rows if row[0] != "agreement"]
+        assert len(runs) == 3
+        assert [rate_ok for *_, rate_ok, _ in runs] == [False] * 3
+        assert report.passed is False
+        assert report.summary().startswith("convergence: FAIL (3 runs, L=0.000000, ")
+
     def test_csv_layout(self, small_problem):
         params, dataset = small_problem
-        report = verify_convergence(params, [dataset[0][1]], inits_per_sample=2)
+        report, _ = verify_convergence(params, [dataset[0][1]], inits_per_sample=2)
         lines = report.to_csv().strip().split("\n")
         assert lines[0].startswith("sample,init,converged")
         assert any(line.startswith("agreement,") for line in lines)
@@ -172,20 +199,22 @@ class TestRobustness:
         report = verify_robustness(
             params, dataset[0][1], delta_rels=(0.01, 0.1), trials_per_level=3, seed=1
         )
-        assert report.all_within_bound
-        assert len(report.trials) == 6
-        assert len(report.recursion_checks) == 2
-        for t in report.trials:
-            assert t.observed <= t.bound
+        assert report.passed
+        trials = [row for row in report.rows if row[0] != "recursion"]
+        assert len(trials) == 6
+        assert len(report.rows) == 6 + 2
+        for _, _, observed, bound, _ in trials:
+            assert observed <= bound
 
     def test_zero_noise_trial(self, small_problem):
         params, dataset = small_problem
         report = verify_robustness(
             params, dataset[0][1], delta_rels=(0.0,), trials_per_level=1, seed=2
         )
-        (trial,) = report.trials
-        assert trial.delta_abs == 0.0
-        assert trial.observed <= 10 * 1e-5 * max(1.0, 1.0)
+        trial, recursion = report.rows
+        assert trial[1] == 0.0
+        assert trial[2] <= 10 * 1e-5 * max(1.0, 1.0)
+        assert recursion == ("recursion", 0.0, True, None, None)
 
     @pytest.mark.parametrize("trials, draws", [(2, 4), (0, 2)])
     def test_draws_each_noisy_measurement_once(self, small_problem, monkeypatch, trials, draws):
@@ -205,8 +234,9 @@ class TestRobustness:
         )
         assert len(calls) == draws
         assert len(set(calls)) == draws
-        assert len(report.trials) == 2 * trials
-        assert [ok for _, ok in report.recursion_checks] == [True, True]
+        assert len(report.rows) == 2 * trials + 2
+        assert report.rows[2 * trials:] == [("recursion", 0.01, True, None, None),
+                                            ("recursion", 0.1, True, None, None)]
 
     @pytest.mark.parametrize("trials", [3, 1, 0])
     def test_trial_0_is_the_one_recursion_solve(self, small_problem, monkeypatch, trials):
@@ -216,7 +246,7 @@ class TestRobustness:
         params, dataset = small_problem
         meas = dataset[0][1]
         levels, seed = (0.01, 0.1), 6
-        clean = verify_convergence(params, [meas], inits_per_sample=2).clean
+        _, clean = verify_convergence(params, [meas], inits_per_sample=2)
         solves = []
         monkeypatch.setenv("DEQPOCS_THREADS", "1")  # solves in job order
 
@@ -239,39 +269,41 @@ class TestRobustness:
         assert all(recorded == (name == "picard_solve") for name, recorded, _ in solves)
         picard = [res for name, _, res in solves if name == "picard_solve"]
         assert len(picard) == len(levels)
-        assert len(report.trials) == len(levels) * trials
-        assert [level for level, _ in report.recursion_checks] == list(levels)
+        assert len(report.rows) == len(levels) * (trials + 1)
+        assert [row[:2] for row in report.rows[len(levels) * trials:]] == [
+            ("recursion", level) for level in levels
+        ]
         for li, (level, res) in enumerate(zip(levels, picard)):
             noisy = add_noise(meas, level, seed=derive_seed(seed, li, 0))
             want = reconstruct(params, noisy, meas.y, method="picard")
             assert np.array_equal(res.solution, want.solution)
             if trials:
-                trial0 = report.trials[li * trials]
-                assert trial0.observed == frob(res.solution - clean.solution)
+                trial0 = report.rows[li * trials]
+                assert trial0[2] == frob(res.solution - clean.solution)
 
     def test_shared_clean_solve_gives_same_report(self, small_problem):
         params, dataset = small_problem
         meas = dataset[0][1]
-        conv = verify_convergence(params, [meas], inits_per_sample=2)
+        _, clean = verify_convergence(params, [meas], inits_per_sample=2)
         kw = dict(delta_rels=(0.01, 0.1), trials_per_level=2, seed=5)
         assert (
-            verify_robustness(params, meas, clean=conv.clean, **kw).to_csv()
+            verify_robustness(params, meas, clean=clean, **kw).to_csv()
             == verify_robustness(params, meas, **kw).to_csv()
         )
         ikw = dict(levels=(0.5, 2.0), trials_per_level=1, seed=5)
         assert (
-            verify_init_independence(params, meas, clean=conv.clean, **ikw).to_csv()
+            verify_init_independence(params, meas, clean=clean, **ikw).to_csv()
             == verify_init_independence(params, meas, **ikw).to_csv()
         )
 
     def test_clean_solve_for_another_tolerance_refused(self, small_problem):
         params, dataset = small_problem
         meas = dataset[0][1]
-        conv = verify_convergence(params, [meas], inits_per_sample=2, tol=1e-4)
+        _, clean = verify_convergence(params, [meas], inits_per_sample=2, tol=1e-4)
         with pytest.raises(ValueError, match="clean solve"):
-            verify_robustness(params, meas, trials_per_level=1, tol=1e-5, clean=conv.clean)
+            verify_robustness(params, meas, trials_per_level=1, tol=1e-5, clean=clean)
         with pytest.raises(ValueError, match="clean solve"):
-            verify_init_independence(params, meas, trials_per_level=1, tol=1e-5, clean=conv.clean)
+            verify_init_independence(params, meas, trials_per_level=1, tol=1e-5, clean=clean)
 
     def test_clean_solve_without_iterates_refused(self, small_problem):
         params, dataset = small_problem
@@ -283,20 +315,13 @@ class TestRobustness:
         with pytest.raises(ValueError, match="no recorded iterates"):
             verify_init_independence(params, meas, trials_per_level=1, clean=clean)
 
-    def test_recursion_fails_under_a_false_certificate(self):
-        """Stored bounds scaled by 1e-2 claim an L below 1e-10 for a model
-        that contracts far more weakly: the noisy and clean iterates then
-        break ``d_k <= L * d_{k-1} + delta`` and the report fails."""
-        params = init_params("kspace", 1, 4, 2, seed=0, grid=(16, 16))
-        blk = params.blocks[0]
-        blk.alpha = 0.99
-        blk.kspace_branch.sigmas = [1e-2 * s for s in blk.kspace_branch.sigmas]
-        assert 0.0 < certified_lipschitz(params).contraction_bound < 1e-10
-        spec = DatasetSpec(n=1, height=16, width=16, coils=2, accel=2.0, seed=1)
-        meas = make_dataset(spec)[0][1]
+    def test_recursion_fails_under_a_false_certificate(self, false_certificate):
+        """The noisy and clean iterates of a falsely certified model break
+        ``d_k <= L * d_{k-1} + delta`` and the report fails."""
+        params, meas = false_certificate
         report = verify_robustness(params, meas, delta_rels=(0.1,), trials_per_level=1, seed=0)
-        assert report.recursion_checks == [(0.1, False)]
-        assert report.all_within_bound is False
+        assert report.rows[1:] == [("recursion", 0.1, False, None, None)]
+        assert report.passed is False
 
     def test_csv(self, small_problem):
         params, dataset = small_problem
@@ -329,7 +354,7 @@ class TestInitIndependence:
         report = verify_init_independence(
             params, dataset[0][1], levels=(0.5, 2.0), trials_per_level=2, seed=5
         )
-        assert report.all_pass
+        assert report.passed
         assert len(report.rows) == 4
 
     def test_zero_level(self, small_problem):
@@ -337,7 +362,7 @@ class TestInitIndependence:
         report = verify_init_independence(
             params, dataset[0][1], levels=(0.0,), trials_per_level=1, seed=6
         )
-        assert report.all_pass
+        assert report.passed
         assert report.rows[0][2] <= report.rows[0][3]
 
 

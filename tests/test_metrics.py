@@ -2,13 +2,7 @@ import numpy as np
 import pytest
 
 from deqpocs.errors import InvalidInputError, ShapeError
-from deqpocs.harness import (
-    ConvergenceReport,
-    ConvergenceRun,
-    InitIndependenceReport,
-    RobustnessReport,
-    RobustnessTrial,
-)
+from deqpocs.harness import CheckReport
 from deqpocs.metrics import (
     MetricsReport,
     evaluate_kspace_pair,
@@ -161,11 +155,14 @@ class TestReportCsvBytes:
     )
 
     def test_convergence(self):
-        report = ConvergenceReport(
-            runs=[ConvergenceRun(0, "measurement", True, 7, False, self.X),
-                  ConvergenceRun(1, "random0", False, 12, np.True_, 1e-300)],
-            pairwise_max_distance=[self.X, 2], agreement_threshold=[1e-05, 3.5],
-            contraction=0.9, clean=self.RESULT,
+        report = CheckReport(
+            name="convergence",
+            header="sample,init,converged,iterations,rate_ok,final_residual",
+            rows=[(0, "measurement", True, 7, False, self.X),
+                  (1, "random0", False, 12, np.True_, 1e-300),
+                  ("agreement", 0, self.X, 1e-05, None, None),
+                  ("agreement", 1, 2, 3.5, None, None)],
+            passed=False, detail="2 runs, L=0.900000, slack=1.05",
         )
         assert report.to_csv() == (
             "sample,init,converged,iterations,rate_ok,final_residual\n"
@@ -175,9 +172,11 @@ class TestReportCsvBytes:
         assert report.summary() == "convergence: FAIL (2 runs, L=0.900000, slack=1.05)"
 
     def test_robustness(self):
-        report = RobustnessReport(
-            trials=[RobustnessTrial(0.01, self.X, 1.5, 2, -0.25)],
-            recursion_checks=[(0.01, True), (0.1, np.False_)], contraction=0.9,
+        report = CheckReport(
+            name="robustness", header="delta_rel,delta_abs,observed,bound,margin",
+            rows=[(0.01, self.X, 1.5, 2, -0.25), ("recursion", 0.01, True, None, None),
+                  ("recursion", 0.1, np.False_, None, None)],
+            passed=False, detail="1 trials, L=0.900000",
         )
         assert report.to_csv() == (
             "delta_rel,delta_abs,observed,bound,margin\n0.01,0.30000000000000004,1.5,2,-0.25\n"
@@ -185,8 +184,10 @@ class TestReportCsvBytes:
         )
 
     def test_init_independence(self):
-        report = InitIndependenceReport(rows=[(0.5, 0, self.X, 1e-4), (2, 3, 0.0, 1)],
-                                        contraction=0.9)
+        report = CheckReport(
+            name="init-independence", header="level,trial,distance,threshold",
+            rows=[(0.5, 0, self.X, 1e-4), (2, 3, 0.0, 1)], passed=True, detail="2 runs, L=0.900000",
+        )
         assert report.to_csv() == (
             "level,trial,distance,threshold\n0.5,0,0.30000000000000004,0.0001\n2,3,0,1\n"
         )

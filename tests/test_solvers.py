@@ -143,9 +143,16 @@ class TestGeometricRateCheck:
         assert geometric_rate_check(residuals, L=0.5, floor=1e-12)
         assert not geometric_rate_check(residuals, L=0.5, floor=0.0)
 
+    def test_zero_rate(self):
+        # L = 0 certifies a constant map: every residual after the first is 0
+        assert geometric_rate_check([1.0, 0.0], L=0.0)
+        assert not geometric_rate_check([1.0, 1e-3], L=0.0)
+
     def test_validation(self):
         with pytest.raises(ValueError):
             geometric_rate_check([], L=0.5)
+        with pytest.raises(ValueError):
+            geometric_rate_check([1.0], L=-0.1)
         with pytest.raises(ValueError):
             geometric_rate_check([1.0], L=1.5)
 
