@@ -35,6 +35,10 @@ and stderr, in order:
   picard --ref`` with that checkpoint;
 * ``recon`` with ``trained.ck01``, so the README's desk model is loaded,
   re-certified and applied too;
+* ``eval --out`` on a file pair (``init.ck01``'s reconstruction of sample 0
+  against its reference) and on a directory pair (the ``init.ck01`` and
+  ``trained.ck01`` reconstructions of sample 0, each against a copy of that
+  reference under the same name);
 * ``recon`` with ``init.ck01``, which records a 32x32 grid, on sample 0 of
   ``gen-data --n 1 --size 48 --coils 4 --seed 6``: the certificate holds on
   every grid, so a model runs on a larger one;
@@ -49,6 +53,7 @@ import argparse
 import contextlib
 import io
 import os
+import shutil
 import sys
 from pathlib import Path
 
@@ -129,6 +134,14 @@ def main():
         run(log, "recon", "--ckpt", "kspace.ck01", *sample("kdata"), "--method", "picard",
             "--out", "recon_kspace")
         run(log, "recon", "--ckpt", "trained.ck01", *sample("data"), "--out", "recon_trained")
+        run(log, "eval", "--recon", "recon_init/recon.ct01", "--ref", "data/sample_0000_full.ct01",
+            "--out", "eval_file.csv")
+        for name in ("init", "trained"):
+            for side, src in (("recon", f"recon_{name}/recon.ct01"),
+                              ("ref", "data/sample_0000_full.ct01")):
+                os.makedirs(f"eval_{side}", exist_ok=True)
+                shutil.copyfile(src, f"eval_{side}/{name}.ct01")
+        run(log, "eval", "--recon", "eval_recon", "--ref", "eval_ref", "--out", "eval_dir.csv")
         run(log, "gen-data", "--out", "data48", "--n", "1", "--size", "48", "--coils", "4",
             "--seed", "6")
         run(log, "recon", "--ckpt", "init.ck01", *sample("data48"), "--out", "recon_48")

@@ -267,8 +267,7 @@ def _collect_pairs(recon_path, ref_path):
 def cmd_eval(ns) -> int:
     ids, file_pairs = _collect_pairs(ns.recon, ns.ref)
     pairs = [(load_ct01(r), load_ct01(f)) for r, f in file_pairs]
-    report = evaluate_kspace_set(pairs, sample_ids=ids)
-    csv = report.to_csv()
+    csv = evaluate_kspace_set(pairs, ids)
     if ns.out:
         with open(ns.out, "w") as fh:
             fh.write(csv)
@@ -382,7 +381,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--data", type=str, default=None, help="dataset directory")
     p.add_argument("--out", type=str, default=None, help="report directory")
     p.add_argument("--samples", type=_domain(int, 1), default=4, help="samples for the convergence check")
-    p.add_argument("--inits", type=_domain(int, 1), default=3, help="initializations per sample")
+    p.add_argument("--inits", type=_domain(int, 2), default=3, help="initializations per sample")
     p.add_argument("--noise-levels", type=_domain(low=0, many=True), default="0.005,0.01,0.05,0.1")
     # --trials 0 still checks the recursion, which draws its own noise
     p.add_argument("--trials", type=_domain(int, 0), default=20, help="trials per noise level")

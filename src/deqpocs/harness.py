@@ -153,8 +153,8 @@ def verify_convergence(
     tol: float = 1e-5,
     seed: int = 0,
 ) -> tuple[CheckReport, FixedPointResult]:
-    """Plain iteration from ``max(inits_per_sample, 2)`` starts per sample
-    (the measurement, zero, then seeded random iterates): every run must
+    """Plain iteration from ``inits_per_sample`` starts per sample (the
+    measurement, zero, then seeded random iterates): every run must
     converge, follow the certificate's geometric envelope
     ``r_k <= RATE_SLACK * L^k * r_0`` (``RATE_SLACK = 1.05``), and all
     equilibria of one sample must agree within ``10 * tol``.
@@ -164,9 +164,12 @@ def verify_convergence(
     with its iterates, the only run that records them, which
     :func:`verify_robustness` and :func:`verify_init_independence` take as
     ``clean`` for the same model, measurement and ``tol``. Raises
-    ``ValueError`` without measurements, which would check nothing."""
+    ``ValueError`` without measurements or with fewer than 2 starts, which
+    would check nothing or compare nothing."""
     if not measurements:
         raise ValueError("verify_convergence needs at least one measurement")
+    if inits_per_sample < 2:
+        raise ValueError(f"verify_convergence needs at least 2 starts, got {inits_per_sample}")
     L = _certificate(params)
     jobs = []
     for s, meas in enumerate(measurements):

@@ -7,8 +7,6 @@ pipeline.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import InvalidInputError, ShapeError
@@ -121,22 +119,6 @@ def image_from_kspace(kspace: np.ndarray) -> np.ndarray:
     return ssos(ifft2_centered(kspace))
 
 
-@dataclass(frozen=True)
-class MetricsReport:
-    sample_ids: tuple
-    nmse_values: tuple[float, ...]
-    psnr_values: tuple[float, ...]
-    ssim_values: tuple[float, ...]
-
-    def to_csv(self) -> str:
-        columns = (self.nmse_values, self.psnr_values, self.ssim_values)
-        arrays = [np.asarray(c, dtype=np.float64) for c in columns]
-        means = [float(a.mean()) for a in arrays]
-        stds = [float(a.std()) for a in arrays]
-        rows = [*zip(self.sample_ids, *columns), ("mean", *means), ("std", *stds)]
-        return csv_text("sample_id,nmse,psnr,ssim", rows)
-
-
 def evaluate_kspace_pair(recon_k: np.ndarray, ref_k: np.ndarray) -> dict:
     """NMSE/PSNR/SSIM of SSoS images derived from two k-space tensors."""
     test_img = image_from_kspace(recon_k)
@@ -148,14 +130,16 @@ def evaluate_kspace_pair(recon_k: np.ndarray, ref_k: np.ndarray) -> dict:
     }
 
 
-def evaluate_kspace_set(pairs, sample_ids=None) -> MetricsReport:
-    """Evaluate a sequence of (reconstruction, reference) k-space pairs."""
-    rows = [evaluate_kspace_pair(r, f) for r, f in pairs]
-    if sample_ids is None:
-        sample_ids = tuple(range(len(rows)))
-    return MetricsReport(
-        sample_ids=tuple(sample_ids),
-        nmse_values=tuple(r["nmse"] for r in rows),
-        psnr_values=tuple(r["psnr"] for r in rows),
-        ssim_values=tuple(r["ssim"] for r in rows),
-    )
+def evaluate_kspace_set(pairs, sample_ids) -> str:
+    """The metrics CSV of (reconstruction, reference) k-space pairs: one
+    ``sample_id,nmse,psnr,ssim`` row per pair, labelled by ``sample_ids``,
+    then each column's ``mean`` and ``std``."""
+    results = [evaluate_kspace_pair(r, f) for r, f in pairs]
+    columns = [[m[name] for m in results] for name in ("nmse", "psnr", "ssim")]
+    arrays = [np.asarray(c, dtype=np.float64) for c in columns]
+    rows = [
+        *zip(sample_ids, *columns),
+        ("mean", *(float(a.mean()) for a in arrays)),
+        ("std", *(float(a.std()) for a in arrays)),
+    ]
+    return csv_text("sample_id,nmse,psnr,ssim", rows)

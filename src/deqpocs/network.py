@@ -35,7 +35,6 @@ updates assume exclusive access (the training loop is the only writer).
 
 from __future__ import annotations
 
-import copy
 import math
 import struct
 from dataclasses import dataclass, field, replace
@@ -89,8 +88,9 @@ class BranchParams:
     """One five-layer CNN branch: kernels, biases, and normalization state
     (empty until :func:`_certify` fills it): each kernel's certified norm
     bound in ``sigmas``, and in ``rescales`` the ``(s, grad_bound)`` of each
-    kernel that the last normalization divided by ``s`` (None for the rest),
-    which :func:`normalize_vjp` reads."""
+    kernel that the last :func:`normalize_params` divided by ``s`` (None for
+    the rest, and for every kernel of :func:`init_params`), which
+    :func:`normalize_vjp` reads."""
 
     kernels: list[np.ndarray]
     biases: list[np.ndarray]
@@ -183,7 +183,9 @@ def init_params(
     ``RandomStream(seed).gaussians`` call draws every kernel value and
     nothing else, sliced in block, branch (k-space first) and layer order.
     alpha starts at 0.5, branch combination at (0.5, 0.5) for the hybrid
-    variant.
+    variant. The result is a normalized starting point and records no
+    division (every ``rescales`` entry is None), so :func:`normalize_vjp`
+    is the identity on it.
     """
     if variant not in VARIANTS:
         raise ShapeError(f"unknown variant {variant!r}; expected one of {VARIANTS}")
@@ -215,6 +217,9 @@ def init_params(
         variant=variant, blocks=out_blocks, features=features, nc=nc, cert_grid=grid
     )
     _certify(params, rescale=True)
+    for blk in params.blocks:
+        for br in blk.branches:
+            br.rescales = [None] * len(br.kernels)
     return params
 
 
@@ -229,11 +234,12 @@ def normalize_params(params: ConsistencyNetParams) -> ConsistencyNetParams:
     simplex (a k-space block's (1, 0) is a fixed point). The result always
     certifies at L <= 0.99.
 
-    The map works on one ``copy.deepcopy`` of ``params``: the result shares
-    no array with the input, whose kernels, biases, scalars, ``sigmas`` and
-    ``rescales`` stay bitwise as they were.
+    The map works on one copy of ``params`` built by :func:`unpack_params`,
+    which carries no normalization state: the result shares no array with
+    the input, whose kernels, biases, scalars, ``sigmas`` and ``rescales``
+    stay bitwise as they were.
     """
-    params = copy.deepcopy(params)
+    params = unpack_params(params, pack_params(params))
     _certify(params, rescale=True)
     for blk in params.blocks:
         blk.alpha = float(min(max(blk.alpha, 0.0), ALPHA_CEIL))

@@ -156,10 +156,6 @@ class RandomStream:
             if v < limit:
                 return v % n
 
-    def gaussian(self) -> float:
-        """One standard normal; see :meth:`gaussians`."""
-        return float(self.gaussians(1)[0])
-
     def gaussians(self, n: int) -> np.ndarray:
         """The next ``n`` standard normals of the stream, as float64.
 

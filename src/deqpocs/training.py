@@ -243,10 +243,10 @@ def train(
     first raw kernels are the given ones, normalized (so re-certified, not
     trusted) before the first solve; a non-finite one raises
     :class:`TrainingError`. Without given parameters they are those of
-    :func:`init_params`, certified once. Every step certifies its new
-    parameters; the report logs per-epoch means and each epoch's last
-    certificate, and its final entry is the mean equilibrium residual of
-    the trained operator over the training set, solved the same way.
+    :func:`init_params`, certified once. The report logs per-epoch means
+    and the certificate of each epoch's final parameters, and its final
+    entry is the mean equilibrium residual of the trained operator over the
+    training set, solved the same way.
     """
     if not dataset:
         raise TrainingError("training dataset is empty")
@@ -263,11 +263,6 @@ def train(
             seed=config.init_seed,
             grid=(H, W),
         )
-        # Adam starts from these normalized kernels, on which normalize_params
-        # is the identity, so normalize_vjp passes their gradients through
-        for blk in params.blocks:
-            for br in blk.branches:
-                br.rescales = [None] * len(br.kernels)
     else:
         raw = params
         try:
@@ -297,14 +292,13 @@ def train(
             for blk, projected in zip(raw.blocks, params.blocks):
                 blk.alpha, blk.c_k, blk.c_i = projected.alpha, projected.c_k, projected.c_i
             state.values = pack_params(raw)
-            cert = certified_lipschitz(params)
             losses.append(loss)
             fwd_iters.append(result.iterations)
             bwd_iters.append(n_bwd)
         report.epoch_mean_loss.append(float(np.mean(losses)))
         report.epoch_mean_fwd_iters.append(float(np.mean(fwd_iters)))
         report.epoch_mean_bwd_iters.append(float(np.mean(bwd_iters)))
-        report.epoch_certificate.append(cert.contraction_bound)
+        report.epoch_certificate.append(certified_lipschitz(params).contraction_bound)
         if progress is not None:
             progress(epoch, report)
     residuals = []

@@ -135,6 +135,41 @@ def test_attributes_read_by_run():
     assert replace(config, epochs=1).epochs == 1
 
 
+def test_certificate_capture_reads_each_epochs_final_parameters(monkeypatch):
+    # train_desk wraps training.certified_lipschitz to keep the parameters of
+    # its last call; at each progress call it reads them as the epoch's own
+    import numpy as np
+
+    import deqpocs as dq
+    import deqpocs.training as training
+
+    latest = {}
+    certify = training.certified_lipschitz
+
+    def capture(params):
+        latest["params"] = params
+        return certify(params)
+
+    monkeypatch.setattr(training, "certified_lipschitz", capture)
+    spec = dq.DatasetSpec(n=2, height=16, width=16, coils=2, accel=2.0, seed=0)
+    pairs = [(s.kspace, m) for s, m in dq.make_dataset(spec)]
+    p0 = dq.init_params("hybrid", 1, 4, 2, seed=0, grid=(16, 16))
+    config = dq.TrainConfig(epochs=2, variant="hybrid", blocks=1, features=4)
+    seen = []
+
+    def progress(epoch, report):
+        seen.append((latest["params"], report.epoch_certificate[-1]))
+
+    params, _ = dq.train(pairs, config, params=p0, progress=progress)
+    assert len(seen) == 2
+    for captured, cert in seen:
+        assert certify(captured).contraction_bound == cert
+    final = seen[-1][0]
+    for got, want in zip(final.blocks, params.blocks):
+        for a, b in zip(got.branches, want.branches):
+            assert all(np.array_equal(x, y) for x, y in zip(a.kernels, b.kernels))
+
+
 def test_gaussian_count_read_by_spans():
     # spans._gaussian_counts counts the draws of RandomStream.gaussians by len(result)
     from deqpocs import RandomStream

@@ -324,6 +324,7 @@ class TestBaseline:
         ("verify", "--noise-levels", "0.1,abc"),
         ("verify", "--init-levels", ","),
         ("verify", "--inits", "0"),
+        ("verify", "--inits", "1"),
         ("verify", "--inits", "-5"),
         ("train", "--blocks", "0"),
         ("train", "--features", "0"),

@@ -65,7 +65,7 @@ class TestConvergence:
         report, _ = verify_convergence(p, [dataset[0][1]], inits_per_sample=2)
         assert report.passed
 
-    @pytest.mark.parametrize("inits, runs, draws", [(1, 2, 0), (2, 2, 0), (3, 3, 1)])
+    @pytest.mark.parametrize("inits, runs, draws", [(2, 2, 0), (3, 3, 1)])
     def test_draws_only_the_random_starts_it_runs(
         self, small_problem, monkeypatch, inits, runs, draws
     ):
@@ -82,6 +82,13 @@ class TestConvergence:
         report, _ = verify_convergence(params, [dataset[0][1]], inits_per_sample=inits)
         assert len(report.rows) == runs + 1  # and one agreement row
         assert len(calls) == draws
+
+    @pytest.mark.parametrize("inits", [1, 0])
+    def test_fewer_than_two_starts_refused(self, small_problem, inits):
+        # one start has nothing to agree with; it used to run two silently
+        params, dataset = small_problem
+        with pytest.raises(ValueError, match="at least 2 starts"):
+            verify_convergence(params, [dataset[0][1]], inits_per_sample=inits)
 
     def test_records_only_the_clean_run(self, small_problem, monkeypatch):
         params, dataset = small_problem

@@ -3,8 +3,8 @@ import pytest
 
 from deqpocs.errors import InvalidInputError, ShapeError
 from deqpocs.harness import CheckReport
+import deqpocs.metrics as metrics
 from deqpocs.metrics import (
-    MetricsReport,
     evaluate_kspace_pair,
     evaluate_kspace_set,
     image_from_kspace,
@@ -124,8 +124,7 @@ class TestPipeline:
     def test_report_csv_layout(self, rand_tensor):
         a = rand_tensor((16, 16, 2), 10)
         b = rand_tensor((16, 16, 2), 11)
-        report = evaluate_kspace_set([(a, b), (b, b)])
-        csv = report.to_csv()
+        csv = evaluate_kspace_set([(a, b), (b, b)], (0, 1))
         lines = csv.strip().split("\n")
         assert lines[0] == "sample_id,nmse,psnr,ssim"
         assert len(lines) == 1 + 2 + 2  # header, two samples, mean and std
@@ -145,8 +144,7 @@ class TestReportCsvBytes:
     X = 0.1 + 0.2
     RESULT = FixedPointResult(solution=np.zeros((1, 1, 1)), residuals=[X, 3, 1e-17],
                               converged=True, tolerance=1e-5, method="picard")
-    METRICS = MetricsReport(sample_ids=(0, "sample_0001"), nmse_values=(X, 1),
-                            psnr_values=(20.5, 99.0), ssim_values=(0.75, 1 / 3))
+    METRICS = [{"nmse": X, "psnr": 20.5, "ssim": 0.75}, {"nmse": 1, "psnr": 99.0, "ssim": 1 / 3}]
     METRICS_CSV = (
         "sample_id,nmse,psnr,ssim\n0,0.30000000000000004,20.5,0.75\n"
         "sample_0001,1,99,0.33333333333333331\n"
@@ -204,8 +202,12 @@ class TestReportCsvBytes:
             "1,2,5,1e+20,0.33333333333333331\nfinal_train_residual,0.30000000000000004,,,\n"
         )
 
-    def test_metrics(self):
-        assert self.METRICS.to_csv() == self.METRICS_CSV
+    def test_metrics(self, monkeypatch):
+        # the set's CSV of two pairs whose metrics are METRICS
+        results = iter(self.METRICS)
+        monkeypatch.setattr(metrics, "evaluate_kspace_pair", lambda recon, ref: next(results))
+        csv = evaluate_kspace_set([(None, None)] * 2, (0, "sample_0001"))
+        assert csv == self.METRICS_CSV
 
     def test_solver_diagnostics(self):
         assert diagnostics_csv(self.RESULT) == (

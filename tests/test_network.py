@@ -19,6 +19,7 @@ from deqpocs.network import (
     jacobian_vjp,
     load_checkpoint,
     normalize_params,
+    normalize_vjp,
     num_params,
     pack_params,
     read_ck01_bytes,
@@ -361,7 +362,9 @@ class TestNormalize:
     def test_input_left_bitwise_unchanged(self):
         """normalize_params divides a copy: the kernels, biases, scalars,
         ``sigmas`` and ``rescales`` of what it is given keep their bits."""
-        raw = init_params("hybrid", 2, 4, 2, seed=0, grid=(8, 8))
+        p = init_params("hybrid", 2, 4, 2, seed=0, grid=(8, 8))
+        p.blocks[1].image_branch.kernels[3] *= 40.0
+        raw = normalize_params(p)
         raw.blocks[0].kspace_branch.kernels[0] *= 40.0
         raw.blocks[1].alpha, raw.blocks[1].c_k = 1.7, 3.0
         assert raw.blocks[1].image_branch.rescales[3] is not None  # a stored grad_bound too
@@ -369,6 +372,12 @@ class TestNormalize:
         q = normalize_params(raw)
         assert q.blocks[0].kspace_branch.rescales[0] is not None  # it divided that kernel
         assert pickle.dumps(raw) == before
+
+    def test_vjp_is_identity_at_init(self):
+        # init_params returns normalized kernels and records no division
+        p = init_params("hybrid", 2, 8, 4, seed=3, grid=(8, 8))
+        g = RandomStream(4).gaussians(num_params(p))
+        assert np.array_equal(normalize_vjp(p, g), g)
 
     def test_alpha_clamped(self):
         p = small_net(seed=19)
