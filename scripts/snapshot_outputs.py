@@ -33,6 +33,10 @@ and stderr, in order:
   --blocks 2 --features 4 --epochs 3`` on it to ``kspace.ck01``, then
   ``verify --samples 2 --trials 1 --init-trials 1`` and ``recon --method
   picard --ref`` with that checkpoint;
+* the same ``train`` with ``--lr 0.03`` to ``kspace_lr003.ck01``, at which
+  the frequency where a kernel's symbol peaks moves between Adam steps, so
+  the certificate that training carries across steps is in the snapshot
+  where it has to re-locate the peak;
 * ``recon`` with ``trained.ck01``, so the README's desk model is loaded,
   re-certified and applied too;
 * ``eval --out`` on a file pair (``init.ck01``'s reconstruction of sample 0
@@ -129,6 +133,8 @@ def main():
             "--accel", "2", "--seed", "4")
         run(log, "train", "--data", "kdata", "--out", "kspace.ck01", "--variant", "kspace",
             "--blocks", "2", "--features", "4", "--epochs", "3")
+        run(log, "train", "--data", "kdata", "--out", "kspace_lr003.ck01", "--variant", "kspace",
+            "--blocks", "2", "--features", "4", "--epochs", "3", "--lr", "0.03")
         run(log, "verify", "--ckpt", "kspace.ck01", "--data", "kdata", "--out", "verify_kspace",
             "--samples", "2", "--trials", "1", "--init-trials", "1")
         run(log, "recon", "--ckpt", "kspace.ck01", *sample("kdata"), "--method", "picard",

@@ -56,6 +56,7 @@ from .tensors import (
     read_ct01_bytes,
     spectral_norm_power_iter,  # noqa: F401  (perfbench traces it under this name)
     symbol_norm,
+    symbol_norm_warm,
     write_ct01_bytes,
 )
 
@@ -147,16 +148,23 @@ def require_contractive(cert: LipschitzCertificate) -> None:
 # Initialization and normalization
 # ---------------------------------------------------------------------------
 
-def _certify(params: ConsistencyNetParams, rescale: bool) -> None:
+def _certify(params: ConsistencyNetParams, rescale: bool, warm: dict | None = None) -> None:
     """The one certification walk: bound every kernel's spectral norm by
     ``SYMBOL_FACTOR`` times its symbol maximum on the ``SYMBOL_GRID`` grid,
     filling ``sigmas`` and ``rescales`` in place. With ``rescale``, a kernel
-    whose bound breaches 1 is divided by ``s = bound * (1 + NORM_SLACK)``."""
-    for blk in params.blocks:
-        for br in blk.branches:
+    whose bound breaches 1 is divided by ``s = bound * (1 + NORM_SLACK)``.
+    With ``warm``, the symbol maximum of the kernel in slot (block, branch,
+    layer) is :func:`symbol_norm_warm` from ``warm[slot]``, which it
+    replaces: the same bytes as :func:`symbol_norm`."""
+    for b, blk in enumerate(params.blocks):
+        for r, br in enumerate(blk.branches):
             br.sigmas, br.rescales = [], []
             for i, k in enumerate(br.kernels):
-                sigma, grad = symbol_norm(k, SYMBOL_GRID)
+                if warm is None:
+                    sigma, grad = symbol_norm(k, SYMBOL_GRID)
+                else:
+                    sigma, grad, warm[b, r, i] = symbol_norm_warm(k, SYMBOL_GRID,
+                                                                  warm.get((b, r, i)))
                 bound = SYMBOL_FACTOR * sigma
                 scale = bound * (1.0 + NORM_SLACK)
                 if rescale and scale > 1.0 + NORM_DEADZONE:
@@ -223,7 +231,8 @@ def init_params(
     return params
 
 
-def normalize_params(params: ConsistencyNetParams) -> ConsistencyNetParams:
+def normalize_params(params: ConsistencyNetParams, warm: dict | None = None
+                     ) -> ConsistencyNetParams:
     """Map raw parameters onto the certified-contractive set.
 
     Each kernel ``V`` becomes ``W = V / s`` with ``s = b(V) * (1 + 1e-3)``
@@ -238,9 +247,13 @@ def normalize_params(params: ConsistencyNetParams) -> ConsistencyNetParams:
     which carries no normalization state: the result shares no array with
     the input, whose kernels, biases, scalars, ``sigmas`` and ``rescales``
     stay bitwise as they were.
+
+    ``warm`` is the training loop's map from kernel slot to the
+    ``tensors.SymbolBounds`` of the kernel last certified there, updated in
+    place (see :func:`_certify`); the result is bitwise the same without it.
     """
     params = unpack_params(params, pack_params(params))
-    _certify(params, rescale=True)
+    _certify(params, rescale=True, warm=warm)
     for blk in params.blocks:
         blk.alpha = float(min(max(blk.alpha, 0.0), ALPHA_CEIL))
         ck, ci = max(blk.c_k, 0.0), max(blk.c_i, 0.0)

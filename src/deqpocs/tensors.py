@@ -7,7 +7,11 @@ The symbol maximum ranks the grid's frequencies by batched power steps in
 stages (``SYMBOL_POWER_STAGES``): most kernels are settled, and proven, after
 the first, and the rest go on to the last with the same iterate, which gives
 the same bytes as ranking once after the last. The phase table of each grid
-and window is built once and kept read-only.
+and window is built once and kept read-only. :func:`symbol_norm_warm` gives
+the same answer from the per-frequency bounds of a nearby kernel, which it
+returns updated as a :class:`SymbolBounds`; the caller keeps them (the
+training loop carries one per kernel across Adam steps), and the module
+keeps no state.
 
 Tensors are plain ``numpy`` arrays of shape (H, W, C) and dtype complex128;
 convolution kernels are (kh, kw, C_in, C_out) with odd spatial extents.
@@ -29,6 +33,7 @@ from __future__ import annotations
 
 import functools
 import struct
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -260,6 +265,12 @@ SYMBOL_POWER_STAGES = (3, 8)
 # a candidate that is not the grid maximum costs one eigvalsh over the grid,
 # not a wrong bound.
 SYMBOL_CANDIDATES = 8
+# Relative round-up in :func:`symbol_norm_warm`: of each squared bound, on
+# the squared grid maximum, and of each drift, on itself and on the sum of
+# the absolute kernel change. It is hundreds of times the worst-case rounding
+# of the symbol, its Gram matrix and ``eigvalsh`` at 16 channels, and far
+# below ``SYMBOL_MARGIN``.
+SYMBOL_BOUND_SLACK = 1e-10
 
 
 @functools.cache
@@ -288,6 +299,19 @@ def kernel_symbol(k: np.ndarray, m: int) -> np.ndarray:
     """
     kh, kw, cin, cout = k.shape
     return (_phases(m, kh, kw) @ k.reshape(kh * kw, cin * cout)).reshape(m * m, cin, cout)
+
+
+def _gram(sym: np.ndarray) -> np.ndarray:
+    """Each symbol row's Gram matrix, formed on its smaller channel side."""
+    sym_h = sym.conj().transpose(0, 2, 1)
+    return sym @ sym_h if sym.shape[1] <= sym.shape[2] else sym_h @ sym
+
+
+def _symbol_grad(m: int, kh: int, kw: int, j: int, u: np.ndarray, vh: np.ndarray) -> np.ndarray:
+    """The gradient of the top singular value of symbol row ``j`` with
+    respect to the kernel, from the row's SVD factors ``u`` and ``vh``."""
+    phase = np.conj(_phases(m, kh, kw)[j]).reshape(kh, kw, 1, 1)
+    return phase * np.multiply.outer(u[:, 0], vh[0])
 
 
 def _power_step(gram: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -330,10 +354,9 @@ def symbol_norm(k: np.ndarray, m: int):
     refused candidate sends the same iterate on to the next stage.
     """
     k = validate_kernel(k)
-    kh, kw, cin, cout = k.shape
+    kh, kw = k.shape[:2]
     sym = kernel_symbol(k, m)
-    sym_h = sym.conj().transpose(0, 2, 1)
-    gram = sym @ sym_h if cin <= cout else sym_h @ sym
+    gram = _gram(sym)
     eye = np.eye(gram.shape[1])
     v = np.ones((m * m, gram.shape[1], 1), dtype=np.complex128)
     steps, last = 0, SYMBOL_POWER_STAGES[-1]
@@ -364,8 +387,72 @@ def symbol_norm(k: np.ndarray, m: int):
     else:
         j = int(np.argmax(np.linalg.eigvalsh(gram)[:, -1]))
         u, s, vh = np.linalg.svd(sym[j])
-    phase = np.conj(_phases(m, kh, kw)[j]).reshape(kh, kw, 1, 1)
-    return float(s[0]), phase * np.multiply.outer(u[:, 0], vh[0])
+    return float(s[0]), _symbol_grad(m, kh, kw, j, u, vh)
+
+
+@dataclass(frozen=True)
+class SymbolBounds:
+    """What :func:`symbol_norm_warm` proved about one kernel: a read-only
+    copy of the kernel, the grid row ``j`` it chose, and ``bounds[w]``, an
+    upper bound on the top singular value of the kernel's symbol at every
+    grid frequency ``w``."""
+
+    kernel: np.ndarray
+    j: int
+    bounds: np.ndarray
+
+
+def symbol_norm_warm(k: np.ndarray, m: int, prev: SymbolBounds | None):
+    """``(sigma, grad, bounds)``: :func:`symbol_norm` of ``k`` bit for bit,
+    proven from ``prev``, the :class:`SymbolBounds` of a nearby kernel of
+    the same shape on the same grid, and the :class:`SymbolBounds` of ``k``.
+
+    By the triangle inequality,
+    ``sigma_{V+D}(w) <= sigma_V(w) + ||K_D(w)||_F`` at every frequency, so
+    ``prev.bounds`` plus the Frobenius norm of each row of
+    ``kernel_symbol(k - prev.kernel)``, rounded up, bounds the top
+    singular value of ``k``'s symbol everywhere. The top singular value
+    ``s0`` at ``prev.j`` is a lower bound on the grid maximum, so only the
+    frequencies whose bound reaches ``s0 (1 - SYMBOL_MARGIN)`` can hold it:
+    one batched ``eigvalsh`` of their Gram matrices resets their bounds to
+    the exact values, rounded up, and their maximum is the chosen row
+    ``j``. Without ``prev`` every frequency is evaluated. Every symbol row
+    comes from the full
+    :func:`kernel_symbol` product, the rows :func:`symbol_norm` sees, and
+    ``(sigma, grad)`` comes from the SVD at ``j`` as there. When another
+    frequency comes within ``2 SYMBOL_MARGIN``
+    of the maximum, :func:`symbol_norm` could settle on either, so it
+    answers itself. A real kernel's symbol is conjugate-symmetric, so
+    frequencies ``w`` and ``-w`` tie, and a real kernel whose maximum lies
+    away from ``w = 0`` always takes that path.
+    """
+    k = validate_kernel(k)
+    kh, kw = k.shape[:2]
+    sym = kernel_symbol(k, m)
+    if prev is None:
+        cand, bounds = np.arange(m * m), np.empty(m * m)
+    else:
+        delta = k - prev.kernel
+        parts = kernel_symbol(delta, m).reshape(m * m, -1).view(np.float64)
+        drift = np.sqrt(np.einsum("ij,ij->i", parts, parts))  # per-row Frobenius norms
+        bounds = (prev.bounds + drift * (1.0 + SYMBOL_BOUND_SLACK)
+                  + SYMBOL_BOUND_SLACK * float(np.abs(delta).sum()))
+        u, s, vh = np.linalg.svd(sym[prev.j])
+        cand = np.flatnonzero(bounds >= s[0] * (1.0 - SYMBOL_MARGIN))
+    top = np.linalg.eigvalsh(_gram(sym[cand]))[:, -1]
+    i = int(np.argmax(top))
+    j = int(cand[i])
+    bounds[cand] = np.sqrt(np.maximum(top, 0.0) + SYMBOL_BOUND_SLACK * top[i])
+    if np.count_nonzero(top >= top[i] * (1.0 - 2.0 * SYMBOL_MARGIN)) > 1:
+        sigma, grad = symbol_norm(k, m)
+    else:
+        if prev is None or j != prev.j:
+            u, s, vh = np.linalg.svd(sym[j])
+        sigma, grad = float(s[0]), _symbol_grad(m, kh, kw, j, u, vh)
+    kernel = k.copy()
+    kernel.flags.writeable = False
+    bounds.flags.writeable = False
+    return sigma, grad, SymbolBounds(kernel, j, bounds)
 
 
 # ---------------------------------------------------------------------------

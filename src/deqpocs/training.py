@@ -13,6 +13,11 @@ gradient. Adam holds the raw kernels ``V``; the operator uses
 ``W = V / s`` from :func:`normalize_params`, once per step, and the gradient
 goes through that division (:func:`normalize_vjp`), as in spectral
 normalization. alpha and the branch weights are projected after every step.
+A run carries, per kernel slot, the per-frequency symbol bounds of the raw
+kernel it last certified into the next :func:`normalize_params` call
+(``tensors.symbol_norm_warm``), so a step re-proves the grid maximum at the
+few frequencies that Adam's small move could have lifted to it, with the
+bytes of a full certification.
 
 Every equilibrium solve of the package (training, inference, the harness)
 goes through :func:`reconstruct`, the one place that gates on the
@@ -254,6 +259,7 @@ def train(
     if len(shapes) != 1:
         raise TrainingError(f"all samples must share one shape, got {shapes}")
     H, W, nc = next(iter(shapes))
+    warm: dict = {}  # kernel slot -> SymbolBounds of the raw kernel last certified there
     if params is None:
         params = raw = init_params(
             config.variant,
@@ -266,7 +272,7 @@ def train(
     else:
         raw = params
         try:
-            params = normalize_params(raw)
+            params = normalize_params(raw, warm)
         except InvalidInputError as exc:
             raise TrainingError(f"given parameters: {exc}") from exc
     state = AdamState.init(pack_params(raw))
@@ -287,7 +293,7 @@ def train(
                 raise TrainingError(f"solve failed at epoch {epoch}, sample {m}: {exc}") from exc
             state = adam_step(state, normalize_vjp(params, grad), lr=config.learning_rate)
             raw = unpack_params(params, state.values)
-            params = normalize_params(raw)
+            params = normalize_params(raw, warm)
             # Adam keeps the raw kernels and the projected block weights
             for blk, projected in zip(raw.blocks, params.blocks):
                 blk.alpha, blk.c_k, blk.c_i = projected.alpha, projected.c_k, projected.c_i

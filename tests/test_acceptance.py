@@ -124,8 +124,8 @@ def trained():
     step_bounds = []
     normalize = training.normalize_params
 
-    def spy(raw):
-        params = normalize(raw)
+    def spy(raw, *warm):  # train passes its per-kernel symbol bounds on
+        params = normalize(raw, *warm)
         step_bounds.append(certified_lipschitz(params).contraction_bound)
         return params
 

@@ -41,10 +41,10 @@ def test_snapshot_outputs(tmp_path):
     codes = [line for line in log.splitlines() if line.startswith("exit ")]
     # every model loads, the trained one included, and runs on a larger grid
     # than it records; the last four are usage errors
-    assert codes == ["exit 0"] * 23 + ["exit 2"] * 4
+    assert codes == ["exit 0"] * 24 + ["exit 2"] * 4
     for report in ("trained.ck01.report.csv", "verify_seed2_threads1/robustness.csv",
                    "recon_init/recon_residuals.csv", "recon_48/recon.ct01",
                    "baseline_spirit/baseline_spirit.ct01", "mask_2d-cal/sample_0001_mask.mk01",
                    "mask_2d-free/sample_0001_mask.mk01", "noisy64/sample_0000_meas.ct01",
-                   "init_hybrid3.ck01", "eval_file.csv", "eval_dir.csv"):
+                   "init_hybrid3.ck01", "kspace_lr003.ck01", "eval_file.csv", "eval_dir.csv"):
         assert (tmp_path / "snap" / report).exists()

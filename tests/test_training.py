@@ -334,8 +334,8 @@ class TestTrainLoop:
         bounds = []
         normalize = training.normalize_params
 
-        def spy(raw):
-            params = normalize(raw)
+        def spy(raw, *warm):  # train passes its per-kernel symbol bounds on
+            params = normalize(raw, *warm)
             bounds.append(certified_lipschitz(params).contraction_bound)
             return params
 
