@@ -127,7 +127,6 @@ def cmd_train(ns) -> int:
         print(
             f"epoch {epoch}: loss={report.epoch_mean_loss[-1]:.6g} "
             f"fwd_iters={report.epoch_mean_fwd_iters[-1]:.1f} "
-            f"bwd_iters={report.epoch_mean_bwd_iters[-1]:.1f} "
             f"L={report.epoch_certificate[-1]:.4f}"
         )
 

@@ -3,16 +3,16 @@
 Training solves, per sample, the fixed point ``x* = P(net(x*))`` of the
 consistency operator composed with the data-consistency projection, scores
 it with a squared-Frobenius k-space loss against the fully sampled truth,
-and backpropagates through the equilibrium with the implicit-function
-adjoint: ``v = (I - J^T)^{-1} g`` is the fixed point of the (provably
-contractive, certificate-backed) linear map ``v <- g + J^T v``, solved by
-Anderson acceleration on the forward solve's loop (:func:`anderson_solve`;
-on a linear map, Anderson within its memory is GMRES), after which one
-parameter-side reverse product of the composed operator yields the
-gradient. Adam holds the raw kernels ``V``; the operator uses
-``W = V / s`` from :func:`normalize_params`, once per step, and the gradient
-goes through that division (:func:`normalize_vjp`), as in spectral
-normalization. alpha and the branch weights are projected after every step.
+and takes its gradient by Jacobian-free backpropagation (JFB; Fung et al.,
+AAAI 2022): one parameter-side reverse pass of the operator at the
+equilibrium, on the masked loss gradient. That is the adjoint
+``v = g + J^T v``'s first iterate; under the certificate ``J`` is close to
+a multiple of the identity, so the direction stays within a few degrees of
+the exact one and Adam ignores the scale. :func:`implicit_backward` keeps
+the exact equilibrium gradient. Adam holds the raw kernels ``V``; the
+operator uses ``W = V / s`` from :func:`normalize_params`, once per step,
+and the gradient goes through that division (:func:`normalize_vjp`), as in
+spectral normalization. alpha and the branch weights are projected after every step.
 A run carries, per kernel slot, the per-frequency symbol bounds of the raw
 kernel it last certified into the next :func:`normalize_params` call
 (``tensors.symbol_norm_warm``), so a step re-proves the grid maximum at the
@@ -57,8 +57,8 @@ from .tensors import frob
 
 
 TRAIN_FORWARD_TOL = 1e-4  # every forward equilibrium of train, Anderson
-TRAIN_BACKWARD_TOL = 1e-4  # the adjoint's tolerance per training step
-TRAIN_BACKWARD_MAX_ITER = 300  # the adjoint's budget per training step
+TRAIN_BACKWARD_TOL = 1e-4  # implicit_backward's default adjoint tolerance
+TRAIN_BACKWARD_MAX_ITER = 300  # implicit_backward's default adjoint budget
 
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
@@ -130,8 +130,8 @@ def implicit_backward(
     cotangent of one application. The adjoint is solved with
     :func:`anderson_solve` at its default memory from ``v = g``: the map
     is affine with a certificate L < 1, and within its memory Anderson on
-    it is GMRES. The defaults are the training step's tolerance and budget,
-    ``TRAIN_BACKWARD_TOL`` and ``TRAIN_BACKWARD_MAX_ITER``. Hitting
+    it is GMRES. The defaults are ``TRAIN_BACKWARD_TOL`` and
+    ``TRAIN_BACKWARD_MAX_ITER``; :func:`train` runs only the first iterate. Hitting
     ``max_iter`` first only warns and returns the last iterate.
 
     Returns ``(grad, iterations)``: the flat real gradient aligned with
@@ -198,7 +198,7 @@ def adam_step(state: AdamState, grads: np.ndarray, lr: float = 1e-4) -> AdamStat
 class TrainConfig:
     """What a training run learns and from which seeds. How it solves is
     fixed: every forward equilibrium by :func:`reconstruct`'s Anderson at
-    ``TRAIN_FORWARD_TOL``, every adjoint at ``TRAIN_BACKWARD_TOL``."""
+    ``TRAIN_FORWARD_TOL``, every gradient by one JFB reverse pass."""
 
     epochs: int = 50
     learning_rate: float = 1e-4
@@ -219,16 +219,14 @@ class TrainConfig:
 class TrainReport:
     epoch_mean_loss: list[float] = field(default_factory=list)
     epoch_mean_fwd_iters: list[float] = field(default_factory=list)
-    epoch_mean_bwd_iters: list[float] = field(default_factory=list)
     epoch_certificate: list[float] = field(default_factory=list)
     final_train_residual: float = float("nan")
 
     def to_csv(self) -> str:
-        epochs = zip(self.epoch_mean_loss, self.epoch_mean_fwd_iters,
-                     self.epoch_mean_bwd_iters, self.epoch_certificate)
+        epochs = zip(self.epoch_mean_loss, self.epoch_mean_fwd_iters, self.epoch_certificate)
         rows = [(e, *row) for e, row in enumerate(epochs)]
-        rows.append(("final_train_residual", self.final_train_residual, None, None, None))
-        return csv_text("epoch,mean_loss,mean_fwd_iters,mean_bwd_iters,L", rows)
+        rows.append(("final_train_residual", self.final_train_residual, None, None))
+        return csv_text("epoch,mean_loss,mean_fwd_iters,L", rows)
 
 
 def train(
@@ -241,10 +239,10 @@ def train(
 
     Per epoch the sample order is reshuffled from the seeded stream; per
     sample the forward equilibrium is solved by Anderson at
-    ``TRAIN_FORWARD_TOL``, the squared-Frobenius k-space loss and its
-    implicit gradient (adjoint at ``TRAIN_BACKWARD_TOL``, within
-    ``TRAIN_BACKWARD_MAX_ITER`` steps) are computed, and one Adam step on the
-    raw parameters is taken, followed by :func:`normalize_params`. Adam's
+    ``TRAIN_FORWARD_TOL``, the squared-Frobenius k-space loss and its JFB
+    gradient (one reverse pass at the equilibrium, no adjoint solve) are
+    computed, and one Adam step on the raw parameters is taken, followed by
+    :func:`normalize_params`. Adam's
     first raw kernels are the given ones, normalized (so re-certified, not
     trusted) before the first solve; a non-finite one raises
     :class:`TrainingError`. Without given parameters they are those of
@@ -281,14 +279,16 @@ def train(
     for epoch in range(config.epochs):
         order = list(range(len(dataset)))
         order_stream.shuffle(order)
-        losses, fwd_iters, bwd_iters = [], [], []
+        losses, fwd_iters = [], []
         for m in order:
             x_full, meas = dataset[m]
             try:
                 result = reconstruct(params, meas, tol=TRAIN_FORWARD_TOL)
                 diff = result.solution - x_full
                 loss = frob(diff) ** 2
-                grad, n_bwd = implicit_backward(params, result.solution, meas, 2.0 * diff)
+                # JFB: the adjoint's first iterate v = g; the trace dies before Adam
+                grad = param_vjp(params, forward_with_trace(params, result.solution)[1],
+                                 mask_complement_multiply(2.0 * diff, meas.mask))
             except Exception as exc:
                 raise TrainingError(f"solve failed at epoch {epoch}, sample {m}: {exc}") from exc
             state = adam_step(state, normalize_vjp(params, grad), lr=config.learning_rate)
@@ -300,10 +300,8 @@ def train(
             state.values = pack_params(raw)
             losses.append(loss)
             fwd_iters.append(result.iterations)
-            bwd_iters.append(n_bwd)
         report.epoch_mean_loss.append(float(np.mean(losses)))
         report.epoch_mean_fwd_iters.append(float(np.mean(fwd_iters)))
-        report.epoch_mean_bwd_iters.append(float(np.mean(bwd_iters)))
         report.epoch_certificate.append(certified_lipschitz(params).contraction_bound)
         if progress is not None:
             progress(epoch, report)

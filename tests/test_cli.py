@@ -90,7 +90,7 @@ class TestTrain:
         assert checkpoint.exists()
         report = checkpoint.with_name(checkpoint.name + ".report.csv")
         lines = report.read_text().strip().split("\n")
-        assert lines[0] == "epoch,mean_loss,mean_fwd_iters,mean_bwd_iters,L"
+        assert lines[0] == "epoch,mean_loss,mean_fwd_iters,L"
         assert len(lines) == 1 + 2 + 1
         params, stored = load_checkpoint(checkpoint)
         assert stored < 1.0

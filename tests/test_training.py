@@ -349,7 +349,7 @@ class TestTrainLoop:
         config = TrainConfig(epochs=2, blocks=1, features=4)
         _, report = train(self._dataset(), config)
         lines = report.to_csv().strip().split("\n")
-        assert lines[0] == "epoch,mean_loss,mean_fwd_iters,mean_bwd_iters,L"
+        assert lines[0] == "epoch,mean_loss,mean_fwd_iters,L"
         assert len(lines) == 1 + 2 + 1  # header, epochs, final residual
         assert lines[-1].startswith("final_train_residual,")
         assert np.isfinite(report.final_train_residual)
