@@ -16,8 +16,11 @@ and stderr, in order:
 * ``init_params("hybrid", 3, 8, 4, seed=7, grid=(16, 16))`` saved as
   ``init_hybrid3.ck01``, so that the order in which one draw fills the
   kernels of several blocks and both branches is in the snapshot;
+* ``init_params("hybrid", 1, 16, 4, seed=0, grid=(32, 32))`` saved as
+  ``init.ck01``, and the desk ``train`` above called from Python with those
+  parameters given, saved as ``given.ck01`` with its report: the path of
+  the benchmark's train-desk workload, which no CLI command takes;
 * ``verify`` at the flags of the benchmark's verify-desk workload on
-  ``init_params("hybrid", 1, 16, 4, seed=0, grid=(32, 32))`` saved as
   ``init.ck01``, at ``--seed 1`` and ``--seed 2``, each with
   ``DEQPOCS_THREADS=1`` and with the default thread count, then once more
   at ``--seed 1`` with ``--trials 0``, which solves only each noise level's
@@ -64,7 +67,7 @@ from pathlib import Path
 # the package of this checkout, not an installed one: a snapshot is of its code
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
-from deqpocs import init_params, save_checkpoint  # noqa: E402
+from deqpocs import TrainConfig, init_params, load_dataset, save_checkpoint, train  # noqa: E402
 from deqpocs.cli import main as cli  # noqa: E402
 
 VERIFY_FLAGS = [
@@ -111,7 +114,14 @@ def main():
         run(log, "train", "--data", "data", "--out", "trained.ck01", "--blocks", "1",
             "--features", "16", "--variant", "hybrid", "--epochs", "12")
         save_checkpoint("init_hybrid3.ck01", init_params("hybrid", 3, 8, 4, seed=7, grid=(16, 16)))
-        save_checkpoint("init.ck01", init_params("hybrid", 1, 16, 4, seed=0, grid=(32, 32)))
+        init = init_params("hybrid", 1, 16, 4, seed=0, grid=(32, 32))
+        save_checkpoint("init.ck01", init)
+        pairs = [(s.kspace, s.measurement) for s in load_dataset("data")]
+        config = TrainConfig(epochs=12, variant="hybrid", blocks=1, features=16)
+        params, report = train(pairs, config, params=init)
+        save_checkpoint("given.ck01", params)
+        Path("given.ck01.report.csv").write_text(report.to_csv())
+        log.write("$ train(data, epochs=12, hybrid, 1 block, F=16, params=init.ck01's)\nexit 0\n")
         for seed in ("1", "2"):
             for threads in ("1", None):
                 out = f"verify_seed{seed}_threads{threads or 'default'}"

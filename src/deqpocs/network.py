@@ -20,8 +20,10 @@ those bounds within a branch, mixes branches and multiplies across blocks.
 :func:`normalize_params` divides each kernel whose bound breaches 1, and
 training differentiates through that division (:func:`normalize_vjp`).
 Exact reverse-mode products (:func:`vjp`) treat complex tensors as stacked
-real pairs. :func:`init_params` draws all its kernels in one Gaussian draw,
-and the symbol maximum is found in ranking stages (see ``tensors``).
+real pairs. :func:`init_params` draws all its kernels in one Gaussian draw.
+Each kernel's symbol maximum is ``tensors.symbol_norm``'s exact grid
+maximum; the training loop hands it the bounds of the kernel last certified
+in the same slot, and other callers keep none.
 
 :func:`forward`, :func:`forward_with_trace`, :func:`vjp` and
 :func:`certified_lipschitz` refuse a non-finite bias or block scalar with
@@ -56,7 +58,6 @@ from .tensors import (
     read_ct01_bytes,
     spectral_norm_power_iter,  # noqa: F401  (perfbench traces it under this name)
     symbol_norm,
-    symbol_norm_warm,
     write_ct01_bytes,
 )
 
@@ -153,18 +154,18 @@ def _certify(params: ConsistencyNetParams, rescale: bool, warm: dict | None = No
     ``SYMBOL_FACTOR`` times its symbol maximum on the ``SYMBOL_GRID`` grid,
     filling ``sigmas`` and ``rescales`` in place. With ``rescale``, a kernel
     whose bound breaches 1 is divided by ``s = bound * (1 + NORM_SLACK)``.
-    With ``warm``, the symbol maximum of the kernel in slot (block, branch,
-    layer) is :func:`symbol_norm_warm` from ``warm[slot]``, which it
-    replaces: the same bytes as :func:`symbol_norm`."""
+    ``warm`` maps a kernel slot (block, branch, layer) to the
+    ``SymbolBounds`` of the kernel last certified there, from which
+    ``symbol_norm`` proves this one's maximum, and gets this kernel's;
+    without it, each kernel's bounds are dropped at once."""
     for b, blk in enumerate(params.blocks):
         for r, br in enumerate(blk.branches):
             br.sigmas, br.rescales = [], []
             for i, k in enumerate(br.kernels):
-                if warm is None:
-                    sigma, grad = symbol_norm(k, SYMBOL_GRID)
-                else:
-                    sigma, grad, warm[b, r, i] = symbol_norm_warm(k, SYMBOL_GRID,
-                                                                  warm.get((b, r, i)))
+                prev = warm.get((b, r, i)) if warm else None
+                sigma, grad, bounds = symbol_norm(k, SYMBOL_GRID, prev)
+                if warm is not None:
+                    warm[b, r, i] = bounds
                 bound = SYMBOL_FACTOR * sigma
                 scale = bound * (1.0 + NORM_SLACK)
                 if rescale and scale > 1.0 + NORM_DEADZONE:

@@ -298,20 +298,24 @@ def load_dataset(directory) -> list[LoadedSample]:
     manifest = os.path.join(directory, "manifest.txt")
     deltas = {}
     if os.path.exists(manifest):
-        with open(manifest) as fh:
-            for line in fh:
-                if line.startswith("sample_") and "delta=" in line:
-                    stem = line.split(":")[0].strip()
-                    text = line.rsplit("delta=", 1)[1].strip()
-                    try:
-                        delta = float(text)
-                    except ValueError:
-                        delta = math.nan
-                    if not 0.0 <= delta < math.inf:  # also refuses nan
-                        raise InvalidInputError(
-                            f"{manifest}: {stem} has delta={text!r}; expected a finite number >= 0"
-                        )
-                    deltas[stem] = delta
+        try:
+            with open(manifest, encoding="utf-8") as fh:
+                lines = fh.readlines()
+        except UnicodeDecodeError as exc:
+            raise InvalidInputError(f"{manifest} is not UTF-8 text: {exc}") from None
+        for line in lines:
+            if line.startswith("sample_") and "delta=" in line:
+                stem = line.split(":")[0].strip()
+                text = line.rsplit("delta=", 1)[1].strip()
+                try:
+                    delta = float(text)
+                except ValueError:
+                    delta = math.nan
+                if not 0.0 <= delta < math.inf:  # also refuses nan
+                    raise InvalidInputError(
+                        f"{manifest}: {stem} has delta={text!r}; expected a finite number >= 0"
+                    )
+                deltas[stem] = delta
     out = []
     for stem in entries:
         kspace = load_ct01(os.path.join(directory, stem + "_full.ct01"))

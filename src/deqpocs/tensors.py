@@ -3,15 +3,14 @@ norms, spectral norms of convolution kernels (a power-iteration estimate on
 one grid, and the maximum of the kernel's Fourier symbol over a frequency
 grid), and the CT01 binary container.
 
-The symbol maximum ranks the grid's frequencies by batched power steps in
-stages (``SYMBOL_POWER_STAGES``): most kernels are settled, and proven, after
-the first, and the rest go on to the last with the same iterate, which gives
-the same bytes as ranking once after the last. The phase table of each grid
-and window is built once and kept read-only. :func:`symbol_norm_warm` gives
-the same answer from the per-frequency bounds of a nearby kernel, which it
-returns updated as a :class:`SymbolBounds`; the caller keeps them (the
-training loop carries one per kernel across Adam steps), and the module
-keeps no state.
+The symbol maximum (:func:`symbol_norm`) evaluates a few candidate
+frequencies exactly and proves every other one lower: without state the
+candidates come from batched power steps in stages (``SYMBOL_POWER_STAGES``),
+most kernels being settled after the first; with the :class:`SymbolBounds`
+it returned for a nearby kernel, they come from per-frequency bounds carried
+across the move. The caller keeps those bounds (the training loop carries one
+per kernel across Adam steps), and the module keeps no state. The phase table
+of each grid and window is built once and kept read-only.
 
 Tensors are plain ``numpy`` arrays of shape (H, W, C) and dtype complex128;
 convolution kernels are (kh, kw, C_in, C_out) with odd spatial extents.
@@ -253,23 +252,21 @@ def spectral_norm_power_iter(k: np.ndarray, start: np.ndarray, iters: int):
 # ---------------------------------------------------------------------------
 
 # Relative margin on the squared norm under which the Cholesky check proves
-# that no grid frequency beats the candidate: far above its rounding error.
+# that no frequency outside the candidates reaches their maximum: far above
+# its rounding error.
 SYMBOL_MARGIN = 1e-9
-# Batched power steps per frequency after which the frequencies are ranked.
-# An early stage's candidate is kept only once the Cholesky check proves it
-# is the last stage's candidate too; otherwise the same iterate runs on. On
-# kernels from the desk training run, 3 steps settle about 6 certifications
-# in 7, and 8 put the grid maximum first in 88-100% of them.
+# Batched power steps per frequency after which the frequencies are ranked;
+# a refused proof sends the same iterate on to the next stage. On kernels
+# from the desk training run, 3 steps settle about 6 certifications in 7.
 SYMBOL_POWER_STAGES = (3, 8)
-# The best-ranked frequencies whose exact top eigenvalue picks the candidate;
-# a candidate that is not the grid maximum costs one eigvalsh over the grid,
-# not a wrong bound.
+# The best-ranked frequencies whose exact top eigenvalue is computed; a
+# maximum outside them costs one eigvalsh over the grid, not a wrong bound.
 SYMBOL_CANDIDATES = 8
-# Relative round-up in :func:`symbol_norm_warm`: of each squared bound, on
-# the squared grid maximum, and of each drift, on itself and on the sum of
-# the absolute kernel change. It is hundreds of times the worst-case rounding
-# of the symbol, its Gram matrix and ``eigvalsh`` at 16 channels, and far
-# below ``SYMBOL_MARGIN``.
+# Relative round-up of the bounds in :func:`symbol_norm`: of each squared
+# bound, on the squared grid maximum, and of each drift, on itself and on
+# the sum of the absolute kernel change. It is hundreds of times the
+# worst-case rounding of the symbol, its Gram matrix and ``eigvalsh`` at 16
+# channels, and far below ``SYMBOL_MARGIN``.
 SYMBOL_BOUND_SLACK = 1e-10
 
 
@@ -302,157 +299,101 @@ def kernel_symbol(k: np.ndarray, m: int) -> np.ndarray:
 
 
 def _gram(sym: np.ndarray) -> np.ndarray:
-    """Each symbol row's Gram matrix, formed on its smaller channel side."""
+    """Each symbol row's Gram matrix, formed on its smaller channel side;
+    a non-finite one raises :class:`InvalidInputError`."""
     sym_h = sym.conj().transpose(0, 2, 1)
-    return sym @ sym_h if sym.shape[1] <= sym.shape[2] else sym_h @ sym
-
-
-def _symbol_grad(m: int, kh: int, kw: int, j: int, u: np.ndarray, vh: np.ndarray) -> np.ndarray:
-    """The gradient of the top singular value of symbol row ``j`` with
-    respect to the kernel, from the row's SVD factors ``u`` and ``vh``."""
-    phase = np.conj(_phases(m, kh, kw)[j]).reshape(kh, kw, 1, 1)
-    return phase * np.multiply.outer(u[:, 0], vh[0])
-
-
-def _power_step(gram: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """One batched power step: ``gram @ v``, each column normalized."""
-    v = gram @ v
-    v /= np.maximum(np.linalg.norm(v, axis=1, keepdims=True), 1e-300)
-    return v
-
-
-def _rayleigh(gram: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """The Rayleigh quotient of each unit column of ``v``, as a flat array."""
-    return (v.conj().transpose(0, 2, 1) @ gram @ v).real.ravel()
-
-
-def symbol_norm(k: np.ndarray, m: int):
-    """``(sigma, grad)``: the largest singular value of :func:`kernel_symbol`
-    over the m x m grid, and its gradient with respect to ``k`` in the
-    real-pair convention of :func:`conv2d_kernel_grad`.
-
-    Every frequency's Gram matrix ``G(w)`` is formed on the smaller channel
-    side, and batched power steps from all-ones vectors rank the frequencies.
-    After each of ``SYMBOL_POWER_STAGES`` steps, the ``SYMBOL_CANDIDATES``
-    best Rayleigh quotients are re-ranked by one batched ``eigvalsh`` of
-    their Gram matrices, and one batched Cholesky of
-    ``sigma^2 (1 + SYMBOL_MARGIN) I - G`` proves that no frequency exceeds
-    the candidate, else one batched ``eigvalsh`` over the grid finds the
-    maximum. ``sigma`` comes from the SVD at the chosen frequency ``w*``, so
-    it is within a factor ``1 + SYMBOL_MARGIN / 2`` of the grid maximum.
-    With ``(u, v)`` the top singular pair there,
-    ``grad[d, ci, co] = exp(-i w*.d) u[ci] conj(v[co])``.
-
-    An early stage proves more, so that its answer is the last stage's bit
-    for bit: its candidate's eigenvalue is the only maximum among the
-    candidates, and every frequency outside them lies below
-    ``1 - SYMBOL_MARGIN`` times the Rayleigh quotient that the candidate's
-    own iterate reaches at the last stage. Rayleigh quotients of power
-    iterates of a positive semidefinite matrix never decrease and never
-    exceed its top eigenvalue, so the last stage ranks the candidate above
-    every frequency outside the early candidates and re-ranks it first. A
-    refused candidate sends the same iterate on to the next stage.
-    """
-    k = validate_kernel(k)
-    kh, kw = k.shape[:2]
-    sym = kernel_symbol(k, m)
-    gram = _gram(sym)
-    eye = np.eye(gram.shape[1])
-    v = np.ones((m * m, gram.shape[1], 1), dtype=np.complex128)
-    steps, last = 0, SYMBOL_POWER_STAGES[-1]
-    for stage in SYMBOL_POWER_STAGES:
-        for _ in range(steps, stage):
-            v = _power_step(gram, v)
-        steps = stage
-        best = np.argsort(_rayleigh(gram, v), kind="stable")[-SYMBOL_CANDIDATES:]
-        top = np.linalg.eigvalsh(gram[best])[:, -1]
-        j = int(best[np.argmax(top)])
-        u, s, vh = np.linalg.svd(sym[j])
-        bound = s[0] ** 2 * (1.0 + SYMBOL_MARGIN)
-        if stage == last:
-            gap = bound * eye - gram
-        elif np.count_nonzero(top == top.max()) > 1:
-            continue
-        else:
-            gj, vj = gram[j : j + 1], v[j : j + 1]
-            for _ in range(stage, last):
-                vj = _power_step(gj, vj)
-            gap = _rayleigh(gj, vj)[0] * (1.0 - SYMBOL_MARGIN) * eye - gram
-            gap[best] = bound * eye - gram[best]
-        try:
-            np.linalg.cholesky(gap)
-            break
-        except np.linalg.LinAlgError:
-            pass
-    else:
-        j = int(np.argmax(np.linalg.eigvalsh(gram)[:, -1]))
-        u, s, vh = np.linalg.svd(sym[j])
-    return float(s[0]), _symbol_grad(m, kh, kw, j, u, vh)
+    gram = sym @ sym_h if sym.shape[1] <= sym.shape[2] else sym_h @ sym
+    if not all_finite(gram):
+        raise InvalidInputError("kernel symbol overflows")
+    return gram
 
 
 @dataclass(frozen=True)
 class SymbolBounds:
-    """What :func:`symbol_norm_warm` proved about one kernel: a read-only
-    copy of the kernel, the grid row ``j`` it chose, and ``bounds[w]``, an
-    upper bound on the top singular value of the kernel's symbol at every
-    grid frequency ``w``."""
+    """What :func:`symbol_norm` proved about one kernel: a read-only copy of
+    the kernel, the grid row ``j`` it chose, and ``bounds[w]``, an upper
+    bound on the top singular value of the kernel's symbol at every grid
+    frequency ``w``."""
 
     kernel: np.ndarray
     j: int
     bounds: np.ndarray
 
 
-def symbol_norm_warm(k: np.ndarray, m: int, prev: SymbolBounds | None):
-    """``(sigma, grad, bounds)``: :func:`symbol_norm` of ``k`` bit for bit,
-    proven from ``prev``, the :class:`SymbolBounds` of a nearby kernel of
-    the same shape on the same grid, and the :class:`SymbolBounds` of ``k``.
+@np.errstate(over="ignore", invalid="ignore")  # an overflow is refused, not warned of
+def symbol_norm(k: np.ndarray, m: int, prev: SymbolBounds | None = None):
+    """``(sigma, grad, bounds)``: the largest singular value of
+    :func:`kernel_symbol` over the m x m grid, its gradient with respect to
+    ``k`` in the real-pair convention of :func:`conv2d_kernel_grad`, and the
+    :class:`SymbolBounds` of ``k``.
 
-    By the triangle inequality,
-    ``sigma_{V+D}(w) <= sigma_V(w) + ||K_D(w)||_F`` at every frequency, so
-    ``prev.bounds`` plus the Frobenius norm of each row of
-    ``kernel_symbol(k - prev.kernel)``, rounded up, bounds the top
-    singular value of ``k``'s symbol everywhere. The top singular value
-    ``s0`` at ``prev.j`` is a lower bound on the grid maximum, so only the
-    frequencies whose bound reaches ``s0 (1 - SYMBOL_MARGIN)`` can hold it:
-    one batched ``eigvalsh`` of their Gram matrices resets their bounds to
-    the exact values, rounded up, and their maximum is the chosen row
-    ``j``. Without ``prev`` every frequency is evaluated. Every symbol row
-    comes from the full
-    :func:`kernel_symbol` product, the rows :func:`symbol_norm` sees, and
-    ``(sigma, grad)`` comes from the SVD at ``j`` as there. When another
-    frequency comes within ``2 SYMBOL_MARGIN``
-    of the maximum, :func:`symbol_norm` could settle on either, so it
-    answers itself. A real kernel's symbol is conjugate-symmetric, so
-    frequencies ``w`` and ``-w`` tie, and a real kernel whose maximum lies
-    away from ``w = 0`` always takes that path.
+    Candidate frequencies get the exact top eigenvalue of their Gram matrix
+    ``G(w)`` from one batched ``eigvalsh``; every other frequency is proven
+    to lie below their maximum by the relative margin ``SYMBOL_MARGIN``.
+    ``j`` is the lowest-index frequency attaining that maximum, and
+    ``sigma`` comes from the SVD there; with ``(u, v)`` its top singular
+    pair, ``grad[d, ci, co] = exp(-i w_j.d) u[ci] conj(v[co])``.
+
+    Without ``prev``, the candidates are the ``SYMBOL_CANDIDATES`` best
+    Rayleigh quotients of batched power steps after each stage of
+    ``SYMBOL_POWER_STAGES``, and one batched Cholesky of
+    ``top.max() (1 - SYMBOL_MARGIN) I - G``, with their rows set to ``I``,
+    is the proof; when no stage is proven, every frequency is a candidate.
+    The others are bounded by ``sqrt(top.max() (1 + SYMBOL_BOUND_SLACK))``.
+    With ``prev``, the :class:`SymbolBounds` of a nearby kernel of the same
+    shape, ``sigma_{V+D}(w) <= sigma_V(w) + ||K_D(w)||_F`` carries its
+    bounds to ``k``, rounded up, and the candidates are the frequencies
+    whose bound reaches ``s0 (1 - SYMBOL_MARGIN)``, ``s0`` the top singular
+    value at ``prev.j``. A candidate's bound is its exact value, rounded
+    up. A symbol that overflows raises :class:`InvalidInputError`.
     """
     k = validate_kernel(k)
     kh, kw = k.shape[:2]
     sym = kernel_symbol(k, m)
     if prev is None:
-        cand, bounds = np.arange(m * m), np.empty(m * m)
+        gram = _gram(sym)
+        eye = np.eye(gram.shape[1])
+        v = np.ones((m * m, gram.shape[1], 1), dtype=np.complex128)
+        steps = 0
+        for stage in SYMBOL_POWER_STAGES:
+            for _ in range(steps, stage):
+                v = gram @ v
+                v /= np.maximum(np.linalg.norm(v, axis=1, keepdims=True), 1e-300)
+            steps = stage
+            rayleigh = (v.conj().transpose(0, 2, 1) @ gram @ v).real.ravel()
+            cand = np.sort(np.argsort(rayleigh, kind="stable")[-SYMBOL_CANDIDATES:])
+            top = np.linalg.eigvalsh(gram[cand])[:, -1]
+            gap = top.max() * (1.0 - SYMBOL_MARGIN) * eye - gram
+            gap[cand] = eye
+            try:
+                np.linalg.cholesky(gap)
+                break
+            except np.linalg.LinAlgError:
+                pass
+        else:
+            cand, top = np.arange(m * m), np.linalg.eigvalsh(gram)[:, -1]
+        bounds = np.full(m * m, np.sqrt(top.max() * (1.0 + SYMBOL_BOUND_SLACK)))
     else:
         delta = k - prev.kernel
         parts = kernel_symbol(delta, m).reshape(m * m, -1).view(np.float64)
         drift = np.sqrt(np.einsum("ij,ij->i", parts, parts))  # per-row Frobenius norms
         bounds = (prev.bounds + drift * (1.0 + SYMBOL_BOUND_SLACK)
                   + SYMBOL_BOUND_SLACK * float(np.abs(delta).sum()))
+        if not (all_finite(bounds) and all_finite(sym[prev.j])):  # an SVD of inf never returns
+            raise InvalidInputError("kernel symbol overflows")
         u, s, vh = np.linalg.svd(sym[prev.j])
         cand = np.flatnonzero(bounds >= s[0] * (1.0 - SYMBOL_MARGIN))
-    top = np.linalg.eigvalsh(_gram(sym[cand]))[:, -1]
+        top = np.linalg.eigvalsh(_gram(sym[cand]))[:, -1]
     i = int(np.argmax(top))
     j = int(cand[i])
     bounds[cand] = np.sqrt(np.maximum(top, 0.0) + SYMBOL_BOUND_SLACK * top[i])
-    if np.count_nonzero(top >= top[i] * (1.0 - 2.0 * SYMBOL_MARGIN)) > 1:
-        sigma, grad = symbol_norm(k, m)
-    else:
-        if prev is None or j != prev.j:
-            u, s, vh = np.linalg.svd(sym[j])
-        sigma, grad = float(s[0]), _symbol_grad(m, kh, kw, j, u, vh)
+    if prev is None or j != prev.j:
+        u, s, vh = np.linalg.svd(sym[j])
+    phase = np.conj(_phases(m, kh, kw)[j]).reshape(kh, kw, 1, 1)
     kernel = k.copy()
     kernel.flags.writeable = False
     bounds.flags.writeable = False
-    return sigma, grad, SymbolBounds(kernel, j, bounds)
+    return float(s[0]), phase * np.multiply.outer(u[:, 0], vh[0]), SymbolBounds(kernel, j, bounds)
 
 
 # ---------------------------------------------------------------------------

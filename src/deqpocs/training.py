@@ -15,9 +15,9 @@ and the gradient goes through that division (:func:`normalize_vjp`), as in
 spectral normalization. alpha and the branch weights are projected after every step.
 A run carries, per kernel slot, the per-frequency symbol bounds of the raw
 kernel it last certified into the next :func:`normalize_params` call
-(``tensors.symbol_norm_warm``), so a step re-proves the grid maximum at the
-few frequencies that Adam's small move could have lifted to it, with the
-bytes of a full certification.
+(``tensors.symbol_norm``), so a step re-proves the grid maximum at the few
+frequencies that Adam's small move could have lifted to it, with the bytes
+of a certification without them.
 
 Every equilibrium solve of the package (training, inference, the harness)
 goes through :func:`reconstruct`, the one place that gates on the
@@ -244,12 +244,12 @@ def train(
     computed, and one Adam step on the raw parameters is taken, followed by
     :func:`normalize_params`. Adam's
     first raw kernels are the given ones, normalized (so re-certified, not
-    trusted) before the first solve; a non-finite one raises
-    :class:`TrainingError`. Without given parameters they are those of
-    :func:`init_params`, certified once. The report logs per-epoch means
-    and the certificate of each epoch's final parameters, and its final
-    entry is the mean equilibrium residual of the trained operator over the
-    training set, solved the same way.
+    trusted) before the first solve; a non-finite one, or a step's kernel
+    whose symbol overflows, raises :class:`TrainingError`. Without given
+    parameters they are those of :func:`init_params`, certified once. The
+    report logs per-epoch means and the certificate of each epoch's final
+    parameters, and its final entry is the mean equilibrium residual of the
+    trained operator over the training set, solved the same way.
     """
     if not dataset:
         raise TrainingError("training dataset is empty")
@@ -293,7 +293,10 @@ def train(
                 raise TrainingError(f"solve failed at epoch {epoch}, sample {m}: {exc}") from exc
             state = adam_step(state, normalize_vjp(params, grad), lr=config.learning_rate)
             raw = unpack_params(params, state.values)
-            params = normalize_params(raw, warm)
+            try:
+                params = normalize_params(raw, warm)
+            except InvalidInputError as exc:
+                raise TrainingError(f"step at epoch {epoch}, sample {m}: {exc}") from exc
             # Adam keeps the raw kernels and the projected block weights
             for blk, projected in zip(raw.blocks, params.blocks):
                 blk.alpha, blk.c_k, blk.c_i = projected.alpha, projected.c_k, projected.c_i

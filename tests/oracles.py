@@ -41,32 +41,34 @@ def _phases_reference(m, kh, kw):
     return (ey[:, None, :, None] * ex[None, :, None, :]).reshape(m * m, kh * kw)
 
 
-def symbol_norm_reference(k, m, steps=8, candidates=8, margin=1e-9):
-    """``symbol_norm`` as it was with one ranking stage: ``steps`` batched
-    power steps, the ``candidates`` best Rayleigh quotients re-ranked
-    exactly, the Cholesky proof at ``margin``, else the full-grid maximum.
-    Its phase table is built on every call."""
+def _symbol_reference(k, m):
+    kh, kw, cin, cout = k.shape
+    return (_phases_reference(m, kh, kw) @ k.reshape(kh * kw, cin * cout)).reshape(
+        m * m, cin, cout)
+
+
+def symbol_norm_reference(k, m):
+    """``(sigma, grad, j)``: the symbol maximum over the whole m x m grid.
+    The top eigenvalue of every frequency's Gram matrix (on the smaller
+    channel side) comes from ``eigvalsh``, ``j`` is the lowest-index
+    frequency attaining their maximum, and ``sigma`` and ``grad`` come from
+    the SVD of the symbol at ``j``. No ranking, no proof; its phase table
+    is built on every call."""
     k = np.asarray(k, dtype=np.complex128)
     kh, kw, cin, cout = k.shape
-    sym = (_phases_reference(m, kh, kw) @ k.reshape(kh * kw, cin * cout)).reshape(
-        m * m, cin, cout)
+    sym = _symbol_reference(k, m)
     sym_h = sym.conj().transpose(0, 2, 1)
     gram = sym @ sym_h if cin <= cout else sym_h @ sym
-    v = np.ones((m * m, gram.shape[1], 1), dtype=np.complex128)
-    for _ in range(steps):
-        v = gram @ v
-        v /= np.maximum(np.linalg.norm(v, axis=1, keepdims=True), 1e-300)
-    rayleigh = (v.conj().transpose(0, 2, 1) @ gram @ v).real.ravel()
-    best = np.argsort(rayleigh, kind="stable")[-candidates:]
-    j = int(best[np.argmax(np.linalg.eigvalsh(gram[best])[:, -1])])
+    j = int(np.argmax(np.linalg.eigvalsh(gram)[:, -1]))
     u, s, vh = np.linalg.svd(sym[j])
-    try:
-        np.linalg.cholesky(s[0] ** 2 * (1.0 + margin) * np.eye(gram.shape[1]) - gram)
-    except np.linalg.LinAlgError:
-        j = int(np.argmax(np.linalg.eigvalsh(gram)[:, -1]))
-        u, s, vh = np.linalg.svd(sym[j])
     phase = np.conj(_phases_reference(m, kh, kw)[j]).reshape(kh, kw, 1, 1)
-    return float(s[0]), phase * np.multiply.outer(u[:, 0], vh[0])
+    return float(s[0]), phase * np.multiply.outer(u[:, 0], vh[0]), j
+
+
+def symbol_top_singular_values(k, m):
+    """The top singular value of the kernel's symbol at every grid
+    frequency, from ``np.linalg.svd`` of a symbol built here."""
+    return np.linalg.svd(_symbol_reference(k, m), compute_uv=False)[:, 0]
 
 
 def init_params_reference(variant, blocks, features, nc, seed=0, grid=(32, 32)):

@@ -120,6 +120,39 @@ class TestTrain:
         assert "manifest.txt" in err and "sample_0001" in err
         assert not (tmp_path / "x.ck01").exists()
 
+    def test_non_utf8_manifest_exits_2(self, dataset_dir, tmp_path, capsys):
+        data = tmp_path / "data"
+        data.mkdir()
+        for f in dataset_dir.iterdir():
+            (data / f.name).write_bytes(f.read_bytes())
+        with open(data / "manifest.txt", "ab") as fh:
+            fh.write(b"sample_0002: note=\xff\xfe\n")
+        assert run(
+            "train", "--data", str(data), "--out", str(tmp_path / "x.ck01"),
+            "--epochs", "1", "--blocks", "1", "--features", "4",
+        ) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "manifest.txt" in err and "UTF-8" in err
+        assert not (tmp_path / "x.ck01").exists()
+
+    def test_overflowing_kernel_exits_1(self, tmp_path, capsys):
+        """At a learning rate of 1e300 Adam's first step leaves finite
+        kernels whose Fourier symbol overflows: a check failure, not a
+        traceback."""
+        data = tmp_path / "data"
+        assert run("gen-data", "--out", str(data), "--n", "2", "--size", "16",
+                   "--coils", "2") == 0
+        capsys.readouterr()
+        assert run(
+            "train", "--data", str(data), "--out", str(tmp_path / "x.ck01"), "--lr", "1e300",
+            "--epochs", "2", "--blocks", "1", "--features", "2",
+        ) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "overflows" in err
+        assert not (tmp_path / "x.ck01").exists()
+
     def test_rerun_identical_checkpoint(self, dataset_dir, tmp_path):
         outs = []
         for name in ("r1.ck01", "r2.ck01"):
@@ -594,6 +627,15 @@ class TestConfigFile:
         err = capsys.readouterr().err
         key, value = line.split("=")
         assert err.startswith("error: ") and f"--{key}" in err and value in err
+        assert not (tmp_path / "ds").exists()
+
+    def test_non_utf8_config_exits_2(self, tmp_path, capsys):
+        cfg = tmp_path / "c.cfg"
+        cfg.write_bytes(b"size=8\n# \xff\xfe\n")
+        assert run("gen-data", "--out", str(tmp_path / "ds"), "--config", str(cfg)) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "c.cfg" in err and "UTF-8" in err
         assert not (tmp_path / "ds").exists()
 
     @pytest.mark.parametrize("key", ["bogus", "siz", "config", "command", "handler"])

@@ -283,9 +283,9 @@ class TestCertifiedSolve:
         calls, at_first_solve = [], []
         symbol_norm = network.symbol_norm
 
-        def counting_symbol_norm(k, m):
+        def counting_symbol_norm(k, m, prev=None):
             calls.append(k.shape)
-            return symbol_norm(k, m)
+            return symbol_norm(k, m, prev)
 
         def first_solve(*args, **kwargs):
             at_first_solve.append(len(calls))
@@ -298,6 +298,14 @@ class TestCertifiedSolve:
             train([(x_full, meas)], config)
         kernels = 2 * 2 * len(layer_widths(2, 4))  # blocks x branches x layers
         assert at_first_solve == [kernels]
+
+    def test_train_refuses_overflowing_step(self):
+        """At a learning rate of 1e300 Adam's first step leaves finite
+        kernels whose Fourier symbol overflows."""
+        x_full, meas, _ = tiny_setup()
+        config = TrainConfig(epochs=2, learning_rate=1e300, blocks=1, features=2)
+        with pytest.raises(TrainingError, match="epoch 0, sample 0: kernel symbol overflows"):
+            train([(x_full, meas)], config)
 
     def test_train_refuses_nonfinite_given_kernel(self):
         x_full, meas, params = tiny_setup()
